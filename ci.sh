@@ -194,3 +194,24 @@ fi
 "$TMP/paper-tables" -only timings -programs "$MR_PROGRAMS" -miners edgar \
 	-noverify -visits-not-above "$TMP/bench.nomr.json" >/dev/null
 echo "ci.sh: multires arm never visits more fine-lattice nodes than plain"
+
+# --- Table 1 drift gate ---------------------------------------------------
+# tables.txt is the committed paper-tables output. The plain-arm record
+# above mined the same programs at the same defaults (multires never
+# changes output), so each program's saved count must equal tables.txt's
+# Edgar column: a change that moves savings without regenerating
+# tables.txt (and EXPERIMENTS.md, which quotes it) fails here.
+awk '/^Table 1:/ { on = 1; next } on && /^total/ { exit } on { print $1, $NF }' \
+	tables.txt >"$TMP/table1.edgar"
+awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
+	/"saved":/ { gsub(/,/, "", $2); print name, $2 }' \
+	"$TMP/bench.nomr.json" >"$TMP/saved.nomr"
+[ -s "$TMP/saved.nomr" ] || { echo "ci.sh: no saved counts in the plain-arm record" >&2; exit 1; }
+while read -r name saved; do
+	want=$(awk -v n="$name" '$1 == n { print $2 }' "$TMP/table1.edgar")
+	if [ "$saved" != "$want" ]; then
+		echo "ci.sh: $name saves $saved instructions but tables.txt's Edgar column says ${want:-nothing}" >&2
+		exit 1
+	fi
+done <"$TMP/saved.nomr"
+echo "ci.sh: tables.txt Table 1 matches the mined savings"

@@ -1,6 +1,8 @@
 package mining
 
 import (
+	"maps"
+	"strconv"
 	"testing"
 )
 
@@ -30,25 +32,25 @@ func TestCompareTuplesOrder(t *testing.T) {
 	fwd12 := Tuple{I: 1, J: 2, LI: "b", LJ: "c", Out: true, LE: "e"}
 	back20 := Tuple{I: 2, J: 0, LI: "c", LJ: "a", Out: true, LE: "e"}
 	// Growing forward chain: earlier discovery is smaller.
-	if CompareTuples(fwd01, fwd12) >= 0 {
+	if compareTuples(&fwd01, &fwd12) >= 0 {
 		t.Error("(0,1) must precede (1,2)")
 	}
 	// Backward from 2 precedes forward from 2 (i < j' rule with j'=3).
 	fwd23 := Tuple{I: 2, J: 3, LI: "c", LJ: "d", Out: true, LE: "e"}
-	if CompareTuples(back20, fwd23) >= 0 {
+	if compareTuples(&back20, &fwd23) >= 0 {
 		t.Error("backward (2,0) must precede forward (2,3)")
 	}
 	// Direction is tie-breaking: out before in.
 	in01 := Tuple{I: 0, J: 1, LI: "a", LJ: "b", Out: false, LE: "e"}
-	if CompareTuples(fwd01, in01) >= 0 {
+	if compareTuples(&fwd01, &in01) >= 0 {
 		t.Error("out-edge must sort before in-edge")
 	}
 	// Same position, label order decides.
 	x := Tuple{I: 0, J: 1, LI: "a", LJ: "b", Out: true, LE: "f"}
-	if CompareTuples(fwd01, x) >= 0 {
+	if compareTuples(&fwd01, &x) >= 0 {
 		t.Error("edge label order broken")
 	}
-	if CompareTuples(fwd01, fwd01) != 0 {
+	if compareTuples(&fwd01, &fwd01) != 0 {
 		t.Error("equal tuples must compare 0")
 	}
 }
@@ -372,6 +374,35 @@ func TestEmbeddingSupportAntimonotone(t *testing.T) {
 					t.Errorf("child %q support %d > parent %q support %d", k2, s2, k, s)
 				}
 			}
+		}
+	}
+}
+
+// TestMineManyDistinctLabels feeds one Mine call more than 2^20 distinct
+// labels, interned ahead of the frequent ones so their ids are large.
+// Label ids size with the input: the filler may change nothing but the
+// ids, so the patterns and supports must equal a run without it.
+func TestMineManyDistinctLabels(t *testing.T) {
+	const filler = 1<<20 + 1
+	big := &Graph{ID: 0, Labels: make([]string, filler)}
+	for i := range big.Labels {
+		big.Labels[i] = "f" + strconv.Itoa(i)
+	}
+	for i := 0; i+1 < 1024; i++ {
+		big.Edges = append(big.Edges, GEdge{From: i, To: i + 1, Label: "e" + strconv.Itoa(i)})
+	}
+	motif := func(id int) *Graph { return chain(id, "raw", "ldr", "sub", "add", "str") }
+	for _, cfg := range []Config{{MinSupport: 2}, {MinSupport: 2, EmbeddingSupport: true}} {
+		want := map[string]int{}
+		for _, p := range mineAll(t, []*Graph{motif(1), motif(2)}, cfg) {
+			want[p.Code.Key()] = p.Support
+		}
+		got := map[string]int{}
+		for _, p := range mineAll(t, []*Graph{big, motif(1), motif(2)}, cfg) {
+			got[p.Code.Key()] = p.Support
+		}
+		if len(want) != 6 || !maps.Equal(got, want) {
+			t.Errorf("EmbeddingSupport=%v: got %v, want %v (6 patterns)", cfg.EmbeddingSupport, got, want)
 		}
 	}
 }

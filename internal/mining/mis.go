@@ -121,8 +121,7 @@ type misScratch struct {
 	group []int32 // rows of the gid group being solved
 	uniq  []int32 // group after node-set dedupe
 
-	hmap  map[uint64]int32 // node-set hash -> first uniq slot with it
-	chain []int32          // next uniq slot with the same hash
+	sets rowIndex // node-set dedupe index over uniq
 
 	items []greedyItem
 
@@ -354,34 +353,14 @@ func disjointIndices(s *EmbSet, cfg Config, sc *misScratch) []int32 {
 // with exact word comparison on collision. The result aliases sc.uniq.
 func dedupeGroup(s *EmbSet, group []int32, sc *misScratch) []int32 {
 	sc.uniq = sc.uniq[:0]
-	if sc.hmap == nil {
-		sc.hmap = make(map[uint64]int32, len(group))
-	} else {
-		clear(sc.hmap)
-	}
-	if cap(sc.chain) < len(group) {
-		sc.chain = make([]int32, len(group))
-	}
-	chain := sc.chain[:len(group)]
+	sc.sets.reset(len(group))
 	for _, row := range group {
 		b := s.nodeBits(int(row))
-		h := hashWords(b)
-		if first, ok := sc.hmap[h]; ok {
-			dup := false
-			for j := first; j >= 0; j = chain[j] {
-				if wordsEqual(s.nodeBits(int(sc.uniq[j])), b) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			chain[len(sc.uniq)] = first
-		} else {
-			chain[len(sc.uniq)] = -1
+		if sc.sets.add(hashWords(b), int32(len(sc.uniq)), func(j int32) bool {
+			return wordsEqual(s.nodeBits(int(sc.uniq[j])), b)
+		}) {
+			continue
 		}
-		sc.hmap[h] = int32(len(sc.uniq))
 		sc.uniq = append(sc.uniq, row)
 	}
 	return sc.uniq

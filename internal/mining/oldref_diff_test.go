@@ -3,6 +3,7 @@ package mining
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -80,5 +81,49 @@ func TestFlatMatchesBoxedRandom(t *testing.T) {
 			got := mineTrace(graphs, cfg)
 			assertSameTrace(t, fmt.Sprintf("trial%d/emb=%v", trial, cfg.EmbeddingSupport), want, got)
 		}
+	}
+}
+
+// TestIsMinimalMatchesBoxed compares IsMinimal with the boxed reference
+// code by code: every child code, minimal or not, that the visits of
+// walks over the handwritten sets and over random DAGs (dense in
+// automorphisms) generate, at support 1 (every subgraph) and 2.
+func TestIsMinimalMatchesBoxed(t *testing.T) {
+	sets := testGraphSets()
+	r := rand.New(rand.NewSource(42))
+	nodeLabels := []string{"a", "b", "c"}
+	edgeLabels := []string{"x", "y"}
+	for trial := 0; trial < 30; trial++ {
+		var graphs []*Graph
+		for i := 0; i < 3; i++ {
+			graphs = append(graphs, randDAG(r, i, 5+r.Intn(6), 6+r.Intn(10), nodeLabels, edgeLabels))
+		}
+		sets[fmt.Sprintf("random%02d", trial)] = graphs
+	}
+	names := make([]string, 0, len(sets))
+	for name := range sets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	verdicts := map[bool]int{}
+	for _, name := range names {
+		for _, minSup := range []int{1, 2} {
+			cfg := Config{MinSupport: minSup, MaxNodes: 5, EmbeddingSupport: true, MaxPatterns: 1000}
+			probe := &miner{cfg: cfg, gx: newGraphIndex(sets[name])}
+			Mine(sets[name], cfg, func(p *Pattern) {
+				for _, g := range probe.extendGroups(p.Code, p.Embeddings) {
+					child := append(p.Code[:len(p.Code):len(p.Code)], g.t)
+					got, want := child.IsMinimal(), oldIsMinimal(child)
+					if got != want {
+						t.Fatalf("%s/minsup=%d: IsMinimal(%s) = %v, reference %v", name, minSup, child, got, want)
+					}
+					verdicts[got]++
+				}
+			})
+		}
+	}
+	t.Logf("verdicts: %v", verdicts)
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Errorf("verdicts %v: both outcomes must be exercised", verdicts)
 	}
 }

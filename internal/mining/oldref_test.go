@@ -120,7 +120,7 @@ func (mn *oldMiner) extendGroups(code Code, embs []*Embedding) []oldRawGroup {
 		}
 		out = append(out, oldRawGroup{t: t, cands: cands})
 	}
-	sort.Slice(out, func(i, j int) bool { return CompareTuples(out[i].t, out[j].t) < 0 })
+	sort.Slice(out, func(i, j int) bool { return compareTuples(&out[i].t, &out[j].t) < 0 })
 	return out
 }
 
@@ -186,24 +186,16 @@ func (mn *oldMiner) expand(code Code, embs []*Embedding) {
 	}
 	for _, k := range kids {
 		child := append(append(Code{}, code...), k.t)
-		if !mn.minimal(child) {
+		if !oldIsMinimal(child) {
 			continue
 		}
 		mn.dfs(child, k.embs)
 	}
 }
 
-// minimal mirrors Config.minimal, but routes to the boxed-era minimality
-// test so the reference walk exercises none of the flat fast path.
-func (mn *oldMiner) minimal(code Code) bool {
-	if mn.cfg.Minimal != nil {
-		return mn.cfg.Minimal(code)
-	}
-	return oldIsMinimal(code)
-}
-
-// oldExtendFull is the boxed extendFull: every extension group
-// materialised, no frequency or viability filtering.
+// oldExtendFull materialises every extension group, with no frequency
+// or viability filtering: the growth step of the boxed minimality test,
+// which the flat IsMinimal replaced by materialising only the minimum.
 func oldExtendFull(code Code, embs []*Embedding, graphOf func(int) *Graph) []oldExt {
 	mn := &oldMiner{cfg: Config{MinSupport: 1}, graphOf: graphOf}
 	groups := mn.extendGroups(code, embs)
@@ -228,17 +220,17 @@ func oldIsMinimal(c Code) bool {
 	for v := range p.Labels {
 		for _, h := range p.adj[v] {
 			t := Tuple{I: 0, J: 1, LI: p.Labels[v], LJ: p.Labels[h.other], Out: h.out, LE: h.label}
-			if embs == nil || CompareTuples(t, best) < 0 {
+			if embs == nil || compareTuples(&t, &best) < 0 {
 				best = t
 				embs = embs[:0]
 			}
-			if CompareTuples(t, best) == 0 {
+			if compareTuples(&t, &best) == 0 {
 				embs = append(embs, &Embedding{Nodes: []int{v, h.other}, Edges: []int{h.eid}})
 			}
 		}
 	}
-	if CompareTuples(best, c[0]) != 0 {
-		return CompareTuples(c[0], best) <= 0
+	if compareTuples(&best, &c[0]) != 0 {
+		return compareTuples(&c[0], &best) <= 0
 	}
 	cur := Code{best}
 	for k := 1; k < len(c); k++ {
@@ -248,16 +240,16 @@ func oldIsMinimal(c Code) bool {
 		}
 		minT := exts[0].t
 		for _, e := range exts[1:] {
-			if CompareTuples(e.t, minT) < 0 {
+			if compareTuples(&e.t, &minT) < 0 {
 				minT = e.t
 			}
 		}
-		if cmp := CompareTuples(c[k], minT); cmp != 0 {
+		if cmp := compareTuples(&c[k], &minT); cmp != 0 {
 			return cmp < 0
 		}
 		embs = nil
 		for _, e := range exts {
-			if CompareTuples(e.t, minT) == 0 {
+			if compareTuples(&e.t, &minT) == 0 {
 				embs = append(embs, e.embs...)
 			}
 		}
@@ -295,7 +287,7 @@ func oldSeedPatterns(graphs []*Graph) []*oldExt {
 				b := Tuple{I: 0, J: 1, LI: g.Labels[h.other], LJ: g.Labels[v], Out: false, LE: h.label}
 				t := a
 				nodes := []int{v, h.other}
-				if CompareTuples(b, a) < 0 {
+				if compareTuples(&b, &a) < 0 {
 					t = b
 					nodes = []int{h.other, v}
 				}
@@ -312,7 +304,7 @@ func oldSeedPatterns(graphs []*Graph) []*oldExt {
 	for _, s := range seeds {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return CompareTuples(out[i].t, out[j].t) < 0 })
+	sort.Slice(out, func(i, j int) bool { return compareTuples(&out[i].t, &out[j].t) < 0 })
 	return out
 }
 

@@ -76,7 +76,7 @@ func TestGraphsCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: seed counts differ: %d vs %d", name, len(a), len(b))
 		}
 		for i := range a {
-			if CompareTuples(a[i].t, b[i].t) != 0 || !a[i].set.EqualData(b[i].set) {
+			if compareTuples(&a[i].t, &b[i].t) != 0 || !a[i].set.EqualData(b[i].set) {
 				t.Fatalf("%s: seed %d differs after round trip", name, i)
 			}
 		}

@@ -21,13 +21,13 @@ import (
 // working from a stale incumbent floor — or from no floor at all —
 // costs the coordinator replay-fallback work, never output.
 type SpecSession struct {
-	cfg     Config
-	graphOf func(int) *Graph
-	roots   []*ext
-	budget  *specBudget
-	floor   atomic.Int64
-	visits  atomic.Int64
-	ub      []int
+	cfg    Config
+	gx     *graphIndex
+	roots  []*ext
+	budget *specBudget
+	floor  atomic.Int64
+	visits atomic.Int64
+	ub     []int
 }
 
 // NewSpecSession builds a session over decoded graphs. The SpecConfig's
@@ -38,18 +38,12 @@ type SpecSession struct {
 // session then records the full lattice below each seed, which is
 // always sound.
 func NewSpecSession(graphs []*Graph, sc SpecConfig) *SpecSession {
-	byID := make(map[int]*Graph, len(graphs))
-	for _, g := range graphs {
-		if g.adj == nil {
-			g.Freeze()
-		}
-		byID[g.ID] = g
-	}
+	gx := newGraphIndex(graphs) // freezes the graphs seedPatterns walks
 	s := &SpecSession{
-		graphOf: func(id int) *Graph { return byID[id] },
-		roots:   seedPatterns(graphs),
-		budget:  &specBudget{max: int64(sc.MaxPatterns)},
-		ub:      sc.UB,
+		gx:     gx,
+		roots:  seedPatterns(graphs),
+		budget: &specBudget{max: int64(sc.MaxPatterns)},
+		ub:     sc.UB,
 	}
 	s.floor.Store(int64(sc.Floor))
 	s.cfg = Config{
@@ -138,7 +132,7 @@ func (s *SpecSession) MineSeed(ctx context.Context, seed int) ([]byte, error) {
 	if seed < 0 || seed >= len(s.roots) {
 		return nil, fmt.Errorf("mining: seed %d out of range [0,%d)", seed, len(s.roots))
 	}
-	sp := newSpeculator(ctx, s.cfg, s.graphOf, s.budget)
+	sp := newSpeculator(ctx, s.cfg, s.gx, s.budget)
 	root := sp.mine(Code{s.roots[seed].t}, s.roots[seed].set)
 	return encodeSpecTree(root), nil
 }

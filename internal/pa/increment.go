@@ -2,8 +2,6 @@ package pa
 
 import (
 	"context"
-	"hash/maphash"
-	"sync"
 
 	"graphpa/internal/arm"
 	"graphpa/internal/cfg"
@@ -31,16 +29,12 @@ type incState struct {
 }
 
 // incMining is the slice of incState handed to the miner through
-// Options.inc: the lattice checkpoint store, the mining-graph cache, the
-// cross-round minimality memo, and the current round's stat sink.
+// Options.inc: the lattice checkpoint store, the mining-graph cache and
+// the current round's stat sink.
 type incMining struct {
 	memo *latticeMemo
 	mg   map[*dfg.Graph]mgEntry
-	// minimal memoises Code.IsMinimal by Code.Key(). Minimality is a
-	// pure function of the code, so entries are valid forever and need no
-	// invalidation.
-	minimal *minimalCache
-	stat    *RoundStat
+	stat *RoundStat
 }
 
 // mgEntry is one cached mining graph plus the call-safety flag baked
@@ -56,76 +50,7 @@ func newIncState() *incState {
 	st := &incState{graphs: newGraphCache()}
 	st.m.memo = newLatticeMemo()
 	st.m.mg = map[*dfg.Graph]mgEntry{}
-	st.m.minimal = newMinimalCache()
 	return st
-}
-
-// minimalCacheCap bounds the minimality memo's entry count. Sized for
-// several rounds of a full benchmark's lattice (the paper programs
-// re-enumerate ~20k codes per round when the lattice survives); beyond
-// the cap, lookups continue but new results are recomputed.
-const minimalCacheCap = 1 << 17
-
-// minimalCache memoises Code.IsMinimal across rounds with GC-transparent
-// storage. A conventional map[string]bool here is a real cost: a round
-// whose extraction lowered the incumbent bounds can enumerate tens of
-// thousands of fresh codes, and retaining that many string-keyed entries
-// adds their buckets to every subsequent GC mark phase — more than the
-// cache ever gives back on such rounds. Instead the key bytes live in one
-// append-only byte arena and the index maps a 128-bit key hash to a
-// packed (offset, length, result) word; neither structure contains
-// pointers, so the whole cache is invisible to the garbage collector.
-// Hits verify the full key bytes against the arena, so a 128-bit hash
-// collision degrades to a miss, never a wrong answer.
-type minimalCache struct {
-	mu    sync.RWMutex
-	seeds [2]maphash.Seed
-	idx   map[[2]uint64]uint64 // key hash -> offset<<25 | len<<1 | result
-	arena []byte               // concatenated key bytes
-}
-
-func newMinimalCache() *minimalCache {
-	return &minimalCache{
-		seeds: [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()},
-		idx:   map[[2]uint64]uint64{},
-	}
-}
-
-func (mc *minimalCache) hash(key string) [2]uint64 {
-	return [2]uint64{maphash.String(mc.seeds[0], key), maphash.String(mc.seeds[1], key)}
-}
-
-func (mc *minimalCache) lookup(key string) (result, ok bool) {
-	h := mc.hash(key)
-	mc.mu.RLock()
-	v, hit := mc.idx[h]
-	if hit {
-		off, n := v>>25, (v>>1)&0xffffff
-		// Comparing a converted sub-slice against a string does not
-		// allocate; this check makes hits exact.
-		if string(mc.arena[off:off+n]) == key {
-			result, ok = v&1 != 0, true
-		}
-	}
-	mc.mu.RUnlock()
-	return result, ok
-}
-
-func (mc *minimalCache) store(key string, result bool) {
-	if len(key) >= 1<<24 {
-		return // cannot pack the length; never happens for real codes
-	}
-	h := mc.hash(key)
-	mc.mu.Lock()
-	if _, dup := mc.idx[h]; !dup && len(mc.idx) < minimalCacheCap {
-		v := uint64(len(mc.arena))<<25 | uint64(len(key))<<1
-		if result {
-			v |= 1
-		}
-		mc.arena = append(mc.arena, key...)
-		mc.idx[h] = v
-	}
-	mc.mu.Unlock()
 }
 
 // updateSummaries maintains the interprocedural summary fixpoint across
