@@ -1,7 +1,9 @@
 package pa
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 
 	"graphpa/internal/dfg"
@@ -84,16 +86,27 @@ func ScanSequences(graphs []*dfg.Graph, opts Options, graphSupport bool) []*Cand
 // rolling-hash grouping, collision verification, greedy left-to-right
 // overlap resolution, method selection. Pure over its inputs.
 func scanLen(graphs []*dfg.Graph, seqs [][]uint64, k int, graphSupport bool) []*Candidate {
-	groups := map[uint64][]pos{}
+	// Every length-k window with its rolling hash. Sorted stably by hash,
+	// equal-hash runs are the hash groups in ascending hash order, each in
+	// scan order.
+	type window struct {
+		h uint64
+		p pos
+	}
+	n := 0
+	for _, seq := range seqs {
+		n += max(len(seq)-k+1, 0)
+	}
+	wins := make([]window, 0, n)
+	pow := uint64(1)
+	for i := 0; i < k-1; i++ {
+		pow *= hashBase
+	}
 	for gi, seq := range seqs {
 		if len(seq) < k {
 			continue
 		}
 		var h uint64
-		pow := uint64(1)
-		for i := 0; i < k-1; i++ {
-			pow *= hashBase
-		}
 		for i := 0; i+k <= len(seq); i++ {
 			if i == 0 {
 				h = 0
@@ -103,26 +116,25 @@ func scanLen(graphs []*dfg.Graph, seqs [][]uint64, k int, graphSupport bool) []*
 			} else {
 				h = (h-seq[i-1]*pow)*hashBase + seq[i+k-1]
 			}
-			groups[h] = append(groups[h], pos{gi, i})
+			wins = append(wins, window{h, pos{gi, i}})
 		}
 	}
-	var hashes []uint64
-	for h, ps := range groups {
-		if len(ps) >= 2 {
-			hashes = append(hashes, h)
-		}
-	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+	slices.SortStableFunc(wins, func(a, b window) int { return cmp.Compare(a.h, b.h) })
 	var out []*Candidate
 	safe := callSafeCache{}
-	for _, h := range hashes {
-		ps := groups[h]
+	for lo, hi := 0, 0; lo < len(wins); lo = hi {
+		for hi = lo + 1; hi < len(wins) && wins[hi].h == wins[lo].h; hi++ {
+		}
+		if hi-lo < 2 {
+			continue
+		}
+		ps := wins[lo:hi]
 		// Verify against hash collisions: group by actual tokens.
-		ref := seqs[ps[0].g][ps[0].start : ps[0].start+k]
+		ref := seqs[ps[0].p.g][ps[0].p.start : ps[0].p.start+k]
 		var same []pos
-		for _, p := range ps {
-			if equalSeq(seqs[p.g][p.start:p.start+k], ref) {
-				same = append(same, p)
+		for _, w := range ps {
+			if equalSeq(seqs[w.p.g][w.p.start:w.p.start+k], ref) {
+				same = append(same, w.p)
 			}
 		}
 		if len(same) < 2 {

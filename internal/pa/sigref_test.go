@@ -306,11 +306,12 @@ func BenchmarkBuildCandidate(b *testing.B) {
 	if len(samples) == 0 {
 		b.Fatal("no patterns to validate")
 	}
+	var conv convexScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range samples {
-			candSink = m.buildCandidate(byID, s.set, s.sel, s.k, safe, 0, nil)
+			candSink = m.buildCandidate(byID, s.set, s.sel, s.k, safe, 0, nil, &conv)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/cand")
