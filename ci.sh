@@ -176,42 +176,30 @@ grep -q '"name": "crc"' "$TMP/bench.json"
 grep -q '"visits"' "$TMP/bench.json"
 echo "ci.sh: benchmark record and visit-count gate passed"
 
-# --- multiresolution visit gate ----------------------------------------
-# The coarse-to-fine pass must never make the fine walk MORE expensive:
-# mine the same programs with multires disabled, then require the
-# multires arm (the default) to visit at most as many fine-lattice nodes
-# on every run. -visits-not-above is strict (any ratio > 1.00 fails) and
-# fingerprint-blind, since comparing the two search configurations is
-# the point. The smoke lane covers every benchmark whose walk completes
-# quickly; -full adds rijndael, whose truncating rounds exercise the
-# discard-and-rerun path.
-MR_PROGRAMS=bitcnts,crc,dijkstra,patricia,qsort,search,sha
-if [ "${1:-}" = "-full" ]; then
-	MR_PROGRAMS="$MR_PROGRAMS,rijndael"
-fi
-"$TMP/paper-tables" -only timings -programs "$MR_PROGRAMS" -miners edgar \
-	-noverify -nomultires -bench-json "$TMP/bench.nomr.json" >/dev/null
-"$TMP/paper-tables" -only timings -programs "$MR_PROGRAMS" -miners edgar \
-	-noverify -visits-not-above "$TMP/bench.nomr.json" >/dev/null
-echo "ci.sh: multires arm never visits more fine-lattice nodes than plain"
-
 # --- Table 1 drift gate ---------------------------------------------------
-# tables.txt is the committed paper-tables output. The plain-arm record
-# above mined the same programs at the same defaults (multires never
-# changes output), so each program's saved count must equal tables.txt's
-# Edgar column: a change that moves savings without regenerating
-# tables.txt (and EXPERIMENTS.md, which quotes it) fails here.
+# tables.txt is the committed paper-tables output. Mine the programs at
+# the same defaults and require each program's saved count to equal
+# tables.txt's Edgar column: a change that moves savings without
+# regenerating tables.txt (and EXPERIMENTS.md, which quotes it) fails
+# here. The smoke lane covers every benchmark whose walk completes
+# quickly; -full adds rijndael.
+DRIFT_PROGRAMS=bitcnts,crc,dijkstra,patricia,qsort,search,sha
+if [ "${1:-}" = "-full" ]; then
+	DRIFT_PROGRAMS="$DRIFT_PROGRAMS,rijndael"
+fi
+"$TMP/paper-tables" -only timings -programs "$DRIFT_PROGRAMS" -miners edgar \
+	-noverify -bench-json "$TMP/bench.drift.json" >/dev/null
 awk '/^Table 1:/ { on = 1; next } on && /^total/ { exit } on { print $1, $NF }' \
 	tables.txt >"$TMP/table1.edgar"
 awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
 	/"saved":/ { gsub(/,/, "", $2); print name, $2 }' \
-	"$TMP/bench.nomr.json" >"$TMP/saved.nomr"
-[ -s "$TMP/saved.nomr" ] || { echo "ci.sh: no saved counts in the plain-arm record" >&2; exit 1; }
+	"$TMP/bench.drift.json" >"$TMP/saved.drift"
+[ -s "$TMP/saved.drift" ] || { echo "ci.sh: no saved counts in the drift record" >&2; exit 1; }
 while read -r name saved; do
 	want=$(awk -v n="$name" '$1 == n { print $2 }' "$TMP/table1.edgar")
 	if [ "$saved" != "$want" ]; then
 		echo "ci.sh: $name saves $saved instructions but tables.txt's Edgar column says ${want:-nothing}" >&2
 		exit 1
 	fi
-done <"$TMP/saved.nomr"
+done <"$TMP/saved.drift"
 echo "ci.sh: tables.txt Table 1 matches the mined savings"

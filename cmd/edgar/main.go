@@ -6,7 +6,7 @@
 //
 //	edgar [-miner edgar|dgspan|sfx|edgar-canon] [-schedule] [-maxrounds n]
 //	      [-minsup n] [-maxfrag n] [-maxpatterns n] [-greedy-mis] [-lex]
-//	      [-nomultires] [-workers n] [-shards host1,host2] [-verify]
+//	      [-workers n] [-shards host1,host2] [-verify]
 //	      [-roundstats] [-dump] [-cpuprofile file] [-memprofile file] file.mc
 //
 // -shards distributes the per-seed lattice speculation across running
@@ -58,7 +58,6 @@ func main() {
 	maxPatterns := flag.Int("maxpatterns", 0, "lattice visit budget per mining round (default 100000; raise to approximate the exhaustive search)")
 	greedyMIS := flag.Bool("greedy-mis", false, "use greedy instead of exact independent sets")
 	lex := flag.Bool("lex", false, "lexicographic lattice walk instead of benefit-directed (identical output, more visits)")
-	noMultires := flag.Bool("nomultires", false, "disable multiresolution coarse-to-fine mining (identical output, plain walk only)")
 	workers := flag.Int("workers", 0, "parallel width (0 = all cores, 1 = serial); results are identical at any width")
 	shards := flag.String("shards", "", "comma-separated shard-worker pad addresses to distribute speculation across (identical output)")
 	verify := flag.Bool("verify", true, "run before/after and compare behaviour")
@@ -109,7 +108,6 @@ func main() {
 		GreedyMIS:     *greedyMIS,
 		Workers:       *workers,
 		Lexicographic: *lex,
-		NoMultires:    *noMultires,
 	}
 	if addrs := splitAddrs(*shards); len(addrs) > 0 {
 		po.Shards = service.NewShardPool(addrs, slog.New(slog.NewTextHandler(os.Stderr, nil)))
@@ -175,14 +173,14 @@ func printRoundStats(stats []pa.RoundStat) {
 		}
 	}
 	fmt.Printf("per-round breakdown (blocks reused/rebound/rebuilt; summaries resolved/changed)\n")
-	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %10s %8s",
-		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums r/c", "visits", "coarse", "ff-visits", "extract")
+	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %10s %8s",
+		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums r/c", "visits", "ff-visits", "extract")
 	if sharded {
 		fmt.Printf(" | %-14s %6s %10s", "shard s/t/fb", "bcast", "sh-visits")
 	}
 	fmt.Println()
 	for _, st := range stats {
-		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11s %8d %8d %10d %8d",
+		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11s %8d %10d %8d",
 			st.Round,
 			st.CFGBuild.Round(time.Microsecond),
 			st.Summaries.Round(time.Microsecond),
@@ -192,7 +190,6 @@ func printRoundStats(stats []pa.RoundStat) {
 			fmt.Sprintf("%d/%d/%d", st.BlocksReused, st.BlocksRebound, st.BlocksRebuilt),
 			fmt.Sprintf("%d/%d", st.SummariesRecomputed, st.SummariesChanged),
 			st.Visits,
-			st.CoarseVisits,
 			st.VisitsSaved,
 			st.Extractions)
 		if sharded {

@@ -9,7 +9,7 @@
 //	          [-shards host1,host2] [-shard-of name] [-pprof]
 //	pad submit [-addr host:port] [-miner edgar|dgspan|sfx|edgar-canon]
 //	           [-asm] [-O] [-schedule] [-minsup n] [-maxfrag n]
-//	           [-maxrounds n] [-maxpatterns n] [-greedy-mis] [-nomultires]
+//	           [-maxrounds n] [-maxpatterns n] [-greedy-mis]
 //	           [-retries n] [-json] file.mc | -dir corpus/
 //
 // serve binds addr (use port 0 for an ephemeral port), optionally
@@ -200,7 +200,6 @@ func submit(args []string) {
 	maxFrag := fs.Int("maxfrag", 0, "maximum fragment size in instructions (default 8)")
 	maxPatterns := fs.Int("maxpatterns", 0, "bound mined patterns per round (default 100000)")
 	greedyMIS := fs.Bool("greedy-mis", false, "use greedy instead of exact independent sets")
-	noMultires := fs.Bool("nomultires", false, "disable multiresolution coarse-to-fine mining (identical output)")
 	rawJSON := fs.Bool("json", false, "print the raw JSON response instead of the report")
 	dir := fs.String("dir", "", "submit every .mc/.s file under this directory as one batch")
 	retries := fs.Int("retries", 3, "retry transient daemon failures (connect errors, 429, 5xx) this many times with exponential backoff")
@@ -216,7 +215,6 @@ func submit(args []string) {
 		MaxRounds:   *maxRounds,
 		MaxPatterns: *maxPatterns,
 		GreedyMIS:   *greedyMIS,
-		NoMultires:  *noMultires,
 	}
 	co := &service.CompileOptions{Optimize: *optimizeIR, Schedule: *schedule}
 	if *dir != "" {

@@ -8,8 +8,7 @@
 //
 //	paper-tables [-only table1|table2|table3|fig11|fig12|timings]
 //	             [-miners sfx,dgspan,edgar] [-maxfrag n] [-workers n]
-//	             [-noverify] [-nomultires] [-bench-json file]
-//	             [-bench-baseline file] [-visits-not-above file]
+//	             [-noverify] [-bench-json file] [-bench-baseline file]
 package main
 
 import (
@@ -30,10 +29,8 @@ func main() {
 	maxPatterns := flag.Int("maxpatterns", 0, "per-round mining budget (default 100000)")
 	workers := flag.Int("workers", 0, "parallel width (0 = all cores, 1 = serial); tables are identical at any width")
 	noverify := flag.Bool("noverify", false, "skip differential behaviour checks")
-	noMultires := flag.Bool("nomultires", false, "disable multiresolution coarse-to-fine mining (kill switch)")
 	benchJSON := flag.String("bench-json", "", "write a machine-readable benchmark record to this file")
 	benchBase := flag.String("bench-baseline", "", "compare wall clocks against a committed benchmark record")
-	visitsNotAbove := flag.String("visits-not-above", "", "fail if any run visits more lattice nodes than in this record (cross-configuration gate, skips the fingerprint check)")
 	verbose := flag.Bool("v", false, "log per-program progress to stderr")
 	flag.Parse()
 	if *workers < 0 {
@@ -70,42 +67,15 @@ func main() {
 	}
 
 	list := strings.Split(*miners, ",")
-	ev, err := bench.Evaluate(ws, list, pa.Options{MaxNodes: *maxFrag, MaxPatterns: *maxPatterns, Workers: *workers, NoMultires: *noMultires}, !*noverify)
+	ev, err := bench.Evaluate(ws, list, pa.Options{MaxNodes: *maxFrag, MaxPatterns: *maxPatterns, Workers: *workers}, !*noverify)
 	if err != nil {
 		fatal(err)
 	}
-	if *benchJSON != "" || *benchBase != "" || *visitsNotAbove != "" {
+	if *benchJSON != "" || *benchBase != "" {
 		doc := bench.BenchJSON(ev, list)
 		if *benchJSON != "" {
 			if err := doc.WriteFile(*benchJSON); err != nil {
 				fatal(err)
-			}
-		}
-		if *visitsNotAbove != "" {
-			// Cross-configuration visit gate: the multires arm must never
-			// walk more fine-lattice nodes than the record it is compared
-			// against (typically a NoMultires run of the same programs).
-			// Deliberately fingerprint-blind — comparing different search
-			// configurations is the point — and strict: any run above 1.0
-			// fails.
-			other, err := bench.ReadBenchJSON(*visitsNotAbove)
-			if err != nil {
-				fatal(err)
-			}
-			if vRun, vTotal, ok := bench.CompareVisits(doc, other); ok {
-				fmt.Printf("Lattice visits vs %s (must not exceed 1.00)\n", *visitsNotAbove)
-				bad := false
-				for _, k := range bench.BenchKeys(vRun) {
-					fmt.Printf("%-18s %6.2fx\n", k, vRun[k])
-					if vRun[k] > 1.0 {
-						bad = true
-					}
-				}
-				fmt.Printf("%-18s %6.2fx\n", "total", vTotal)
-				fmt.Println()
-				if bad {
-					fatal(fmt.Errorf("a run visited more lattice nodes than in %s", *visitsNotAbove))
-				}
 			}
 		}
 		if *benchBase != "" {

@@ -7,9 +7,9 @@ import (
 )
 
 // This file emits the machine-readable benchmark record (BENCH_*.json at
-// the repo root). The schema is append-only: committed baselines from
-// earlier revisions must keep loading, so fields are never renamed or
-// repurposed.
+// the repo root). Committed baselines from earlier revisions must keep
+// loading, so fields are never renamed or repurposed; a dropped field
+// is simply ignored when an old record is read.
 
 // BenchRow is one (program, miner) optimization run.
 type BenchRow struct {
@@ -26,31 +26,24 @@ type BenchRow struct {
 	// regression gate compares (wall clock is too noisy for CI). Zero in
 	// records predating the field and for the SFX miner.
 	Visits int `json:"visits,omitempty"`
-	// CoarseVisits counts coarse-lattice patterns visited by the
-	// multiresolution pass's one-shot exhaustive coarse mine. Zero in
-	// records predating the field, for the SFX miner, and with multires
-	// disabled.
-	CoarseVisits int `json:"coarse_visits,omitempty"`
 }
 
 // BenchFingerprint pins the optimizer configuration a benchmark record
 // was taken under. Visit counts are only comparable between runs with
-// identical search configuration — comparing a multires record against a
-// lexicographic one, or records taken at different pattern budgets,
-// silently diffs incomparable numbers — so the baseline gate refuses
-// mismatched fingerprints (FingerprintsMatch). Workers is recorded for
-// provenance but compared loosely by callers that want it: every width
-// produces identical visit counts by construction.
+// identical search configuration — comparing a benefit-directed record
+// against a lexicographic one, or records taken at different pattern
+// budgets, silently diffs incomparable numbers — so the baseline gate
+// refuses mismatched fingerprints (FingerprintsMatch). Workers is
+// recorded for provenance but compared loosely by callers that want it:
+// every width produces identical visit counts by construction.
 type BenchFingerprint struct {
 	Workers       int  `json:"workers"`
 	MaxPatterns   int  `json:"maxpatterns"`
-	Multires      bool `json:"multires"`
 	Lexicographic bool `json:"lexicographic"`
 	// Shards records how many shard workers speculation was distributed
 	// across (0 = single-process). Provenance only, ignored by
-	// FingerprintsMatch like Workers: sharding forces the plain walk —
-	// which Multires already captures — and is otherwise byte-identical
-	// at any shard count.
+	// FingerprintsMatch like Workers: the sharded walk visits exactly
+	// what the single-process walk does at any shard count.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -63,7 +56,6 @@ func FingerprintsMatch(a, b *BenchFingerprint) bool {
 		return true
 	}
 	return a.MaxPatterns == b.MaxPatterns &&
-		a.Multires == b.Multires &&
 		a.Lexicographic == b.Lexicographic
 }
 
@@ -78,8 +70,6 @@ type BenchDoc struct {
 	TotalWallMS float64 `json:"total_wall_ms"`
 	// TotalVisits sums the per-run lattice visit counts.
 	TotalVisits int `json:"total_visits,omitempty"`
-	// TotalCoarseVisits sums the per-run coarse-lattice visit counts.
-	TotalCoarseVisits int `json:"total_coarse_visits,omitempty"`
 	// Fingerprint pins the search configuration (nil in records predating
 	// the field).
 	Fingerprint *BenchFingerprint `json:"fingerprint,omitempty"`
@@ -92,11 +82,8 @@ func BenchJSON(ev *Evaluation, miners []string) *BenchDoc {
 		Workers: ev.Workers,
 		Miners:  append([]string(nil), miners...),
 		Fingerprint: &BenchFingerprint{
-			Workers:     ev.Workers,
-			MaxPatterns: ev.Opts.MaxPatternsOrDefault(),
-			// Sharded walks force the plain arm, so multires is off
-			// whenever a shard fleet is configured.
-			Multires:      !ev.Opts.NoMultires && !ev.Opts.Lexicographic && ev.Opts.Shards == nil,
+			Workers:       ev.Workers,
+			MaxPatterns:   ev.Opts.MaxPatternsOrDefault(),
 			Lexicographic: ev.Opts.Lexicographic,
 		},
 	}
@@ -109,26 +96,23 @@ func BenchJSON(ev *Evaluation, miners []string) *BenchDoc {
 			if !ok {
 				continue
 			}
-			visits, coarse := 0, 0
+			visits := 0
 			for _, rs := range r.RoundStats {
 				visits += rs.Visits
-				coarse += rs.CoarseVisits
 			}
 			d.Programs = append(d.Programs, BenchRow{
-				Name:         w.Name,
-				Miner:        mn,
-				Before:       r.Before,
-				After:        r.After,
-				Saved:        r.Saved(),
-				Rounds:       r.Rounds,
-				Extractions:  len(r.Extractions),
-				WallMS:       float64(r.Duration.Microseconds()) / 1000,
-				Visits:       visits,
-				CoarseVisits: coarse,
+				Name:        w.Name,
+				Miner:       mn,
+				Before:      r.Before,
+				After:       r.After,
+				Saved:       r.Saved(),
+				Rounds:      r.Rounds,
+				Extractions: len(r.Extractions),
+				WallMS:      float64(r.Duration.Microseconds()) / 1000,
+				Visits:      visits,
 			})
 			d.TotalWallMS += float64(r.Duration.Microseconds()) / 1000
 			d.TotalVisits += visits
-			d.TotalCoarseVisits += coarse
 		}
 	}
 	return d

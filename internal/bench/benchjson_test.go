@@ -1,0 +1,33 @@
+package bench
+
+import (
+	"testing"
+
+	"graphpa/internal/pa"
+)
+
+// TestBaselineRecordLoads pins that benchmark records written before
+// fields were dropped keep loading and stay comparable: the committed
+// baseline still carries the removed multiresolution pass's "multires"
+// fingerprint flag and per-run "coarse_visits", and its fingerprint must
+// match the one a default evaluation records today.
+func TestBaselineRecordLoads(t *testing.T) {
+	base, err := ReadBenchJSON("../../BENCH_edgar.baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Programs) == 0 || base.TotalVisits == 0 {
+		t.Fatalf("baseline loaded %d runs and %d total visits; want both nonzero", len(base.Programs), base.TotalVisits)
+	}
+	if base.Fingerprint == nil {
+		t.Fatal("baseline has no fingerprint")
+	}
+	doc := BenchJSON(&Evaluation{Workers: 1, Opts: pa.Options{}}, []string{"edgar"})
+	if !FingerprintsMatch(doc.Fingerprint, base.Fingerprint) {
+		t.Errorf("default fingerprint %+v does not match baseline %+v", *doc.Fingerprint, *base.Fingerprint)
+	}
+	lex := BenchJSON(&Evaluation{Workers: 1, Opts: pa.Options{Lexicographic: true}}, []string{"edgar"})
+	if FingerprintsMatch(lex.Fingerprint, base.Fingerprint) {
+		t.Errorf("lexicographic fingerprint %+v matches the benefit-directed baseline", *lex.Fingerprint)
+	}
+}

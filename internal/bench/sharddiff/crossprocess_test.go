@@ -83,10 +83,10 @@ func TestShardCrossProcessAB(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A: single-process plain walk (the arm sharding forces).
+	// A: single-process walk.
 	start := time.Now()
 	refRes, refImg, err := core.Optimize(w.Image, m,
-		pa.Options{MaxPatterns: maxPatterns, Workers: 1, NoMultires: true})
+		pa.Options{MaxPatterns: maxPatterns, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@ package sharddiff
 // The shard differential: distributing the per-seed lattice speculation
 // across shard sessions may change where the speculative work runs,
 // never what the coordinator's replay produces. Every benchmark is
-// optimized plain (the NoMultires walk sharding forces) and sharded
-// over 3 in-process shards — each shard decoding its own copy of the
-// walk request, so every payload crosses the real wire codec — and the
+// optimized single-process and sharded over 3 in-process shards — each
+// shard decoding its own copy of the walk request, so every payload
+// crosses the real wire codec — and the
 // sharded images must be byte-identical, hash included, at both worker
 // widths. A fourth run kills one shard after its first served seed: the
 // dead shard's seeds degrade to coordinator-local speculation, which

@@ -71,28 +71,6 @@ type Config struct {
 	// The set is valid only during the call: the walk reuses the storage
 	// of children it does not descend into.
 	PruneChild func(set *EmbSet, bound int) bool
-	// ChildBound, when non-nil, may tighten the misUpperBound of a child
-	// before it is used for sibling ordering and passed to PruneChild:
-	// given the parent's code, the child's extending tuple, its
-	// materialised embedding set and the misUpperBound, it returns a
-	// support bound ≤ the input. It must stay admissible (an upper bound
-	// on the MIS support of the child and every descendant) and must be a
-	// pure function of its arguments — it runs on speculation workers and
-	// its result feeds checkpointed bound records. The multiresolution
-	// layer uses it to apply coarse-graph capacity tables by tuple class.
-	// Like PruneChild, it must not keep the set after the call.
-	ChildBound func(code Code, t Tuple, set *EmbSet, bound int) int
-	// ChildScore, when non-nil, supplies a search-order hint for the
-	// benefit-directed walk: among children of equal bound, those with a
-	// higher score are descended first (tuple order remains the final
-	// tie-break, keeping the order total and deterministic). Scores are
-	// advisory only — they never prune, so completeness and, under
-	// admissible strict pruning, the final incumbent set are unaffected.
-	// Must be a pure function of its arguments (speculation workers call
-	// it). The multiresolution layer scores children by how well their
-	// tuple's class performed in the exhaustive coarse mine. Like
-	// PruneChild, it must not keep the set after the call.
-	ChildScore func(code Code, t Tuple, set *EmbSet) int
 	// Workers > 1 mines seed subtrees speculatively on that many
 	// goroutines and replays them deterministically (see parallel.go);
 	// the visit sequence is identical to the serial search. Workers <= 1
@@ -129,9 +107,7 @@ type Config struct {
 	// error — or a payload that fails decoding — falls back to local
 	// speculation for that seed, so a dead or corrupt shard costs work,
 	// never output. Activates the speculate-then-replay pipeline even at
-	// Workers <= 1. Incompatible with ChildBound/ChildScore (the shard
-	// cannot evaluate coordinator closures whose results replay consumes
-	// authoritatively); Mine panics on that combination.
+	// Workers <= 1.
 	RemoteSpec func(ctx context.Context, seed int) ([]byte, error)
 	// NoteRemoteSpec, when non-nil, receives the remote-speculation
 	// accounting once at the end of a RemoteSpec walk (on the calling
@@ -155,25 +131,19 @@ func (c Config) needBounds() bool {
 }
 
 // ext is one grouped rightmost extension. bound is the child's
-// misUpperBound (tightened by Config.ChildBound when set), filled only
-// when Config.needBounds; score is Config.ChildScore's order hint.
+// misUpperBound, filled only when Config.needBounds.
 type ext struct {
 	t     Tuple
 	set   *EmbSet
 	bound int
-	score int
 }
 
 // cmpExt is the benefit-directed sibling order: descending bound, then
-// descending score, then canonical tuple order. Tuples are unique within
-// a sibling group, so the order is total and independent of sort
-// stability.
+// canonical tuple order. Tuples are unique within a sibling group, so
+// the order is total and independent of sort stability.
 func cmpExt(a, b ext) int {
 	if a.bound != b.bound {
 		return b.bound - a.bound
-	}
-	if a.score != b.score {
-		return b.score - a.score
 	}
 	return compareTuples(&a.t, &b.t)
 }
@@ -626,18 +596,8 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 	if mn.cfg.needBounds() {
 		for i := range kids {
 			kids[i].bound = misUpperBound(kids[i].set, &mn.sc.mis)
-			if mn.cfg.ChildBound != nil {
-				if b := mn.cfg.ChildBound(code, kids[i].t, kids[i].set, kids[i].bound); b < kids[i].bound {
-					kids[i].bound = b
-				}
-			}
 		}
 		if !mn.cfg.Lexicographic {
-			if mn.cfg.ChildScore != nil {
-				for i := range kids {
-					kids[i].score = mn.cfg.ChildScore(code, kids[i].t, kids[i].set)
-				}
-			}
 			slices.SortFunc(kids, cmpExt)
 		}
 	}
@@ -677,9 +637,6 @@ func Mine(graphs []*Graph, cfg Config, visit func(*Pattern)) int {
 	gx := newGraphIndex(graphs)
 	roots := seedPatterns(graphs)
 
-	if cfg.RemoteSpec != nil && (cfg.ChildBound != nil || cfg.ChildScore != nil) {
-		panic("mining: RemoteSpec cannot be combined with ChildBound/ChildScore")
-	}
 	if (cfg.Workers > 1 || cfg.RemoteSpec != nil) && len(roots) > 1 {
 		return mineParallel(gx, roots, cfg, visit)
 	}

@@ -74,8 +74,7 @@ type specExt struct {
 	materialized bool      // pass 2 was run during speculation
 	dropped      bool      // materialised but deduplication fell below MinSupport
 	minimal      bool      // child code passed the minimal-DFS-code test
-	bound        int       // misUpperBound of set, ChildBound-tightened (when Config.needBounds)
-	score        int       // Config.ChildScore order hint
+	bound        int       // misUpperBound of set (when Config.needBounds)
 	set          *EmbSet   // child embeddings (materialised, not dropped)
 	child        *specNode // recorded subtree (minimal children, unless speculation stopped)
 }
@@ -94,9 +93,6 @@ func cmpSpecExt(a, b specExt) int {
 	}
 	if am && a.bound != b.bound {
 		return b.bound - a.bound
-	}
-	if am && a.score != b.score {
-		return b.score - a.score
 	}
 	return compareTuples(&a.t, &b.t)
 }
@@ -260,14 +256,6 @@ func (s *speculator) mine(code Code, set *EmbSet) *specNode {
 				se.set = cset
 				if s.mn.cfg.needBounds() {
 					se.bound = misUpperBound(cset, &s.mn.sc.mis)
-					if s.mn.cfg.ChildBound != nil {
-						if b := s.mn.cfg.ChildBound(code, g.t, cset, se.bound); b < se.bound {
-							se.bound = b
-						}
-					}
-					if !s.mn.cfg.Lexicographic && s.mn.cfg.ChildScore != nil {
-						se.score = s.mn.cfg.ChildScore(code, g.t, cset)
-					}
 				}
 				se.minimal = s.mn.childMinimal(code, g.t)
 			}

@@ -324,9 +324,9 @@ func TestPropertyCoarsenProjection(t *testing.T) {
 // TestPropertyCoarsenCapsAdmissible: for every tuple class, the capacity
 // table must bound the true maximum node-disjoint set of fine edges of
 // that class — computed exactly by handing each edge to the exact MIS
-// solver as a two-node embedding. This is the admissibility the fine
-// walk's ChildBound leans on: a child's disjoint embeddings pin disjoint
-// instances of its newest tuple's edge.
+// solver as a two-node embedding. This is the admissibility a capacity
+// bound on the fine walk leans on: a child's disjoint embeddings pin
+// disjoint instances of its newest tuple's edge.
 func TestPropertyCoarsenCapsAdmissible(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
@@ -350,7 +350,7 @@ func TestPropertyCoarsenCapsAdmissible(t *testing.T) {
 // miner reports, the coarse capacity bound of its newest tuple's class
 // (summed over the graphs it embeds in) must be at least its exact MIS
 // support — i.e. min(misUpperBound, capacity) stays admissible, which is
-// exactly how the multiresolution ChildBound combines the two.
+// how the removed multiresolution pass combined the two (DESIGN.md §12).
 func TestPropertyCoarseBoundDominatesFineMIS(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 25; trial++ {

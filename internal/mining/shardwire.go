@@ -30,7 +30,7 @@ import (
 const (
 	wireMagicGraphs = "GPsG1"
 	wireMagicWalk   = "GPsW1"
-	wireMagicTree   = "GPsT1"
+	wireMagicTree   = "GPsT2"
 )
 
 // wireEnc is the varint writer. Strings are interned on first use: a
@@ -249,9 +249,8 @@ func decodeGraphsBody(d *wireDec) ([]*Graph, error) {
 // SpecConfig is the portable slice of a Config a shard worker needs to
 // run the speculation phase of one walk: the state-independent search
 // parameters plus the advisory pruning inputs (UB table and incumbent
-// floor). It deliberately carries no closures — multiresolution
-// steering (ChildBound/ChildScore) cannot be shipped, which is why the
-// pa layer forces the plain walk arm whenever shards are active.
+// floor). It carries no closures: every decision a shard makes is a
+// pure function of these fields and the shipped graphs.
 type SpecConfig struct {
 	MinSupport       int
 	MaxNodes         int
@@ -404,7 +403,6 @@ func encodeSpecNode(w *wireEnc, n *specNode) {
 		w.uv(uint64(se.rawCount))
 		if se.set != nil {
 			w.iv(int64(se.bound))
-			w.iv(int64(se.score))
 			w.uv(uint64(se.set.n))
 			for _, g := range se.set.gids {
 				w.iv(int64(g))
@@ -501,7 +499,6 @@ func decodeSpecNode(d *wireDec, code Code, set *EmbSet, graphOf func(int) *Graph
 		}
 		if hasSet {
 			se.bound = int(d.iv())
-			se.score = int(d.iv())
 			ck, ce := set.K(), set.E()+1
 			if fwd {
 				ck++

@@ -122,18 +122,17 @@ func TestBenefitDirectedShaAB(t *testing.T) {
 }
 
 // TestBenefitDirectedMatrix drives the full equivalence matrix — the
-// lexicographic reference, the plain benefit-directed walk, and the
-// multiresolution coarse-to-fine walk, each serial and parallel,
-// incremental and scratch — on two mid-size workloads, pinning one
-// fingerprint per workload.
+// lexicographic reference and the benefit-directed walk, each serial and
+// parallel, incremental and scratch — on two mid-size workloads, pinning
+// one fingerprint per workload.
 func TestBenefitDirectedMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-configuration benchmark runs; skipped with -short")
 	}
 	arms := []struct {
-		name      string
-		lex, nomr bool
-	}{{"lex", true, false}, {"plain", false, true}, {"multires", false, false}}
+		name string
+		lex  bool
+	}{{"lex", true}, {"benefit", false}}
 	for _, name := range []string{"crc", "dijkstra"} {
 		var want string
 		visits := make([][]int, len(arms)) // per-round visit traces by arm
@@ -141,8 +140,8 @@ func TestBenefitDirectedMatrix(t *testing.T) {
 			for _, workers := range []int{1, 8} {
 				for _, noInc := range []bool{false, true} {
 					res := optimizeWorkload(t, name, pa.Options{
-						Lexicographic: arm.lex, NoMultires: arm.nomr,
-						Workers: workers, NoIncremental: noInc,
+						Lexicographic: arm.lex,
+						Workers:       workers, NoIncremental: noInc,
 					})
 					cfgName := fmt.Sprintf("%s/%s/w=%d/noinc=%v", name, arm.name, workers, noInc)
 					if got := resultFingerprint(res); want == "" {
@@ -162,46 +161,5 @@ func TestBenefitDirectedMatrix(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMultiresShaAB pins the multiresolution pass's headline property on
-// the workload whose fixpoint always walks to completion: a byte-identical
-// Result with never more fine-lattice visits than the plain
-// benefit-directed walk. sha also exercises the budget-misprediction
-// path: rounds whose lattice grows more than 2x over their completed
-// predecessor truncate at the capped multires budget and fall back to
-// plain (DESIGN.md §12), so discards are legal here — what the test
-// pins is that each discarded prefix respects the 2x-previous-visits
-// budget cap, i.e. mispredictions stay cheap. (rijndael's
-// MaxPatterns-truncating rounds are covered for identity by
-// TestBenefitDirectedMatrix and the order tests.)
-func TestMultiresShaAB(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sha workload A/B; skipped with -short")
-	}
-	plain := optimizeWorkload(t, "sha", pa.Options{NoMultires: true})
-	mr := optimizeWorkload(t, "sha", pa.Options{})
-	if got, want := resultFingerprint(mr), resultFingerprint(plain); got != want {
-		t.Fatalf("multires Result differs from plain benefit-directed reference\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	plainV, mrV := totalVisits(t, plain, 100_000), totalVisits(t, mr, 100_000)
-	coarse, discarded, prev := 0, 0, 0
-	for _, rs := range mr.RoundStats {
-		coarse += rs.CoarseVisits
-		discarded += rs.MultiresDiscarded
-		if rs.MultiresDiscarded != 0 {
-			if prev == 0 {
-				t.Errorf("round %d discarded a multires walk (%d visits) with no completed predecessor; the attempt gate should have skipped it", rs.Round, rs.MultiresDiscarded)
-			} else if rs.MultiresDiscarded > 2*prev {
-				t.Errorf("round %d discarded %d multires visits, above the 2x-previous-round budget cap (prev %d)", rs.Round, rs.MultiresDiscarded, prev)
-			}
-		}
-		prev = rs.Visits
-	}
-	t.Logf("sha multires A/B: plain %d visits, multires %d fine + %d coarse + %d discarded visits (%.1f%%)",
-		plainV, mrV, coarse, discarded, 100*float64(mrV)/float64(plainV))
-	if mrV > plainV {
-		t.Errorf("multires visited %d fine-lattice nodes vs plain %d; must never be worse", mrV, plainV)
 	}
 }

@@ -76,44 +76,28 @@ type latticeRec struct {
 	haveDisjoint bool
 }
 
-// Walk arms for checkpoint records. A record replays a subtree's visit
-// order and bound comparisons, and both differ between the plain
-// benefit-directed walk and the multiresolution walk (coarse capacity
-// tables tighten bounds and the oracle reorders siblings), so records
-// are stamped with the arm that took them and only replay within it.
-// Both arms of one run share the footprint sweep.
-const (
-	armPlain    = 0 // NoMultires (and multires-discarded fallback) walks
-	armMultires = 1 // coarse-steered walks
-	numArms     = 2
-)
-
-// latticeMemo is the cross-round checkpoint store, one record map per
-// walk arm. The authoritative walk writes it; concurrent speculation
-// workers read it (SkipSubtree), hence the RWMutex.
+// latticeMemo is the cross-round checkpoint store. The authoritative
+// walk writes it; concurrent speculation workers read it (SkipSubtree),
+// hence the RWMutex.
 type latticeMemo struct {
 	mu   sync.RWMutex
-	recs [numArms]map[string]*latticeRec // by Code.Key()
+	recs map[string]*latticeRec // by Code.Key()
 }
 
 func newLatticeMemo() *latticeMemo {
-	m := &latticeMemo{}
-	for a := range m.recs {
-		m.recs[a] = map[string]*latticeRec{}
-	}
-	return m
+	return &latticeMemo{recs: map[string]*latticeRec{}}
 }
 
-func (m *latticeMemo) get(arm int, key string) *latticeRec {
+func (m *latticeMemo) get(key string) *latticeRec {
 	m.mu.RLock()
-	rec := m.recs[arm][key]
+	rec := m.recs[key]
 	m.mu.RUnlock()
 	return rec
 }
 
-func (m *latticeMemo) put(arm int, key string, rec *latticeRec) {
+func (m *latticeMemo) put(key string, rec *latticeRec) {
 	m.mu.Lock()
-	m.recs[arm][key] = rec
+	m.recs[key] = rec
 	m.mu.Unlock()
 }
 
@@ -122,13 +106,11 @@ func (m *latticeMemo) put(arm int, key string, rec *latticeRec) {
 // validate again.
 func (m *latticeMemo) sweep(live map[*dfg.Graph]bool) {
 	m.mu.Lock()
-	for a := range m.recs {
-		for k, rec := range m.recs[a] {
-			for _, g := range rec.graphs {
-				if !live[g] {
-					delete(m.recs[a], k)
-					break
-				}
+	for k, rec := range m.recs {
+		for _, g := range rec.graphs {
+			if !live[g] {
+				delete(m.recs, k)
+				break
 			}
 		}
 	}
@@ -151,7 +133,6 @@ type recBuilder struct {
 type checkpointer struct {
 	s    *search
 	memo *latticeMemo
-	arm  int // which memo arm this walk records into and replays from
 	byID map[int]*dfg.Graph
 	safe map[*dfg.Graph]bool // CallSafe of each graph's function this round
 
@@ -222,7 +203,7 @@ func (ck *checkpointer) FastForward(p *mining.Pattern, remaining int) (int, bool
 	}
 	key := p.Code.Key()
 	ck.lastKeyFor, ck.lastKey = p, key
-	rec := ck.memo.get(ck.arm, key)
+	rec := ck.memo.get(key)
 	if rec == nil {
 		return 0, false
 	}
@@ -307,7 +288,7 @@ func (ck *checkpointer) End(token any, visits int, truncated bool) {
 	rec.visits = visits
 	rec.adds = append([]*Candidate(nil), ck.log[rb.logStart:]...)
 	rec.exact = rb.exact
-	ck.memo.put(ck.arm, rb.key, rec)
+	ck.memo.put(rb.key, rec)
 }
 
 // patRec returns the footprint-valid previous-round record of p, if
@@ -356,7 +337,7 @@ func (ck *checkpointer) covered(p *mining.Pattern) bool {
 	if len(p.Code) > ckMaxDepth {
 		return false
 	}
-	rec := ck.memo.get(ck.arm, p.Code.Key())
+	rec := ck.memo.get(p.Code.Key())
 	return rec != nil && ck.footprintOK(rec, p)
 }
 

@@ -73,29 +73,13 @@ type Options struct {
 	// is the kill switch and the reference arm the search-order
 	// differential tests and A/B benchmarks compare against; it only
 	// changes how many lattice nodes the walk visits (RoundStat.Visits).
-	// Implies NoMultires: the reference arm must stay the plain walk.
 	Lexicographic bool
-	// NoMultires disables the multiresolution coarse-to-fine pass (the
-	// one-shot exhaustive coarse mine, the search-order oracle and the
-	// coarse capacity bounds — see internal/pa/multires.go) and mines
-	// every round with the plain benefit-directed walk. The Result is
-	// byte-identical either way — coarse results only reorder siblings
-	// and tighten admissible bounds, and a multires walk the pattern
-	// budget truncates is discarded in favour of the plain walk — so this
-	// is the kill switch and the arm the multires differentials compare
-	// against; only RoundStat.Visits/CoarseVisits/MultiresDiscarded
-	// change.
-	NoMultires bool
 	// Shards, when non-nil, distributes the lattice walk's speculation
 	// phase across remote shard workers (see shard.go): seed subtrees
 	// are speculated on the shards and replayed authoritatively here, so
 	// the Result is byte-identical to a local run — dead shards, stale
 	// incumbent gossip and lost subtrees only cost replay-fallback work.
-	// Implies NoMultires for the sharded walks: the multiresolution
-	// steering closures cannot be evaluated on a shard, and the recorded
-	// bounds they tighten are consumed authoritatively by the replay.
-	// (Sound by the NoMultires byte-identity guarantee.) Only
-	// RoundStat.Visits and the Shard* counters change.
+	// Only RoundStat.Visits and the Shard* counters change.
 	Shards ShardDialer
 
 	// ctx carries the cancellation context of an OptimizeContext run.
@@ -114,11 +98,6 @@ type Options struct {
 	dictFrags []dict.Fragment
 	// stat, when non-nil, receives per-round miner counters (Visits).
 	stat *RoundStat
-	// mr carries the run's multiresolution state (frozen coarse oracle,
-	// per-round attempt gate) across rounds. The driver sets it when
-	// multires is enabled; FindCandidates self-initialises on direct
-	// calls.
-	mr *mrState
 }
 
 // Context returns the cancellation context of the run the options belong
@@ -231,15 +210,11 @@ type RoundStat struct {
 	// track).
 	Visits int
 
-	// CoarseVisits counts coarse-lattice nodes visited by the one-shot
-	// exhaustive coarse mine of the multiresolution pass — nonzero only
-	// in the round that built the oracle (the first) and only with
-	// multires enabled. MultiresDiscarded is the visit count of multires
-	// walks thrown away because the pattern budget truncated them (the
-	// round's Visits then report the plain fallback walk); nonzero only
-	// in rounds where the attempt gate mispredicted a lattice blow-up.
-	CoarseVisits      int
-	MultiresDiscarded int
+	// CoarseVisits is always 0: it counted the coarse mine of the
+	// multiresolution pass, which is gone (DESIGN.md §12). It stays only
+	// because perfbench still reads it for its mining.coarse_visits
+	// layer, and goes when that layer does.
+	CoarseVisits int
 
 	// DictHits counts dictionary fragments that revalidated against this
 	// round's view (0 without an Options.Warmstart source). DictDiscarded
@@ -349,12 +324,6 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 	var pubFrags []dict.Fragment
 	if opts.Warmstart != nil {
 		opts.dictFrags = opts.Warmstart.Seeds()
-	}
-	// One multiresolution state per run: the coarse oracle is built once
-	// (first round) and frozen, the attempt gate evolves round to round.
-	// Sharded runs stay on the plain walk (see Options.Shards).
-	if !opts.Lexicographic && !opts.NoMultires && opts.Shards == nil {
-		opts.mr = newMRState()
 	}
 	var view *cfg.Program
 	var st *incState

@@ -317,29 +317,6 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 	}
 	workers := opts.workers()
 	maxK := opts.maxNodes()
-	// Multiresolution setup (multires.go). The driver threads one mrState
-	// through the run; direct FindCandidates calls (tests) self-init. The
-	// Lexicographic reference arm never steers — it is the baseline the
-	// order differentials compare against — and NoMultires is the kill
-	// switch. Sharded runs force the plain walk too: the steering
-	// closures cannot run on a shard, and the bounds they tighten are
-	// consumed authoritatively by the replay (see Options.Shards).
-	mr := opts.mr
-	if opts.Lexicographic || opts.NoMultires || opts.Shards != nil {
-		mr = nil
-	} else if mr == nil {
-		mr = newMRState()
-	}
-	var mrCaps map[int]map[mining.TupleClass]int
-	if mr != nil {
-		if !mr.built {
-			mr.buildOracle(mgs, maxK, opts.minSupport())
-			if opts.stat != nil {
-				opts.stat.CoarseVisits = mr.coarseVisits
-			}
-		}
-		mrCaps = coarseCaps(mgs)
-	}
 	// Warm-start the incumbent — branch-and-bound with an initial
 	// heuristic solution, from two order-invariant sources. Sequence
 	// seeds: with unbounded fragment size the graph search strictly
@@ -392,19 +369,11 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 	// (lattice memo, minimality, call-safety) are shared and sound across
 	// walks: records carry their own bound-validity regions, so a record
 	// taken under one floor replays under another only when the region
-	// checks pass (see checkpoint.go). mrOn runs the multires arm: coarse
-	// capacity tables tighten the child bounds and the frozen oracle
-	// orders siblings, under a reduced pattern budget and a separate
-	// checkpoint arm (the two arms' visit orders and bound traces differ,
-	// so their records never cross-replay).
-	runWalk := func(floor int, mrOn bool) (*search, int, bool) {
+	// checks pass (see checkpoint.go).
+	runWalk := func(floor int) (*search, int, bool) {
 		s := newSearch(maxK, opts.Lexicographic)
 		if inc != nil {
-			ckArm := armPlain
-			if mrOn {
-				ckArm = armMultires
-			}
-			s.ck = &checkpointer{s: s, memo: inc.memo, arm: ckArm, byID: byID, safe: safeByGraph}
+			s.ck = &checkpointer{s: s, memo: inc.memo, byID: byID, safe: safeByGraph}
 		}
 		if workers > 1 || opts.Shards != nil {
 			// Sharded walks memoise too: replay-fallback seeds speculate
@@ -489,9 +458,6 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 			return pruned
 		}
 		budget := opts.maxPatterns()
-		if mrOn {
-			budget = mr.budget(budget)
-		}
 		truncated := false
 		cfgm := mining.Config{
 			MinSupport:       opts.minSupport(),
@@ -529,23 +495,6 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 			// arms prune strictly below an admissible bound, which preserves
 			// the final incumbent tie set (see the search doc).
 			cfgm.PruneChild = authPruneChild
-			if mrOn {
-				// Coarse steering (multires.go). ChildBound stays admissible
-				// — capBound caps the MIS support of the child and its whole
-				// subtree — and ChildScore only orders, so the complete-walk
-				// incumbent tie set is untouched. Both closures are pure over
-				// read-only tables, as the speculation workers and the
-				// checkpoint records require.
-				cfgm.ChildBound = func(code mining.Code, t mining.Tuple, set *mining.EmbSet, bound int) int {
-					if b := capBound(mrCaps, code, t, set); b < bound {
-						return b
-					}
-					return bound
-				}
-				cfgm.ChildScore = func(code mining.Code, t mining.Tuple, set *mining.EmbSet) int {
-					return mr.oracle[mining.ClassOfTuple(t)]
-				}
-			}
 		}
 		if s.ck != nil {
 			cfgm.Checkpoint = s.ck
@@ -557,7 +506,7 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		// seed's speculation remotely. A failed open degrades the whole
 		// walk to local mining; a failed seed degrades that seed. The
 		// gossip pump pushes incumbent improvements for the life of the
-		// walk. Never combined with mrOn: shards force the plain arm.
+		// walk.
 		var walk ShardWalk
 		var stopGossip func()
 		if opts.Shards != nil {
@@ -596,28 +545,7 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		return s, visits, truncated
 	}
 
-	// runArm is one walk attempt under the multires discard rule: when
-	// the gate allows it, try the multires walk first; if its budget
-	// truncates it, throw it away (a truncated steered walk cannot be
-	// proven byte-identical — steering shifts where the budget lands) and
-	// fall back to the plain walk, which IS the reference output. A
-	// multires walk that completes needs no fallback: complete walks are
-	// order-invariant, so its tie set equals the plain walk's.
-	mrTry := mr != nil && mr.attempt
-	runArm := func(floor int) (*search, int, bool) {
-		if mrTry {
-			s, visits, truncated := runWalk(floor, true)
-			if !truncated {
-				return s, visits, false
-			}
-			if opts.stat != nil {
-				opts.stat.MultiresDiscarded += visits
-			}
-		}
-		return runWalk(floor, false)
-	}
-
-	s, visits, truncated := runArm(dictFloor)
+	s, visits, truncated := runWalk(dictFloor)
 	if dictFloor > baseFloor && (truncated || len(s.ties) == 0) {
 		// The dictionary floor failed validation. An empty tie set means
 		// no mined candidate reached the floor — a cold walk's maximum
@@ -628,17 +556,10 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		// at the base floor, which reproduces the cold walk exactly; the
 		// discarded visits are reported, not hidden.
 		discarded := visits
-		s, visits, truncated = runArm(baseFloor)
+		s, visits, _ = runWalk(baseFloor)
 		if opts.stat != nil {
 			opts.stat.DictDiscarded = discarded
 		}
-	}
-	if mr != nil {
-		// Gate the next round: attempt multires again only after a round
-		// whose final walk completed, and size its budget near this
-		// round's cost (see mrState).
-		mr.attempt = !truncated
-		mr.lastVisits = visits
 	}
 	if opts.stat != nil {
 		opts.stat.Visits = visits

@@ -22,23 +22,21 @@ func buildForMining(t *testing.T, prog *loader.Program) (*cfg.Program, []*dfg.Gr
 }
 
 // The benefit-directed walk (best-first sibling order, MIS-aware child
-// pruning, warm-started incumbent) and the multiresolution coarse-to-fine
-// pass on top of it must both be invisible in the output: the
-// Lexicographic and NoMultires kill switches flip the entire machinery
-// and the Result has to come out byte-identical, at every worker width,
-// in both driver modes. These tests pin that equivalence on small fixed
-// programs; the full-benchmark version lives in the heavy A/B suite.
+// pruning, warm-started incumbent) must be invisible in the output: the
+// Lexicographic kill switch flips the entire machinery and the Result
+// has to come out byte-identical, at every worker width, in both driver
+// modes. These tests pin that equivalence on small fixed programs; the
+// full-benchmark version lives in the heavy A/B suite.
 
-// searchArms enumerates the three search configurations whose Results
-// must be indistinguishable: the lexicographic reference, the plain
-// benefit-directed walk, and the multiresolution coarse-to-fine walk.
+// searchArms enumerates the two search configurations whose Results
+// must be indistinguishable: the lexicographic reference and the
+// benefit-directed walk.
 var searchArms = []struct {
-	name      string
-	lex, nomr bool
+	name string
+	lex  bool
 }{
-	{"lex", true, false},
-	{"plain", false, true},
-	{"multires", false, false},
+	{"lex", true},
+	{"benefit", false},
 }
 
 // orderTestSrc is reorderSrc's shape scaled up: several functions sharing
@@ -133,8 +131,8 @@ func TestOrderInvariantResult(t *testing.T) {
 					for _, noInc := range []bool{true, false} {
 						name := fmt.Sprintf("%s/%s/%s/w=%d/noinc=%v", sname, miner.Name(), arm.name, workers, noInc)
 						res := Optimize(loadSrc(t, src), miner, Options{
-							Lexicographic: arm.lex, NoMultires: arm.nomr,
-							Workers: workers, NoIncremental: noInc,
+							Lexicographic: arm.lex,
+							Workers:       workers, NoIncremental: noInc,
 							MaxPatterns: 10_000_000,
 						})
 						if got := fingerprint(res); got != want {
@@ -158,9 +156,7 @@ func TestOrderInvariantResult(t *testing.T) {
 
 // TestOrderInvariantCandidateList pins the stronger per-round property
 // behind Result identity: FindCandidates itself returns the identical
-// candidate list (keys and benefits) under all three search arms. The
-// multires arm here also covers FindCandidates' self-initialisation of
-// the multiresolution state on direct calls (no driver involved).
+// candidate list (keys and benefits) under both search arms.
 func TestOrderInvariantCandidateList(t *testing.T) {
 	for sname, src := range map[string]string{"reorder": reorderSrc, "mixed": orderTestSrc} {
 		for _, embedding := range []bool{true, false} {
@@ -170,7 +166,7 @@ func TestOrderInvariantCandidateList(t *testing.T) {
 				for _, workers := range []int{1, 8} {
 					prog := loadSrc(t, src)
 					view, graphs := buildForMining(t, prog)
-					opts := Options{Lexicographic: arm.lex, NoMultires: arm.nomr, Workers: workers, MaxPatterns: 10_000_000}
+					opts := Options{Lexicographic: arm.lex, Workers: workers, MaxPatterns: 10_000_000}
 					cands := miner.FindCandidates(view, graphs, opts)
 					var got []string
 					for _, c := range cands {

@@ -104,9 +104,8 @@ func shardStats(res *Result) (seeds, subtrees, fallbacks int) {
 
 // TestShardedResultIdentical: a run whose speculation is distributed
 // across 3 in-process shards must produce a byte-identical Result to
-// the local default run, at every worker width and in both driver
-// modes, with a visit trace equal to the plain (NoMultires) walk's —
-// the arm sharding forces.
+// the local run, at every worker width and in both driver modes, with
+// an equal visit trace.
 func TestShardedResultIdentical(t *testing.T) {
 	srcs := map[string]string{"reorder": reorderSrc, "mixed": orderTestSrc}
 	for sname, src := range srcs {
@@ -114,8 +113,7 @@ func TestShardedResultIdentical(t *testing.T) {
 			miner := &GraphMiner{Embedding: embedding}
 			ref := Optimize(loadSrc(t, src), miner, Options{MaxPatterns: 10_000_000})
 			want := fingerprint(ref)
-			plain := Optimize(loadSrc(t, src), miner, Options{NoMultires: true, MaxPatterns: 10_000_000})
-			wantVisits := fmt.Sprint(visitTrace(plain))
+			wantVisits := fmt.Sprint(visitTrace(ref))
 			for _, workers := range []int{1, 8} {
 				for _, noInc := range []bool{true, false} {
 					name := fmt.Sprintf("%s/%s/w=%d/noinc=%v", sname, miner.Name(), workers, noInc)
@@ -128,7 +126,7 @@ func TestShardedResultIdentical(t *testing.T) {
 						t.Fatalf("%s: sharded Result differs from local run\ngot:\n%s\nwant:\n%s", name, got, want)
 					}
 					if got := fmt.Sprint(visitTrace(res)); got != wantVisits {
-						t.Fatalf("%s: sharded visit trace %v, want the plain walk's %v", name, got, wantVisits)
+						t.Fatalf("%s: sharded visit trace %v, want the local walk's %v", name, got, wantVisits)
 					}
 					seeds, subtrees, fallbacks := shardStats(res)
 					if seeds == 0 {

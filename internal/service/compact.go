@@ -32,11 +32,6 @@ type OptimizeOptions struct {
 	MaxRounds   int    `json:"max_rounds,omitempty"`
 	MaxPatterns int    `json:"max_patterns,omitempty"`
 	GreedyMIS   bool   `json:"greedy_mis,omitempty"`
-	// NoMultires disables the multiresolution coarse-to-fine mining pass
-	// (a kill switch). The optimized image is byte-identical either way,
-	// so — like the worker width — it is excluded from Key() and both
-	// settings share one cache line.
-	NoMultires bool `json:"no_multires,omitempty"`
 }
 
 // CompactRequest is the body of POST /v1/compact and POST /v1/jobs.
@@ -103,7 +98,6 @@ func (r *CompactRequest) paOptions(workers int) pa.Options {
 		MaxRounds:   r.Optimize.MaxRounds,
 		MaxPatterns: r.Optimize.MaxPatterns,
 		GreedyMIS:   r.Optimize.GreedyMIS,
-		NoMultires:  r.Optimize.NoMultires,
 		Workers:     workers,
 	}
 }
