@@ -203,3 +203,25 @@ while read -r name saved; do
 	fi
 done <"$TMP/saved.drift"
 echo "ci.sh: tables.txt Table 1 matches the mined savings"
+
+# --- exact visits gate ----------------------------------------------------
+# The lattice walk is deterministic at every worker width, so each drift
+# program's visit count must equal the committed BENCH_edgar.json record
+# exactly. The baseline comparison above tolerates 5%, enough to hide a
+# minimality-test bug that moves visits by a few percent. A change that
+# moves visits on purpose regenerates BENCH_edgar.json with it.
+awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
+	/"visits":/ { gsub(/,/, "", $2); print name, $2 }' \
+	BENCH_edgar.json >"$TMP/visits.committed"
+awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
+	/"visits":/ { gsub(/,/, "", $2); print name, $2 }' \
+	"$TMP/bench.drift.json" >"$TMP/visits.drift"
+[ -s "$TMP/visits.drift" ] || { echo "ci.sh: no visit counts in the drift record" >&2; exit 1; }
+while read -r name visits; do
+	want=$(awk -v n="$name" '$1 == n { print $2 }' "$TMP/visits.committed")
+	if [ "$visits" != "$want" ]; then
+		echo "ci.sh: $name walks $visits lattice patterns but BENCH_edgar.json records ${want:-nothing}" >&2
+		exit 1
+	fi
+done <"$TMP/visits.drift"
+echo "ci.sh: BENCH_edgar.json visit counts match the mined walks exactly"

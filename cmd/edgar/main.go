@@ -156,7 +156,8 @@ func main() {
 
 // printRoundStats renders the per-round breakdown recorded by the
 // driver: phase wall clocks, dependence-graph cache effectiveness,
-// summary-fixpoint scope, and lattice fast-forwarding. The last row is
+// summary-fixpoint scope, lattice visits, children rejected as
+// non-minimal codes, and lattice fast-forwarding. The last row is
 // the fixpoint probe (the round that found nothing left).
 func printRoundStats(stats []pa.RoundStat) {
 	if len(stats) == 0 {
@@ -173,14 +174,14 @@ func printRoundStats(stats []pa.RoundStat) {
 		}
 	}
 	fmt.Printf("per-round breakdown (blocks reused/rebound/rebuilt; summaries resolved/changed)\n")
-	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %10s %8s",
-		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums r/c", "visits", "ff-visits", "extract")
+	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %10s %8s",
+		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums r/c", "visits", "non-min", "ff-visits", "extract")
 	if sharded {
 		fmt.Printf(" | %-14s %6s %10s", "shard s/t/fb", "bcast", "sh-visits")
 	}
 	fmt.Println()
 	for _, st := range stats {
-		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11s %8d %10d %8d",
+		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11s %8d %8d %10d %8d",
 			st.Round,
 			st.CFGBuild.Round(time.Microsecond),
 			st.Summaries.Round(time.Microsecond),
@@ -190,6 +191,7 @@ func printRoundStats(stats []pa.RoundStat) {
 			fmt.Sprintf("%d/%d/%d", st.BlocksReused, st.BlocksRebound, st.BlocksRebuilt),
 			fmt.Sprintf("%d/%d", st.SummariesRecomputed, st.SummariesChanged),
 			st.Visits,
+			st.NonMinimal,
 			st.VisitsSaved,
 			st.Extractions)
 		if sharded {

@@ -15,31 +15,34 @@ package mining
 //     visited. If the implementation can prove the entire subtree rooted
 //     at p behaves exactly as a recorded earlier walk, it replays the
 //     recorded side effects itself (e.g. candidate admissions) and
-//     returns the subtree's visit count with ok=true; the search charges
-//     those visits against MaxPatterns and skips the subtree. remaining
+//     returns the subtree's visit and non-minimal child counts with
+//     ok=true; the search charges those visits against MaxPatterns,
+//     adds both counts to its own and skips the subtree. remaining
 //     is the number of visits left before truncation (-1 = unlimited):
 //     implementations MUST return ok=false when their recorded subtree
 //     would not fit, because a truncated subtree behaves differently from
 //     a replayed one.
 //   - Begin marks entry into p's subtree on the authoritative path and
 //     returns a token (never nil for a recording implementation).
-//   - End closes Begin's record with the subtree's total visit count and
-//     whether the search was truncated inside it. Truncated records are
-//     unusable: the recorded walk did not finish the subtree.
+//   - End closes Begin's record with the subtree's total visit and
+//     non-minimal child counts and whether the search was truncated
+//     inside it. Truncated records are unusable: the recorded walk did
+//     not finish the subtree.
 //
 // Begin/End calls nest like the recursion itself and happen only on the
 // single authoritative goroutine, so implementations need no locking for
 // the record stack (a shared store read by concurrent speculation must
 // synchronise itself).
 type Checkpointer interface {
-	FastForward(p *Pattern, remaining int) (visits int, ok bool)
+	FastForward(p *Pattern, remaining int) (visits, nonMinimal int, ok bool)
 	Begin(p *Pattern) any
-	End(token any, visits int, truncated bool)
+	End(token any, visits, nonMinimal int, truncated bool)
 }
 
 // fastForward asks the checkpointer to skip the subtree rooted at p,
-// charging its recorded visit count against the pattern budget. Reports
-// whether the subtree was skipped.
+// charging its recorded visit count against the pattern budget and its
+// non-minimal children to the walk's count. Reports whether the subtree
+// was skipped.
 func (mn *miner) fastForward(p *Pattern) bool {
 	ck := mn.cfg.Checkpoint
 	if ck == nil {
@@ -49,11 +52,12 @@ func (mn *miner) fastForward(p *Pattern) bool {
 	if mn.cfg.MaxPatterns > 0 {
 		remaining = mn.cfg.MaxPatterns - mn.visited
 	}
-	v, ok := ck.FastForward(p, remaining)
+	v, nm, ok := ck.FastForward(p, remaining)
 	if !ok {
 		return false
 	}
 	mn.visited += v
+	mn.nonMinimal += nm
 	if mn.cfg.MaxPatterns > 0 && mn.visited >= mn.cfg.MaxPatterns {
 		// The recorded subtree's last visit is exactly where the serial
 		// walk would have hit the budget.
@@ -73,15 +77,15 @@ func (mn *miner) visitFrequent(p *Pattern, descend func()) {
 	}
 	ck := mn.cfg.Checkpoint
 	var tok any
-	v0 := 0
+	v0, nm0 := 0, 0
 	if ck != nil {
 		tok = ck.Begin(p)
-		v0 = mn.visited
+		v0, nm0 = mn.visited, mn.nonMinimal
 	}
 	if mn.step(p) {
 		descend()
 	}
 	if tok != nil {
-		ck.End(tok, mn.visited-v0, mn.aborted)
+		ck.End(tok, mn.visited-v0, mn.nonMinimal-nm0, mn.aborted)
 	}
 }

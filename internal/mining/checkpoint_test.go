@@ -12,21 +12,22 @@ type scriptCk struct {
 }
 
 type scriptRec struct {
-	key       string
-	visits    int
-	truncated bool
+	key        string
+	visits     int
+	nonMinimal int
+	truncated  bool
 }
 
-func (ck *scriptCk) FastForward(p *Pattern, remaining int) (int, bool) {
+func (ck *scriptCk) FastForward(p *Pattern, remaining int) (int, int, bool) {
 	rec := ck.record[p.Code.Key()]
 	if rec == nil || rec.truncated || !ck.replay[rec.key] {
-		return 0, false
+		return 0, 0, false
 	}
 	if remaining >= 0 && rec.visits > remaining {
-		return 0, false
+		return 0, 0, false
 	}
 	ck.ffs++
-	return rec.visits, true
+	return rec.visits, rec.nonMinimal, true
 }
 
 func (ck *scriptCk) Begin(p *Pattern) any {
@@ -35,13 +36,13 @@ func (ck *scriptCk) Begin(p *Pattern) any {
 	return rec
 }
 
-func (ck *scriptCk) End(token any, visits int, truncated bool) {
+func (ck *scriptCk) End(token any, visits, nonMinimal int, truncated bool) {
 	rec := token.(*scriptRec)
 	if ck.open[len(ck.open)-1] != rec {
 		panic("Begin/End tokens did not nest LIFO")
 	}
 	ck.open = ck.open[:len(ck.open)-1]
-	rec.visits = visits
+	rec.visits, rec.nonMinimal = visits, nonMinimal
 	rec.truncated = truncated
 	if ck.record[rec.key] == nil {
 		ck.record[rec.key] = rec
@@ -65,13 +66,19 @@ func visitKeys(graphs []*Graph, cfg Config) []string {
 }
 
 // A walk that fast-forwards every recorded subtree must charge exactly
-// the visits the plain walk would have spent, and the patterns it still
-// visits live must be a prefix-consistent subsequence of the plain walk.
+// the visits and non-minimal children the plain walk would have spent,
+// and the patterns it still visits live must be a prefix-consistent
+// subsequence of the plain walk.
 func TestCheckpointReplayPreservesVisitAccounting(t *testing.T) {
-	cfg := Config{MinSupport: 2, MaxNodes: 4}
+	nonMinimal := -1
+	cfg := Config{MinSupport: 2, MaxNodes: 4, NoteNonMinimal: func(n int) { nonMinimal = n }}
 	plain := visitKeys(ckGraphs(), cfg)
 	if len(plain) == 0 {
 		t.Fatal("no patterns mined")
+	}
+	plainNonMinimal := nonMinimal
+	if plainNonMinimal <= 0 {
+		t.Fatalf("plain walk rejected %d non-minimal children; the fixture needs some", plainNonMinimal)
 	}
 
 	ck := &scriptCk{record: map[string]*scriptRec{}, replay: map[string]bool{}}
@@ -107,6 +114,9 @@ func TestCheckpointReplayPreservesVisitAccounting(t *testing.T) {
 	replayed := visitKeys(ckGraphs(), cfg)
 	if len(replayed) != 0 {
 		t.Fatalf("full replay still visited %d patterns live", len(replayed))
+	}
+	if nonMinimal != plainNonMinimal {
+		t.Fatalf("full replay charged %d non-minimal children, plain walk %d", nonMinimal, plainNonMinimal)
 	}
 
 	// With a budget smaller than a subtree, FastForward must be refused

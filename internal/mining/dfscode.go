@@ -42,44 +42,54 @@ func dirRank(out bool) int {
 // Tuples are taken by reference: the walk's sorts and minimum scans
 // compare them without copying.
 func compareTuples(a, b *Tuple) int {
-	af, bf := a.Forward(), b.Forward()
+	if c := comparePos(a.I, a.J, b.I, b.J); c != 0 {
+		return c
+	}
+	return compareLabels(a.LI, a.Out, a.LE, a.LJ, b)
+}
+
+// comparePos is compareTuples' first key: the order of the (i, j) and
+// (i2, j2) positions alone. It returns 0 only for equal positions.
+func comparePos(i, j, i2, j2 int) int {
+	af, bf := i < j, i2 < j2
 	switch {
 	case !af && bf: // backward vs forward: (i,j) < (i2,j2) iff i < j2
-		if a.I < b.J {
+		if i < j2 {
 			return -1
 		}
 		return 1
 	case af && !bf: // forward vs backward: less iff j <= i2
-		if a.J <= b.I {
+		if j <= i2 {
 			return -1
 		}
 		return 1
 	case af && bf:
-		if a.J != b.J {
-			return sign(a.J - b.J)
+		if j != j2 {
+			return sign(j - j2)
 		}
-		if a.I != b.I {
-			return sign(b.I - a.I) // larger I first
-		}
+		return sign(i2 - i) // larger I first
 	default: // both backward
-		if a.I != b.I {
-			return sign(a.I - b.I)
+		if i != i2 {
+			return sign(i - i2)
 		}
-		if a.J != b.J {
-			return sign(a.J - b.J)
-		}
+		return sign(j - j2)
 	}
-	// Same position: compare labels.
-	if c := strings.Compare(a.LI, b.LI); c != 0 {
+}
+
+// compareLabels is compareTuples' second key, for tuples at equal
+// positions: the labels and direction (li, out, le, lj) of one tuple
+// against b's.
+func compareLabels(li string, out bool, le, lj string, b *Tuple) int {
+	if c := strings.Compare(li, b.LI); c != 0 {
 		return c
 	}
-	if d := dirRank(a.Out) - dirRank(b.Out); d != 0 {
+	if d := dirRank(out) - dirRank(b.Out); d != 0 {
 		return sign(d)
 	}
-	if c := strings.Compare(a.LE, b.LE); c != 0 {
+	if c := strings.Compare(le, b.LE); c != 0 {
 		return c
 	}
-	return strings.Compare(a.LJ, b.LJ)
+	return strings.Compare(lj, b.LJ)
 }
 
 func sign(x int) int {
@@ -134,44 +144,6 @@ func (c Code) nodeLabelsInto(dst []string) []string {
 	return dst
 }
 
-// rightmostPathInto is RightmostPath writing into reused storage; parent
-// is per-DFS-index scratch (-1 = root or undiscovered).
-func (c Code) rightmostPathInto(path []int, parent []int32) ([]int, []int32) {
-	path = path[:0]
-	if len(c) == 0 {
-		return path, parent
-	}
-	n := c.NumNodes()
-	if cap(parent) < n {
-		parent = make([]int32, n)
-	} else {
-		parent = parent[:n]
-	}
-	for i := range parent {
-		parent[i] = -1
-	}
-	rm := 0
-	for _, t := range c {
-		if t.Forward() {
-			parent[t.J] = int32(t.I)
-			if t.J > rm {
-				rm = t.J
-			}
-		}
-	}
-	for v := rm; ; {
-		path = append(path, v)
-		if parent[v] < 0 {
-			break
-		}
-		v = int(parent[v])
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, parent
-}
-
 // RightmostPath returns the DFS indices on the rightmost path, root
 // first. The rightmost vertex is the last forward-discovered node.
 func (c Code) RightmostPath() []int {
@@ -219,15 +191,12 @@ func (c Code) ToGraph() *Graph {
 	return g
 }
 
-// toGraphInto rebuilds c's pattern graph into lg, reusing its storage.
+// toGraphInto rebuilds c's pattern graph into g, reusing its storage.
 // Halves are appended in ascending edge index with at most one half per
 // (node, edge) — DFS codes have no self-loops — so every adjacency list
 // comes out already in the order Freeze's sort establishes, without
-// sorting. Half ids are local: a half's id is the slot of the first half
-// with an equal (direction, edge label, far-node label) triple, so equal
-// ids mean equal triples without an interning table.
-func (c Code) toGraphInto(lg *lgraph) {
-	g := lg.Graph
+// sorting.
+func (c Code) toGraphInto(g *Graph) {
 	g.ID = -1
 	g.Labels = c.nodeLabelsInto(g.Labels)
 	g.Edges = g.Edges[:0]
@@ -253,37 +222,6 @@ func (c Code) toGraphInto(lg *lgraph) {
 		g.adj[e.From] = append(g.adj[e.From], half{other: e.To, eid: i, out: true, label: e.Label})
 		g.adj[e.To] = append(g.adj[e.To], half{other: e.From, eid: i, out: false, label: e.Label})
 	}
-	lg.hid = firstEqualIDs(lg.hid, 2*len(g.Edges), func(a, b int) bool {
-		ea, eb := &g.Edges[a/2], &g.Edges[b/2]
-		return a%2 == b%2 && ea.Label == eb.Label && g.Labels[farEnd(ea, a)] == g.Labels[farEnd(eb, b)]
-	})
-}
-
-// farEnd is the node at the far end of e seen from half slot s.
-func farEnd(e *GEdge, s int) int {
-	if s%2 == 0 {
-		return e.To
-	}
-	return e.From
-}
-
-// firstEqualIDs fills dst with n ids: the id of item i is the smallest j
-// with eq(i, j). Quadratic, for pattern-sized n.
-func firstEqualIDs(dst []uint32, n int, eq func(i, j int) bool) []uint32 {
-	if cap(dst) < n {
-		dst = make([]uint32, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = uint32(i)
-		for j := 0; j < i; j++ {
-			if dst[j] == uint32(j) && eq(i, j) {
-				dst[i] = uint32(j)
-				break
-			}
-		}
-	}
-	return dst
 }
 
 // String renders the code compactly.
@@ -329,75 +267,147 @@ func (c Code) Key() string {
 // branch rooted at a non-minimal code: each pattern is then grown exactly
 // once (paper §3.3).
 //
-// The test simulates growing the minimal code of c's pattern graph p
-// tuple by tuple, holding the partial isomorphisms of the minimal prefix
-// into p as an embedding set. The minimal next tuple is the smallest of
-// the prefix's extension groups (at MinSupport 1 none is dropped), found
-// by one scan: only that group is compared with c[k] and materialised,
-// into two slabs that alternate per step. The scratch comes from a pool;
-// with a warm pool the call allocates nothing. The lattice walk itself
-// does not use the pool (see miner.childMinimal).
+// The test replays c's own growth in c's pattern graph p, holding the
+// partial isomorphisms of the prefix c[:k] into p as an embedding set.
+// Step k compares every rightmost extension of those isomorphisms with
+// the target c[k]: the first smaller one proves c non-minimal, the equal
+// ones become the next step's set, the larger ones are dropped. This is
+// gSpan's own test (Yan & Han, ICDM 2002): c is minimal when no step
+// offers an extension smaller than c's next tuple. The scratch comes from
+// a pool; with a warm pool the call allocates nothing. The lattice walk
+// itself does not use the pool (see miner.childMinimal).
 func (c Code) IsMinimal() bool {
 	mn := minimalPool.Get().(*miner)
 	defer minimalPool.Put(mn)
 	return mn.isMinimal(c)
 }
 
-// isMinimal is IsMinimal on the scratch of mn, a miner built by
-// newMinimalMiner.
+// isMinimal is IsMinimal on the scratch of mn. Nothing is grouped or
+// hashed: each step keeps one candidate list, the extensions equal to
+// c[k], and materialises it into two slabs that alternate per step.
 func (mn *miner) isMinimal(c Code) bool {
 	if len(c) == 0 {
 		return true
 	}
-	p := &mn.sc.pg
+	sc := &mn.sc
+	p := &sc.pg
 	c.toGraphInto(p)
-	set, next := &mn.sc.slab[0], &mn.sc.slab[1]
+	set, next := &sc.slab[0], &sc.slab[1]
 	set.k, set.e, set.n = 2, 1, 0
 	set.gids, set.tup = set.gids[:0], set.tup[:0]
 	set.w = 0
-	// Step 0: the minimal first tuple over all edges of p.
-	var best Tuple
-	have := false
+	// Step 0: every edge of p, seen from either end, is a first tuple
+	// (0,1,...).
+	pos := comparePos(0, 1, c[0].I, c[0].J)
 	for v := range p.Labels {
 		for _, h := range p.adj[v] {
-			t := Tuple{I: 0, J: 1, LI: p.Labels[v], LJ: p.Labels[h.other], Out: h.out, LE: h.label}
-			if !have || compareTuples(&t, &best) < 0 {
-				best = t
-				have = true
-				set.gids, set.tup, set.n = set.gids[:0], set.tup[:0], 0
+			cmp := pos
+			if cmp == 0 {
+				cmp = compareLabels(p.Labels[v], h.out, h.label, p.Labels[h.other], &c[0])
 			}
-			if compareTuples(&t, &best) == 0 {
+			switch cmp {
+			case -1:
+				return false
+			case 0:
 				set.gids = append(set.gids, 0)
 				set.tup = append(set.tup, int32(v), int32(h.other), int32(h.eid))
 				set.n++
 			}
 		}
 	}
-	if cmp := compareTuples(&c[0], &best); cmp != 0 {
-		return cmp < 0
+	if set.n == 0 {
+		// Every first tuple is larger than c[0] (p has c's edges, so
+		// there is one): c is smaller than any code of p, not one of them.
+		return true
 	}
-	cur := append(mn.sc.cur[:0], best)
-	defer func() { mn.sc.cur = cur[:0] }()
+	sc.resetPrefix()
 	for k := 1; k < len(c); k++ {
-		groups := mn.collectGroups(cur, set)
-		if len(groups) == 0 {
-			// c has more edges than any extension of the minimal
-			// prefix; cannot happen for a valid code of p.
+		sc.growPrefix(&c[k-1])
+		smaller, seen := mn.matchExtensions(&c[k], set)
+		switch {
+		case smaller:
 			return false
+		case len(sc.hit.cands) == 0:
+			// No extension equals c[k]. With all of them larger, c is
+			// smaller than any code of p; with none, c has more edges
+			// than p extends to. Neither is a valid code of p, and
+			// neither case arises from a real lattice walk.
+			return seen
 		}
-		low := &groups[0]
-		for i := 1; i < len(groups); i++ {
-			if compareTuples(&groups[i].t, &low.t) < 0 {
-				low = &groups[i]
-			}
-		}
-		if cmp := compareTuples(&c[k], &low.t); cmp != 0 {
-			return cmp < 0 // smaller than achievable means not a code of p; treat conservatively
-		}
-		// Keep only the embeddings achieving the minimum.
-		mn.materializeInto(low, set, next)
+		sc.hit.t = c[k]
+		mn.materializeInto(&sc.hit, set, next)
 		set, next = next, set
-		cur = append(cur, low.t)
 	}
 	return true
+}
+
+// matchExtensions scans the rightmost extensions of (prefix, set) in the
+// pattern graph against want, the code's next tuple, in the walk's
+// discovery order (collectGroups'); the prefix is the one the scratch's
+// prefix state has grown to. It stops with smaller = true at the first
+// extension below want; otherwise sc.hit.cands holds the candidates of
+// the extensions equal to want, in discovery order, and seen reports
+// whether any extension exists.
+func (mn *miner) matchExtensions(want *Tuple, set *EmbSet) (smaller, seen bool) {
+	sc := &mn.sc
+	p := &sc.pg
+	sc.hit.cands = sc.hit.cands[:0]
+	rmpath, labels := sc.pathPrefix()
+	rm := rmpath[len(rmpath)-1]
+	numNodes := len(labels)
+	// match records the extension at position (i, j) with far label lj
+	// along h; it reports false when the extension is smaller than want.
+	match := func(i, j int, lj string, h *half, cd cand) bool {
+		seen = true
+		c := comparePos(i, j, want.I, want.J)
+		if c == 0 {
+			c = compareLabels(labels[i], h.out, h.label, lj, want)
+		}
+		switch c {
+		case -1:
+			return false
+		case 0:
+			sc.hit.cands = append(sc.hit.cands, cd)
+		}
+		return true
+	}
+	mk := &mn.mk
+	for i := 0; i < set.Len(); i++ {
+		mk.reset(p)
+		nodes := set.Nodes(i)
+		for di, n := range nodes {
+			mk.mapNode(int(n), di)
+		}
+		for _, eid := range set.Edges(i) {
+			mk.useEdge(int(eid))
+		}
+		// Backward from the rightmost vertex to rightmost-path vertices.
+		for _, h := range p.adj[nodes[rm]] {
+			if mk.edgeUsed(h.eid) {
+				continue
+			}
+			du, ok := mk.nodeDFS(h.other)
+			if !ok || du == rm || !sc.onPath[du] {
+				continue
+			}
+			if !match(rm, du, labels[du], &h, cand{emb: int32(i), eid: int32(h.eid), newNode: -1}) {
+				return true, true
+			}
+		}
+		// Forward from every rightmost-path vertex to an unmapped node.
+		for _, w := range rmpath {
+			for _, h := range p.adj[nodes[w]] {
+				if mk.edgeUsed(h.eid) {
+					continue
+				}
+				if _, ok := mk.nodeDFS(h.other); ok {
+					continue
+				}
+				if !match(w, numNodes, p.Labels[h.other], &h, cand{emb: int32(i), eid: int32(h.eid), newNode: int32(h.other)}) {
+					return true, true
+				}
+			}
+		}
+	}
+	return false, seen
 }

@@ -79,7 +79,6 @@ func halfSlot(eid int, out bool) int {
 // call, so nothing process-global grows in a long-running service.
 type graphIndex struct {
 	byID map[int]*lgraph
-	one  *lgraph // single-graph index: every ID resolves to it
 }
 
 // newGraphIndex freezes the graphs (where needed) and assigns half ids.
@@ -127,9 +126,6 @@ func intern[K comparable](ids map[K]uint32, k K) uint32 {
 
 // get returns the indexed graph with the given ID (nil when unknown).
 func (ix *graphIndex) get(id int) *lgraph {
-	if ix.one != nil {
-		return ix.one
-	}
 	return ix.byID[id]
 }
 

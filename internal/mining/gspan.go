@@ -90,6 +90,13 @@ type Config struct {
 	// incumbent floor when the walk was cut, because a cold walk could
 	// truncate at a different lattice point.
 	NoteTruncated func()
+	// NoteNonMinimal, when non-nil, receives once at the end of a walk
+	// (on the calling goroutine) the number of children the
+	// minimal-DFS-code test rejected. Children are counted where the
+	// authoritative walk decides to skip them, after PruneChild, and a
+	// checkpoint fast-forward charges its subtree's recorded count, so
+	// the count is identical across worker widths and checkpointing.
+	NoteNonMinimal func(n int)
 	// NewSpeculator, when non-nil, supplies per-worker callbacks for the
 	// speculative phase of the parallel search. Speculation callbacks may
 	// consult shared incumbent state (under their own locking) and may
@@ -237,11 +244,12 @@ type scratch struct {
 
 	labels []string // node labels of the current code, by DFS index
 	rmpath []int    // rightmost path of the current code
-	parent []int32  // rightmostPathInto's per-node scratch
+	parent []int32  // forward parent of each node of the current code
+	rm     int      // rightmost vertex of the current code
 
 	slab [2]EmbSet // IsMinimal's partial isomorphisms, alternating per step
-	pg   lgraph    // IsMinimal's pattern graph, rebuilt in place
-	cur  Code      // IsMinimal's growing minimal-code prefix
+	pg   Graph     // IsMinimal's pattern graph, rebuilt in place
+	hit  rawGroup  // IsMinimal's extensions equal to the code's next tuple
 	kid  Code      // childMinimal's candidate child code
 
 	mis misScratch // independent-set solver scratch
@@ -261,6 +269,10 @@ type miner struct {
 	mini    *miner    // childMinimal's minimal-code scratch, made on first use
 	kids    [][]ext   // expand's child buffers by depth
 	free    []*EmbSet // child sets expand never handed to the walk, for reuse
+
+	// nonMinimal counts children the authoritative walk rejected as
+	// non-minimal codes (Config.NoteNonMinimal).
+	nonMinimal int
 }
 
 // extendGroups computes all rightmost extensions of (code, set) grouped
@@ -296,24 +308,12 @@ func (mn *miner) extendGroups(code Code, set *EmbSet) []rawGroup {
 // aliases the miner's scratch like extendGroups'.
 func (mn *miner) collectGroups(code Code, set *EmbSet) []rawGroup {
 	sc := &mn.sc
-	sc.rmpath, sc.parent = code.rightmostPathInto(sc.rmpath, sc.parent)
-	rmpath := sc.rmpath
+	rmpath, labels := sc.setPrefix(code)
 	if len(rmpath) == 0 {
 		return nil
 	}
 	rm := rmpath[len(rmpath)-1]
-	sc.labels = code.nodeLabelsInto(sc.labels)
-	labels := sc.labels
 	numNodes := len(labels)
-	if cap(sc.onPath) < numNodes {
-		sc.onPath = make([]bool, numNodes)
-	} else {
-		sc.onPath = sc.onPath[:numNodes]
-		clear(sc.onPath)
-	}
-	for _, v := range rmpath {
-		sc.onPath[v] = true
-	}
 	// Empty the group index by deleting the previous call's keys: O(keys
 	// inserted), where clear would cost the map's high-water capacity.
 	if sc.groups == nil {
@@ -381,6 +381,65 @@ func (mn *miner) collectGroups(code Code, set *EmbSet) []rawGroup {
 		}
 	}
 	return sc.gl
+}
+
+// The prefix state of a code is what a scan of its rightmost extensions
+// reads: node labels by DFS index (NodeLabels), forward parents, the
+// rightmost vertex, the rightmost path root first (RightmostPath) and
+// its membership (onPath). setPrefix loads it for a whole code;
+// isMinimal grows it by one tuple per step instead of reloading it.
+
+// setPrefix loads code's prefix state and returns the rightmost path
+// and the labels (both empty for an empty code).
+func (sc *scratch) setPrefix(code Code) (rmpath []int, labels []string) {
+	sc.resetPrefix()
+	if len(code) == 0 {
+		return sc.rmpath[:0], sc.labels
+	}
+	for i := range code {
+		sc.growPrefix(&code[i])
+	}
+	return sc.pathPrefix()
+}
+
+// resetPrefix empties the prefix state.
+func (sc *scratch) resetPrefix() {
+	sc.labels, sc.parent, sc.rm = sc.labels[:0], sc.parent[:0], 0
+}
+
+// growPrefix adds tuple t to the prefix state's labels, parents and
+// rightmost vertex; pathPrefix derives the rest.
+func (sc *scratch) growPrefix(t *Tuple) {
+	for n := max(t.I, t.J) + 1; len(sc.labels) < n; {
+		sc.labels = append(sc.labels, "")
+		sc.parent = append(sc.parent, -1)
+	}
+	sc.labels[t.I], sc.labels[t.J] = t.LI, t.LJ
+	if t.Forward() {
+		sc.parent[t.J] = int32(t.I)
+		sc.rm = max(sc.rm, t.J)
+	}
+}
+
+// pathPrefix derives the rightmost path and its membership from the
+// parents, and returns the path and the labels.
+func (sc *scratch) pathPrefix() (rmpath []int, labels []string) {
+	if n := len(sc.labels); cap(sc.onPath) < n {
+		sc.onPath = make([]bool, n)
+	} else {
+		sc.onPath = sc.onPath[:n]
+		clear(sc.onPath)
+	}
+	sc.rmpath = sc.rmpath[:0]
+	for v := sc.rm; ; v = int(sc.parent[v]) {
+		sc.rmpath = append(sc.rmpath, v)
+		sc.onPath[v] = true
+		if sc.parent[v] < 0 {
+			break
+		}
+	}
+	slices.Reverse(sc.rmpath)
+	return sc.rmpath, sc.labels
 }
 
 // openGroup starts the group for key with tuple t, reusing the slot's
@@ -474,20 +533,10 @@ func (mn *miner) materializeInto(g *rawGroup, parent, dst *EmbSet) {
 	}
 }
 
-// newMinimalMiner returns a miner set up for the minimal-code
-// simulation of isMinimal: MinSupport 1, and a graph index that resolves
-// every ID to the scratch pattern graph.
-func newMinimalMiner() *miner {
-	mn := &miner{cfg: Config{MinSupport: 1}}
-	mn.sc.pg.Graph = &Graph{ID: -1}
-	mn.gx = &graphIndex{one: &mn.sc.pg}
-	return mn
-}
-
 // minimalPool holds minimal-code miners for Code.IsMinimal, so callers
 // outside a walk do not reallocate the scratch (pattern graph, marks,
-// group buffers, alternating embedding slabs) per call.
-var minimalPool = sync.Pool{New: func() any { return newMinimalMiner() }}
+// candidate buffer, alternating embedding slabs) per call.
+var minimalPool = sync.Pool{New: func() any { return new(miner) }}
 
 // childMinimal reports whether code extended by t is a minimal code,
 // on scratch owned by mn. A walk runs the test once per candidate child;
@@ -498,7 +547,7 @@ var minimalPool = sync.Pool{New: func() any { return newMinimalMiner() }}
 // collections run.
 func (mn *miner) childMinimal(code Code, t Tuple) bool {
 	if mn.mini == nil {
-		mn.mini = newMinimalMiner()
+		mn.mini = new(miner)
 	}
 	mn.sc.kid = append(append(mn.sc.kid[:0], code...), t)
 	return mn.mini.isMinimal(mn.sc.kid)
@@ -602,11 +651,15 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 		}
 	}
 	for i := range kids {
+		if mn.aborted {
+			break // as replayExpand: a truncated walk checks no more kids
+		}
 		k := &kids[i]
 		if mn.cfg.PruneChild != nil && mn.cfg.PruneChild(k.set, k.bound) {
 			continue
 		}
 		if !mn.childMinimal(code, k.t) {
+			mn.nonMinimal++
 			continue
 		}
 		mn.dfs(append(append(make(Code, 0, len(code)+1), code...), k.t), k.set)
@@ -644,10 +697,19 @@ func Mine(graphs []*Graph, cfg Config, visit func(*Pattern)) int {
 	for _, s := range roots {
 		mn.dfs(Code{s.t}, s.set)
 	}
-	if mn.aborted && cfg.NoteTruncated != nil {
-		cfg.NoteTruncated()
-	}
+	mn.noteEnd()
 	return mn.visited
+}
+
+// noteEnd reports the finished walk's truncation and non-minimal count
+// to the Config hooks.
+func (mn *miner) noteEnd() {
+	if mn.aborted && mn.cfg.NoteTruncated != nil {
+		mn.cfg.NoteTruncated()
+	}
+	if mn.cfg.NoteNonMinimal != nil {
+		mn.cfg.NoteNonMinimal(mn.nonMinimal)
+	}
 }
 
 // seedPatterns builds the 1-edge root patterns: one per distinct minimal

@@ -151,9 +151,7 @@ func mineParallel(gx *graphIndex, roots []*ext, cfg Config, visit func(*Pattern)
 		// worker panics re-raise inside OrderedMap.
 		panic(err)
 	}
-	if auth.aborted && cfg.NoteTruncated != nil {
-		cfg.NoteTruncated()
-	}
+	auth.noteEnd()
 	return auth.visited
 }
 
@@ -340,6 +338,7 @@ func (mn *miner) replayExpand(n *specNode) {
 			continue
 		}
 		if !e.minimal {
+			mn.nonMinimal++
 			continue
 		}
 		if e.child != nil {

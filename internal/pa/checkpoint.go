@@ -60,8 +60,9 @@ type latticeRec struct {
 
 	bestLo, bestHi int // non-exact validity: bestLo <= best < bestHi
 
-	visits int
-	adds   []*Candidate // admissions, in walk order
+	visits     int
+	nonMinimal int          // children rejected by the minimality test
+	adds       []*Candidate // admissions, in walk order
 
 	// Per-pattern memo of the root visit's pure by-products, under the
 	// same threshold-independence contract as patMemo: a non-nil cand is
@@ -71,8 +72,8 @@ type latticeRec struct {
 	// off after an extraction shifts the incumbent trajectory.
 	cand         *Candidate
 	candThr      int
-	haveCand     bool
 	disjoint     []int32 // DgSpan independent set, as root-embedding rows
+	haveCand     bool    // the two flags share the record's last word
 	haveDisjoint bool
 }
 
@@ -197,18 +198,18 @@ func (ck *checkpointer) validFor(rec *latticeRec, best int) bool {
 }
 
 // FastForward implements mining.Checkpointer.
-func (ck *checkpointer) FastForward(p *mining.Pattern, remaining int) (int, bool) {
+func (ck *checkpointer) FastForward(p *mining.Pattern, remaining int) (int, int, bool) {
 	if len(p.Code) > ckMaxDepth {
-		return 0, false
+		return 0, 0, false
 	}
 	key := p.Code.Key()
 	ck.lastKeyFor, ck.lastKey = p, key
 	rec := ck.memo.get(key)
 	if rec == nil {
-		return 0, false
+		return 0, 0, false
 	}
 	if !ck.footprintOK(rec, p) {
-		return 0, false
+		return 0, 0, false
 	}
 	// The footprint holds even if the replay below is refused: the visit
 	// that follows can still reuse the record's per-pattern memo.
@@ -216,10 +217,10 @@ func (ck *checkpointer) FastForward(p *mining.Pattern, remaining int) (int, bool
 	if remaining >= 0 && rec.visits > remaining {
 		// The budget would truncate inside this subtree; a replay cannot
 		// reproduce a truncated walk.
-		return 0, false
+		return 0, 0, false
 	}
 	if !ck.validFor(rec, ck.snapshot()) {
-		return 0, false
+		return 0, 0, false
 	}
 	for _, c := range rec.adds {
 		ck.s.admit(c) // runs noteAdd: enclosing open records turn exact
@@ -242,7 +243,7 @@ func (ck *checkpointer) FastForward(p *mining.Pattern, remaining int) (int, bool
 	}
 	ck.hits++
 	ck.saved += rec.visits
-	return rec.visits, true
+	return rec.visits, rec.nonMinimal, true
 }
 
 // Begin implements mining.Checkpointer.
@@ -278,14 +279,14 @@ func (ck *checkpointer) Begin(p *mining.Pattern) any {
 }
 
 // End implements mining.Checkpointer.
-func (ck *checkpointer) End(token any, visits int, truncated bool) {
+func (ck *checkpointer) End(token any, visits, nonMinimal int, truncated bool) {
 	rb := token.(*recBuilder)
 	ck.builders = ck.builders[:len(ck.builders)-1]
 	if truncated {
 		return // the walk did not finish this subtree; unusable
 	}
 	rec := rb.rec
-	rec.visits = visits
+	rec.visits, rec.nonMinimal = visits, nonMinimal
 	rec.adds = append([]*Candidate(nil), ck.log[rb.logStart:]...)
 	rec.exact = rb.exact
 	ck.memo.put(rb.key, rec)

@@ -210,6 +210,13 @@ type RoundStat struct {
 	// track).
 	Visits int
 
+	// NonMinimal counts the children the minimal-DFS-code test rejected
+	// this round: lattice nodes reached again through a non-canonical
+	// code. Fast-forwarded checkpoint subtrees charge their recorded
+	// count, so like Visits it is identical across worker widths and
+	// driver modes.
+	NonMinimal int
+
 	// CoarseVisits is always 0: it counted the coarse mine of the
 	// multiresolution pass, which is gone (DESIGN.md §12). It stays only
 	// because perfbench still reads it for its mining.coarse_visits

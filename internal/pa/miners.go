@@ -470,6 +470,11 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 			PruneSubtree:     authPrune,
 			ViableCount:      authViable,
 			NoteTruncated:    func() { truncated = true },
+			NoteNonMinimal: func(n int) {
+				if opts.stat != nil {
+					opts.stat.NonMinimal = n // a re-mine overwrites, as Visits
+				}
+			},
 			NewSpeculator: func() *mining.Speculator {
 				sp := &mining.Speculator{
 					PruneSubtree: prune,

@@ -1,9 +1,8 @@
 package pa
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"graphpa/internal/arm"
 	"graphpa/internal/cfg"
@@ -176,19 +175,27 @@ func (m *GraphMiner) refilterOccs(k int, reloc []Occurrence, safe callSafeCache)
 // sequence, with unambiguous separators. Two candidates with equal keys
 // specify identical rewrites, so the merge below may keep either.
 func candKey(c *Candidate) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s#%d", c.Method, c.Size)
+	n := 16
+	for i := range c.Occs {
+		n += 8 + 4*len(c.Occs[i].DFS)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, c.Method.String()...)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(c.Size), 10)
 	for i := range c.Occs {
 		o := &c.Occs[i]
-		fmt.Fprintf(&b, "|%d:", o.Block.ID)
-		for j, n := range o.DFS {
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(o.Block.ID), 10)
+		b = append(b, ':')
+		for j, d := range o.DFS {
 			if j > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%d", n)
+			b = strconv.AppendInt(b, int64(d), 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // mergeCandidates builds FindCandidates' return list from the mined tie
