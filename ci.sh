@@ -1,9 +1,10 @@
 #!/bin/sh
 # CI gate: vet plus the whole test suite under the race detector. The
-# parallel search is only trustworthy raced, so -race is not optional
-# here. Short mode (the default) trims the end-to-end determinism suite
-# to its two fastest benchmark programs; run `./ci.sh -full` for the
-# complete matrix. After the tests, the pad daemon is exercised for
+# service's concurrent jobs (TestConcurrentJobsMatchSerial) and the
+# per-round fan-outs are only trustworthy raced, so -race is not
+# optional here. Short mode (the default) trims the end-to-end
+# determinism suite to its two fastest benchmark programs; run
+# `./ci.sh -full` for the complete matrix. After the tests, the pad daemon is exercised for
 # real: serve on an ephemeral port, submit a benchmark over HTTP, and
 # require the report to match the edgar CLI byte-for-byte.
 set -eu
@@ -22,18 +23,21 @@ fi
 # smoke lane.)
 go test ./internal/mining ./internal/pa -run '^$' -bench . -benchtime 1x -short >/dev/null
 
+# Fuzz the image decoder for a fixed 10 s on top of its seed corpus (the
+# seeds and the committed crashers under internal/link/testdata/fuzz also
+# run in the plain test suite above). The seeds are whole benchmark
+# images, and minimising a large interesting input at the default 60 s
+# budget would stall the run, so minimisation gets 1 s.
+go test ./internal/link -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s >/dev/null
+
 # --- compaction-service end-to-end check -------------------------------
 # The service deliberately omits the wall-clock suffix from its reports
 # (cached responses must be byte-identical to fresh ones), so the CLI
 # output is normalized with sed before diffing.
 TMP=$(mktemp -d)
 PAD_PID=""
-W1_PID=""
-W2_PID=""
 cleanup() {
 	[ -n "$PAD_PID" ] && kill "$PAD_PID" 2>/dev/null || true
-	[ -n "$W1_PID" ] && kill "$W1_PID" 2>/dev/null || true
-	[ -n "$W2_PID" ] && kill "$W2_PID" 2>/dev/null || true
 	rm -rf "$TMP"
 }
 trap cleanup EXIT
@@ -112,51 +116,32 @@ if [ -z "$HITS" ] || [ "$HITS" -eq 0 ]; then
 fi
 echo "ci.sh: dictionary warm-start reproduces identical images (dict_hits=$HITS)"
 
-# --- sharded distributed search end-to-end -----------------------------
-# Two shard-worker pads plus a coordinator, all on loopback: the same
-# three-program corpus is mined by a plain single-process daemon and by
-# the coordinator distributing speculation across the workers, and the
-# per-program image hashes must be identical — shards only move the
-# speculative work, the coordinator's replay decides every byte. The
-# worker logs must show walks actually opened, so the equality is not
-# vacuously two local runs.
-"$TMP/pad" serve -addr 127.0.0.1:0 -addr-file "$TMP/addr_p" 2>"$TMP/pad_plain.log" &
+# --- job-concurrency end-to-end ---------------------------------------
+# The same three-program corpus is mined by a one-job daemon and by a
+# default daemon (one job per core, run side by side), and the
+# per-program image hashes must be identical: running jobs concurrently
+# may change latency, never bytes.
+"$TMP/pad" serve -addr 127.0.0.1:0 -addr-file "$TMP/addr_j1" -job-workers 1 2>"$TMP/pad_j1.log" &
 PAD_PID=$!
-ADDR=$(wait_addr "$TMP/addr_p" "$TMP/pad_plain.log")
-"$TMP/pad" submit -addr "$ADDR" -json -dir "$TMP/corpus" >"$TMP/shard_plain.json"
+ADDR=$(wait_addr "$TMP/addr_j1" "$TMP/pad_j1.log")
+"$TMP/pad" submit -addr "$ADDR" -json -dir "$TMP/corpus" >"$TMP/jobs1.json"
 kill -TERM "$PAD_PID"
 wait "$PAD_PID"
 PAD_PID=""
 
-"$TMP/pad" serve -addr 127.0.0.1:0 -addr-file "$TMP/addr_w1" -shard-of ci-coordinator 2>"$TMP/pad_w1.log" &
-W1_PID=$!
-"$TMP/pad" serve -addr 127.0.0.1:0 -addr-file "$TMP/addr_w2" -shard-of ci-coordinator 2>"$TMP/pad_w2.log" &
-W2_PID=$!
-W1=$(wait_addr "$TMP/addr_w1" "$TMP/pad_w1.log")
-W2=$(wait_addr "$TMP/addr_w2" "$TMP/pad_w2.log")
-"$TMP/pad" serve -addr 127.0.0.1:0 -addr-file "$TMP/addr_c" -shards "$W1,$W2" 2>"$TMP/pad_coord.log" &
+"$TMP/pad" serve -addr 127.0.0.1:0 -addr-file "$TMP/addr_jn" 2>"$TMP/pad_jn.log" &
 PAD_PID=$!
-ADDR=$(wait_addr "$TMP/addr_c" "$TMP/pad_coord.log")
-"$TMP/pad" submit -addr "$ADDR" -json -dir "$TMP/corpus" >"$TMP/shard_coord.json"
+ADDR=$(wait_addr "$TMP/addr_jn" "$TMP/pad_jn.log")
+"$TMP/pad" submit -addr "$ADDR" -json -dir "$TMP/corpus" >"$TMP/jobsn.json"
 kill -TERM "$PAD_PID"
 wait "$PAD_PID"
 PAD_PID=""
-kill -TERM "$W1_PID" "$W2_PID"
-wait "$W1_PID" "$W2_PID"
-W1_PID=""
-W2_PID=""
 
-grep -o '"image_hash":"[0-9a-f]*"' "$TMP/shard_plain.json" >"$TMP/shard_hashes_plain"
-grep -o '"image_hash":"[0-9a-f]*"' "$TMP/shard_coord.json" >"$TMP/shard_hashes_coord"
-[ -s "$TMP/shard_hashes_plain" ] || { echo "ci.sh: plain batch produced no image hashes" >&2; exit 1; }
-diff "$TMP/shard_hashes_plain" "$TMP/shard_hashes_coord"
-for wl in "$TMP/pad_w1.log" "$TMP/pad_w2.log"; do
-	grep -q "shard walk opened" "$wl" || {
-		echo "ci.sh: worker $wl served no shard walks" >&2
-		exit 1
-	}
-done
-echo "ci.sh: sharded coordinator reproduces identical images across 2 workers"
+grep -o '"image_hash":"[0-9a-f]*"' "$TMP/jobs1.json" >"$TMP/job_hashes1"
+grep -o '"image_hash":"[0-9a-f]*"' "$TMP/jobsn.json" >"$TMP/job_hashesn"
+[ -s "$TMP/job_hashes1" ] || { echo "ci.sh: one-job batch produced no image hashes" >&2; exit 1; }
+diff "$TMP/job_hashes1" "$TMP/job_hashesn"
+echo "ci.sh: concurrent jobs reproduce the one-job daemon's images"
 
 # --- benchmark-record smoke --------------------------------------------
 # The JSON benchmark harness must keep producing records the committed

@@ -6,13 +6,12 @@
 //
 //	edgar [-miner edgar|dgspan|sfx|edgar-canon] [-schedule] [-maxrounds n]
 //	      [-minsup n] [-maxfrag n] [-maxpatterns n] [-greedy-mis] [-lex]
-//	      [-workers n] [-shards host1,host2] [-verify]
+//	      [-workers n] [-verify]
 //	      [-roundstats] [-dump] [-cpuprofile file] [-memprofile file] file.mc
 //
-// -shards distributes the per-seed lattice speculation across running
-// shard-worker pads (`pad serve`) and replays the results locally; the
-// output is byte-identical to a local run, and -roundstats grows the
-// per-shard accounting columns.
+// -workers sets the width of the per-round fan-outs (dependence-graph
+// build, sequence scan); the lattice walk itself is serial. The output
+// is identical at any width.
 //
 // The paper's pipeline (§2.1): decompile, reconstruct labels, split into
 // basic blocks, build data-flow graphs, mine, extract, repeat.
@@ -21,11 +20,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"graphpa/internal/codegen"
@@ -33,19 +30,7 @@ import (
 	"graphpa/internal/link"
 	"graphpa/internal/loader"
 	"graphpa/internal/pa"
-	"graphpa/internal/service"
 )
-
-// splitAddrs parses a comma-separated address list, dropping blanks.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
 
 func main() {
 	miner := flag.String("miner", "edgar", "sfx | dgspan | edgar | edgar-canon")
@@ -58,8 +43,7 @@ func main() {
 	maxPatterns := flag.Int("maxpatterns", 0, "lattice visit budget per mining round (default 100000; raise to approximate the exhaustive search)")
 	greedyMIS := flag.Bool("greedy-mis", false, "use greedy instead of exact independent sets")
 	lex := flag.Bool("lex", false, "lexicographic lattice walk instead of benefit-directed (identical output, more visits)")
-	workers := flag.Int("workers", 0, "parallel width (0 = all cores, 1 = serial); results are identical at any width")
-	shards := flag.String("shards", "", "comma-separated shard-worker pad addresses to distribute speculation across (identical output)")
+	workers := flag.Int("workers", 0, "width of the per-round DFG-build and sequence-scan fan-outs (0 = all cores, 1 = serial); the lattice walk is always serial and results are identical at any width")
 	verify := flag.Bool("verify", true, "run before/after and compare behaviour")
 	roundStats := flag.Bool("roundstats", false, "print the per-round timing and cache breakdown")
 	dump := flag.Bool("dump", false, "print the optimized assembly")
@@ -108,9 +92,6 @@ func main() {
 		GreedyMIS:     *greedyMIS,
 		Workers:       *workers,
 		Lexicographic: *lex,
-	}
-	if addrs := splitAddrs(*shards); len(addrs) > 0 {
-		po.Shards = service.NewShardPool(addrs, slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	}
 	res, out, err := core.Optimize(img, m, po)
 	if *cpuProfile != "" {
@@ -163,25 +144,11 @@ func printRoundStats(stats []pa.RoundStat) {
 	if len(stats) == 0 {
 		return
 	}
-	// The shard columns appear only when any round actually spoke to a
-	// shard fleet: seeds fanned out / subtrees streamed back / replay
-	// fallbacks, plus incumbent broadcasts and remote speculative visits.
-	sharded := false
-	for _, st := range stats {
-		if st.ShardSeeds > 0 || st.ShardFallbacks > 0 || st.ShardSpecVisits > 0 {
-			sharded = true
-			break
-		}
-	}
 	fmt.Printf("per-round breakdown (blocks reused/rebound/rebuilt; summaries resolved/changed)\n")
-	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %10s %8s",
+	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %10s %8s\n",
 		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums r/c", "visits", "non-min", "ff-visits", "extract")
-	if sharded {
-		fmt.Printf(" | %-14s %6s %10s", "shard s/t/fb", "bcast", "sh-visits")
-	}
-	fmt.Println()
 	for _, st := range stats {
-		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11s %8d %8d %10d %8d",
+		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11s %8d %8d %10d %8d\n",
 			st.Round,
 			st.CFGBuild.Round(time.Microsecond),
 			st.Summaries.Round(time.Microsecond),
@@ -194,13 +161,6 @@ func printRoundStats(stats []pa.RoundStat) {
 			st.NonMinimal,
 			st.VisitsSaved,
 			st.Extractions)
-		if sharded {
-			fmt.Printf(" | %-14s %6d %10d",
-				fmt.Sprintf("%d/%d/%d", st.ShardSeeds, st.ShardSubtrees, st.ShardFallbacks),
-				st.ShardBroadcasts,
-				st.ShardSpecVisits)
-		}
-		fmt.Println()
 	}
 }
 

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	pad serve [-addr host:port] [-addr-file path] [-job-workers n]
-//	          [-mine-workers n] [-queue n] [-cache n] [-dict path]
-//	          [-shards host1,host2] [-shard-of name] [-pprof]
+//	          [-queue n] [-cache n] [-dict path] [-pprof]
 //	pad submit [-addr host:port] [-miner edgar|dgspan|sfx|edgar-canon]
 //	           [-asm] [-O] [-schedule] [-minsup n] [-maxfrag n]
 //	           [-maxrounds n] [-maxpatterns n] [-greedy-mis]
@@ -15,6 +14,8 @@
 // serve binds addr (use port 0 for an ephemeral port), optionally
 // writes the bound address to -addr-file for scripts to discover, and
 // shuts down gracefully on SIGINT/SIGTERM — in-flight jobs drain first.
+// -job-workers jobs mine side by side (default: one per core), each
+// with a serial lattice walk.
 // -dict opens (or creates) a persistent fragment dictionary there:
 // every mined program warm-starts from it and publishes back to it, so
 // a corpus of related programs mines faster across restarts with
@@ -22,13 +23,6 @@
 // endpoints under /debug/pprof/ on the same listener (the daemon
 // equivalent of edgar's -cpuprofile/-memprofile); off by default since
 // profiles expose internals.
-// -shards makes this pad a shard COORDINATOR: every mining job
-// distributes its per-seed speculation across the listed worker pads
-// and replays the streamed subtrees locally, so responses stay
-// byte-identical to a single-process run (workers dying mid-walk only
-// cost local fallback work). Any pad can serve as a worker — the
-// /v1/shard endpoints are always registered; -shard-of just names the
-// role for logs.
 // submit retries transient daemon failures (-retries, default 3) with
 // exponential backoff and jitter before giving up with the final error.
 // submit mirrors cmd/edgar's flags and prints the same report lines
@@ -89,20 +83,17 @@ func serve(args []string) {
 	fs := flag.NewFlagSet("pad serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8347", "listen address (port 0 = ephemeral)")
 	addrFile := fs.String("addr-file", "", "write the bound address here once listening")
-	jobWorkers := fs.Int("job-workers", 0, "jobs mined concurrently (0 = derive from cores)")
-	mineWorkers := fs.Int("mine-workers", 0, "parallel mining width per job (0 = derive)")
+	jobWorkers := fs.Int("job-workers", 0, "jobs mined concurrently, each serially (0 = one per core)")
 	queueDepth := fs.Int("queue", 0, "pending-job queue depth (0 = default 64)")
 	cacheEntries := fs.Int("cache", 0, "result-cache entries (0 = default 128)")
 	dictPath := fs.String("dict", "", "persistent fragment-dictionary file (empty = no dictionary)")
-	shards := fs.String("shards", "", "comma-separated shard-worker pad addresses; this pad coordinates, distributing per-seed speculation across them (identical output)")
-	shardOf := fs.String("shard-of", "", "name of the coordinator this pad works for (informational; the shard endpoints are always on)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the same listener")
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: pad serve [flags]")
 		os.Exit(2)
 	}
-	if *jobWorkers < 0 || *mineWorkers < 0 || *queueDepth < 0 || *cacheEntries < 0 {
+	if *jobWorkers < 0 || *queueDepth < 0 || *cacheEntries < 0 {
 		fmt.Fprintln(os.Stderr, "pad serve: flags must be non-negative")
 		os.Exit(2)
 	}
@@ -116,21 +107,12 @@ func serve(args []string) {
 		}
 		logger.Info("dictionary open", "path", *dictPath, "entries", d.Len())
 	}
-	var shardAddrs []string
-	for _, a := range strings.Split(*shards, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			shardAddrs = append(shardAddrs, a)
-		}
-	}
 	svc := service.New(service.Config{
 		JobWorkers:   *jobWorkers,
-		MineWorkers:  *mineWorkers,
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheEntries,
 		Logger:       logger,
 		Dict:         d,
-		Shards:       shardAddrs,
-		ShardOf:      *shardOf,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

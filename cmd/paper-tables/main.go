@@ -27,7 +27,7 @@ func main() {
 	programs := flag.String("programs", "", "comma-separated program subset (default: all)")
 	maxFrag := flag.Int("maxfrag", 0, "maximum fragment size (default 8)")
 	maxPatterns := flag.Int("maxpatterns", 0, "per-round mining budget (default 100000)")
-	workers := flag.Int("workers", 0, "parallel width (0 = all cores, 1 = serial); tables are identical at any width")
+	workers := flag.Int("workers", 0, "width of the program x miner cells and of each run's per-round fan-outs (0 = all cores, 1 = serial); tables are identical at any width")
 	noverify := flag.Bool("noverify", false, "skip differential behaviour checks")
 	benchJSON := flag.String("bench-json", "", "write a machine-readable benchmark record to this file")
 	benchBase := flag.String("bench-baseline", "", "compare wall clocks against a committed benchmark record")

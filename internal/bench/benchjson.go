@@ -40,11 +40,6 @@ type BenchFingerprint struct {
 	Workers       int  `json:"workers"`
 	MaxPatterns   int  `json:"maxpatterns"`
 	Lexicographic bool `json:"lexicographic"`
-	// Shards records how many shard workers speculation was distributed
-	// across (0 = single-process). Provenance only, ignored by
-	// FingerprintsMatch like Workers: the sharded walk visits exactly
-	// what the single-process walk does at any shard count.
-	Shards int `json:"shards,omitempty"`
 }
 
 // FingerprintsMatch reports whether two records' search configurations
@@ -86,9 +81,6 @@ func BenchJSON(ev *Evaluation, miners []string) *BenchDoc {
 			MaxPatterns:   ev.Opts.MaxPatternsOrDefault(),
 			Lexicographic: ev.Opts.Lexicographic,
 		},
-	}
-	if ev.Opts.Shards != nil {
-		d.Fingerprint.Shards = ev.Opts.Shards.NumShards()
 	}
 	for _, mn := range miners {
 		for _, w := range ev.Workloads {

@@ -1,13 +1,14 @@
 package bench
 
-// End-to-end proof of the tentpole claim: the parallel optimizer is
-// byte-identical to the serial one. Each benchmark is optimized twice —
-// Workers=1 (the exact historical serial pipeline) and Workers=8 (well
-// past any core count that changes scheduling here) — and both the
-// optimization report and the re-linked binary images must match
-// exactly. The differential test then emulates every parallel-optimized
-// binary against its unoptimized original. Short mode keeps the two
-// fastest programs; the full run covers the whole suite.
+// End-to-end proof that the per-round fan-outs (dependence-graph build,
+// sequence scan) leave the optimizer byte-identical to the serial one.
+// Each benchmark is optimized twice — Workers=1 (the fully serial
+// pipeline) and Workers=8 (well past any core count that changes
+// scheduling here) — and both the optimization report and the re-linked
+// binary images must match exactly. The differential test then emulates
+// every parallel-optimized binary against its unoptimized original.
+// Short mode keeps the two fastest programs; the full run covers the
+// whole suite.
 
 import (
 	"sync"

@@ -91,6 +91,12 @@ func (img *Image) decodeInto(data []byte) error {
 	}
 	img.TextWords = int(textWords)
 	img.Entry = int(entry)
+	// Every count is checked against the bytes left before anything is
+	// sized by it: a symbol takes at least 8 bytes, a relocation 4, so a
+	// corrupt count fails here instead of allocating gigabytes.
+	if int(nSyms) > (len(data)-pos)/8 {
+		return errf("decode: truncated symbol table")
+	}
 	img.Symbols = make(map[string]int, nSyms)
 	for i := 0; i < int(nSyms); i++ {
 		nameLen, ok := u32()
@@ -107,6 +113,9 @@ func (img *Image) decodeInto(data []byte) error {
 			return errf("decode: duplicate symbol %q", name)
 		}
 		img.Symbols[name] = int(addr)
+	}
+	if int(nRelocs) > (len(data)-pos)/4 {
+		return errf("decode: truncated relocation table")
 	}
 	if nRelocs > 0 {
 		img.Relocs = make([]int, nRelocs)

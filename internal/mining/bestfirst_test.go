@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 )
 
@@ -17,11 +16,8 @@ import (
 // rests on.
 
 // bbHarness is the miniature branch-and-bound consumer: benefit
-// (m-1)*(k-1) — pa's cross-jump polynomial, monotone in both arguments —
-// with the incumbent under a mutex, since in parallel mode the advisory
-// closures run on speculation workers.
+// (m-1)*(k-1) — pa's cross-jump polynomial, monotone in both arguments.
 type bbHarness struct {
-	mu   sync.Mutex
 	maxK int
 	best int
 	ties map[string]bool
@@ -30,35 +26,28 @@ type bbHarness struct {
 
 func (h *bbHarness) ub(m int) int { return (m - 1) * (h.maxK - 1) }
 
-func (h *bbHarness) snapshot() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.best
-}
-
-func (h *bbHarness) config(graphs []*Graph, lex bool, workers int) Config {
+func (h *bbHarness) config(lex bool) Config {
 	cfg := Config{
 		MinSupport:       2,
 		MaxNodes:         h.maxK,
 		EmbeddingSupport: true,
-		Workers:          workers,
 		Lexicographic:    lex,
 		// Admissible: a descendant's disjoint-set size never exceeds the
 		// ancestor's MIS (restriction of disjoint embeddings), and
 		// misUpperBound dominates the child subtree's MIS.
-		PruneSubtree: func(p *Pattern) bool { return h.ub(p.Support) < h.snapshot() },
-		ViableCount:  func(count int) bool { return h.ub(count) >= h.snapshot() },
+		PruneSubtree: func(p *Pattern) bool { return h.ub(p.Support) < h.best },
+		ViableCount:  func(count int) bool { return h.ub(count) >= h.best },
 	}
 	if !lex {
-		cfg.PruneChild = func(set *EmbSet, bound int) bool { return h.ub(bound) < h.snapshot() }
+		cfg.PruneChild = func(set *EmbSet, bound int) bool { return h.ub(bound) < h.best }
 	}
 	return cfg
 }
 
-func (h *bbHarness) run(t *testing.T, graphs []*Graph, lex bool, workers int) {
+func (h *bbHarness) run(t *testing.T, graphs []*Graph, lex bool) {
 	t.Helper()
 	h.best, h.ties, h.vis = 0, map[string]bool{}, 0
-	h.vis = Mine(graphs, h.config(graphs, lex, workers), func(p *Pattern) {
+	h.vis = Mine(graphs, h.config(lex), func(p *Pattern) {
 		k := p.Code.NumNodes()
 		if k < 2 {
 			return
@@ -67,7 +56,6 @@ func (h *bbHarness) run(t *testing.T, graphs []*Graph, lex bool, workers int) {
 		if ben <= 0 {
 			return
 		}
-		h.mu.Lock()
 		if ben > h.best {
 			h.best = ben
 			h.ties = map[string]bool{}
@@ -75,7 +63,6 @@ func (h *bbHarness) run(t *testing.T, graphs []*Graph, lex bool, workers int) {
 		if ben == h.best {
 			h.ties[p.Code.Key()] = true
 		}
-		h.mu.Unlock()
 	})
 }
 
@@ -91,26 +78,14 @@ func tieKeys(m map[string]bool) []string {
 func runBestFirstEquivalence(t *testing.T, name string, graphs []*Graph) {
 	t.Helper()
 	h := &bbHarness{maxK: 5}
-	h.run(t, graphs, true, 1)
+	h.run(t, graphs, true)
 	wantBest, wantTies := h.best, tieKeys(h.ties)
-	visRef := map[bool]int{}
-	for _, lex := range []bool{true, false} {
-		for _, workers := range []int{1, 8} {
-			h.run(t, graphs, lex, workers)
-			if h.best != wantBest {
-				t.Fatalf("%s lex=%v w=%d: incumbent %d, want %d", name, lex, workers, h.best, wantBest)
-			}
-			if got := tieKeys(h.ties); fmt.Sprint(got) != fmt.Sprint(wantTies) {
-				t.Fatalf("%s lex=%v w=%d: tie set %v, want %v", name, lex, workers, got, wantTies)
-			}
-			// Within one order, the visit count must not depend on workers
-			// (between orders it differs — that difference is the point).
-			if v, ok := visRef[lex]; !ok {
-				visRef[lex] = h.vis
-			} else if h.vis != v {
-				t.Fatalf("%s lex=%v w=%d: %d visits, want %d", name, lex, workers, h.vis, v)
-			}
-		}
+	h.run(t, graphs, false)
+	if h.best != wantBest {
+		t.Fatalf("%s: best-first incumbent %d, want %d", name, h.best, wantBest)
+	}
+	if got := tieKeys(h.ties); fmt.Sprint(got) != fmt.Sprint(wantTies) {
+		t.Fatalf("%s: best-first tie set %v, want %v", name, got, wantTies)
 	}
 }
 

@@ -2,7 +2,7 @@ package mining
 
 // Checkpointer lets a caller carry exact lattice-walk state across
 // searches of evolving-but-mostly-identical graph sets (the incremental
-// mine/extract loop): the authoritative walk records, per frequent
+// mine/extract loop): the walk records, per frequent
 // pattern, the side effects of the whole subtree rooted there; a later
 // search may then skip a subtree it can prove would behave identically —
 // same visits, same candidate admissions — by replaying those effects
@@ -22,17 +22,15 @@ package mining
 //     implementations MUST return ok=false when their recorded subtree
 //     would not fit, because a truncated subtree behaves differently from
 //     a replayed one.
-//   - Begin marks entry into p's subtree on the authoritative path and
-//     returns a token (never nil for a recording implementation).
+//   - Begin marks entry into p's subtree and returns a token (never nil for a recording implementation).
 //   - End closes Begin's record with the subtree's total visit and
 //     non-minimal child counts and whether the search was truncated
 //     inside it. Truncated records are unusable: the recorded walk did
 //     not finish the subtree.
 //
-// Begin/End calls nest like the recursion itself and happen only on the
-// single authoritative goroutine, so implementations need no locking for
-// the record stack (a shared store read by concurrent speculation must
-// synchronise itself).
+// Begin/End calls nest like the recursion itself and happen on the
+// walk's goroutine, so implementations need no locking for the record
+// stack.
 type Checkpointer interface {
 	FastForward(p *Pattern, remaining int) (visits, nonMinimal int, ok bool)
 	Begin(p *Pattern) any
@@ -64,28 +62,4 @@ func (mn *miner) fastForward(p *Pattern) bool {
 		mn.aborted = true
 	}
 	return true
-}
-
-// visitFrequent runs the visit-and-descend step of a frequent pattern
-// under the checkpoint protocol. descend explores the subtree below p
-// when the bounds allow; it is the only part that differs between the
-// serial search (live expansion) and the parallel replay (recorded
-// subtree with live fallback).
-func (mn *miner) visitFrequent(p *Pattern, descend func()) {
-	if mn.fastForward(p) {
-		return
-	}
-	ck := mn.cfg.Checkpoint
-	var tok any
-	v0, nm0 := 0, 0
-	if ck != nil {
-		tok = ck.Begin(p)
-		v0, nm0 = mn.visited, mn.nonMinimal
-	}
-	if mn.step(p) {
-		descend()
-	}
-	if tok != nil {
-		ck.End(tok, mn.visited-v0, mn.nonMinimal-nm0, mn.aborted)
-	}
 }

@@ -28,9 +28,8 @@ type EmbSet struct {
 	// Per-embedding node bitsets, built lazily by ensureBits (only
 	// patterns that reach an independent-set computation need them): w
 	// 64-bit words per embedding, sized by the highest node id present.
-	// An EmbSet is owned by one goroutine at a time (built by a worker,
-	// handed over replay's ordered channel), so the lazy build needs no
-	// locking.
+	// An EmbSet is owned by one goroutine at a time, so the lazy build
+	// needs no locking.
 	w    int
 	bits []uint64
 }

@@ -1,7 +1,6 @@
 package mining
 
 import (
-	"context"
 	"slices"
 	"sync"
 )
@@ -71,56 +70,22 @@ type Config struct {
 	// The set is valid only during the call: the walk reuses the storage
 	// of children it does not descend into.
 	PruneChild func(set *EmbSet, bound int) bool
-	// Workers > 1 mines seed subtrees speculatively on that many
-	// goroutines and replays them deterministically (see parallel.go);
-	// the visit sequence is identical to the serial search. Workers <= 1
-	// keeps the fully serial search. When Workers > 1 and NewSpeculator
-	// is nil, PruneSubtree and ViableCount are called concurrently and
-	// must be safe for concurrent use.
-	Workers int
 	// Checkpoint, when non-nil, may fast-forward whole lattice subtrees
-	// recorded by an earlier equivalent walk (see Checkpointer). All its
-	// methods run on the authoritative goroutine only.
+	// recorded by an earlier equivalent walk (see Checkpointer).
 	Checkpoint Checkpointer
 	// NoteTruncated, when non-nil, is called once at the end of a walk
-	// the MaxPatterns budget aborted (on the authoritative goroutine).
-	// Deterministic: truncation is part of the visit sequence, identical
-	// across worker widths. Callers use it to tell a complete walk from a
-	// truncated one — e.g. the dictionary warm-start discards its
-	// incumbent floor when the walk was cut, because a cold walk could
-	// truncate at a different lattice point.
+	// the MaxPatterns budget aborted. Callers use it to tell a complete
+	// walk from a truncated one — e.g. the dictionary warm-start discards
+	// its incumbent floor when the walk was cut, because a cold walk
+	// could truncate at a different lattice point.
 	NoteTruncated func()
 	// NoteNonMinimal, when non-nil, receives once at the end of a walk
-	// (on the calling goroutine) the number of children the
-	// minimal-DFS-code test rejected. Children are counted where the
-	// authoritative walk decides to skip them, after PruneChild, and a
-	// checkpoint fast-forward charges its subtree's recorded count, so
-	// the count is identical across worker widths and checkpointing.
+	// the number of children the minimal-DFS-code test rejected.
+	// Children are counted where the walk decides to skip them, after
+	// PruneChild, and a checkpoint fast-forward charges its subtree's
+	// recorded count, so the count is identical with and without
+	// checkpointing.
 	NoteNonMinimal func(n int)
-	// NewSpeculator, when non-nil, supplies per-worker callbacks for the
-	// speculative phase of the parallel search. Speculation callbacks may
-	// consult shared incumbent state (under their own locking) and may
-	// memoise side results, but must not mutate anything the
-	// authoritative visit/PruneSubtree/ViableCount path depends on:
-	// correctness never depends on what speculation decides, only the
-	// amount of replay fallback work does.
-	NewSpeculator func() *Speculator
-	// RemoteSpec, when non-nil, sources a seed subtree's speculation from
-	// a shard worker instead of a local goroutine: called with the
-	// canonical seed index (the position in seedPatterns order), it
-	// returns a recorded subtree in the spec-tree wire form, which is
-	// decoded around the coordinator's own seed pattern and handed to the
-	// authoritative replay exactly like a locally-speculated tree. Any
-	// error — or a payload that fails decoding — falls back to local
-	// speculation for that seed, so a dead or corrupt shard costs work,
-	// never output. Activates the speculate-then-replay pipeline even at
-	// Workers <= 1.
-	RemoteSpec func(ctx context.Context, seed int) ([]byte, error)
-	// NoteRemoteSpec, when non-nil, receives the remote-speculation
-	// accounting once at the end of a RemoteSpec walk (on the calling
-	// goroutine): seeds attempted remotely, subtrees successfully decoded,
-	// and seeds that fell back to local speculation.
-	NoteRemoteSpec func(seeds, subtrees, fallbacks int)
 }
 
 func (c Config) exactLimit() int {
@@ -256,8 +221,7 @@ type scratch struct {
 }
 
 // miner holds one search instance: configuration, per-instance scratch
-// state (the marks and scratch buffers — the reason a worker cannot
-// share a miner) and the serial visit bookkeeping.
+// state (the marks and scratch buffers) and the visit bookkeeping.
 type miner struct {
 	cfg     Config
 	gx      *graphIndex
@@ -270,8 +234,8 @@ type miner struct {
 	kids    [][]ext   // expand's child buffers by depth
 	free    []*EmbSet // child sets expand never handed to the walk, for reuse
 
-	// nonMinimal counts children the authoritative walk rejected as
-	// non-minimal codes (Config.NoteNonMinimal).
+	// nonMinimal counts children the walk rejected as non-minimal codes
+	// (Config.NoteNonMinimal).
 	nonMinimal int
 }
 
@@ -579,9 +543,10 @@ func (mn *miner) computeSupport(p *Pattern) int {
 	return len(p.Disjoint)
 }
 
-// dfs is the serial search step: build the pattern, check frequency,
-// then visit and descend (or fast-forward the whole subtree through the
-// checkpointer).
+// dfs is one search step: build the pattern, check frequency, then
+// visit and descend — or fast-forward the whole subtree through the
+// checkpointer. A checkpointer's Begin/End bracket the subtree with its
+// visit and non-minimal counts.
 func (mn *miner) dfs(code Code, set *EmbSet) {
 	if mn.aborted {
 		return
@@ -590,12 +555,25 @@ func (mn *miner) dfs(code Code, set *EmbSet) {
 	if p.Support < mn.cfg.MinSupport {
 		return
 	}
-	mn.visitFrequent(p, func() { mn.expand(code, set) })
+	if mn.fastForward(p) {
+		return
+	}
+	ck := mn.cfg.Checkpoint
+	var tok any
+	v0, nm0 := mn.visited, mn.nonMinimal
+	if ck != nil {
+		tok = ck.Begin(p)
+	}
+	if mn.step(p) {
+		mn.expand(code, set)
+	}
+	if tok != nil {
+		ck.End(tok, mn.visited-v0, mn.nonMinimal-nm0, mn.aborted)
+	}
 }
 
-// step visits a frequent pattern and, unless a bound stops it, expands
-// its extensions. Shared verbatim between the serial search and the
-// deterministic replay of speculative subtrees.
+// step visits a frequent pattern and reports whether the walk descends
+// below it: not past the pattern budget, the size cap or a bound.
 func (mn *miner) step(p *Pattern) bool {
 	mn.visit(p)
 	mn.visited++
@@ -652,7 +630,7 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 	}
 	for i := range kids {
 		if mn.aborted {
-			break // as replayExpand: a truncated walk checks no more kids
+			break // a truncated walk checks no more kids
 		}
 		k := &kids[i]
 		if mn.cfg.PruneChild != nil && mn.cfg.PruneChild(k.set, k.bound) {
@@ -681,18 +659,14 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 // among siblings unless cfg.Lexicographic). The search is complete:
 // every frequent fragment is reported exactly once (via the
 // minimal-DFS-code test), except where a PruneChild policy cuts a
-// subtree. With cfg.Workers > 1 the seed subtrees are mined
-// speculatively in parallel and replayed in order; the visit sequence
-// (patterns, order, truncation point) is identical to the serial search.
-// The return value is the number of patterns visited, including visits
+// subtree. The walk is serial: the visit sequence (patterns, order,
+// truncation point) is a pure function of the graphs and the policies'
+// answers. The return value is the number of patterns visited, including visits
 // charged by checkpoint fast-forwards — a deterministic work metric.
 func Mine(graphs []*Graph, cfg Config, visit func(*Pattern)) int {
 	gx := newGraphIndex(graphs)
 	roots := seedPatterns(graphs)
 
-	if (cfg.Workers > 1 || cfg.RemoteSpec != nil) && len(roots) > 1 {
-		return mineParallel(gx, roots, cfg, visit)
-	}
 	mn := &miner{cfg: cfg, gx: gx, visit: visit}
 	for _, s := range roots {
 		mn.dfs(Code{s.t}, s.set)

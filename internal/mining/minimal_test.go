@@ -30,7 +30,7 @@ func benchGraphs(tb testing.TB, name string, rounds int) []*mining.Graph {
 
 // walkConfig is edgar's lattice walk cut after visits patterns.
 func walkConfig(visits int) mining.Config {
-	return mining.Config{MinSupport: 2, MaxNodes: 8, EmbeddingSupport: true, MaxPatterns: visits, Workers: 1}
+	return mining.Config{MinSupport: 2, MaxNodes: 8, EmbeddingSupport: true, MaxPatterns: visits}
 }
 
 // TestIsMinimalMatchesBoxedBench compares IsMinimal with the boxed

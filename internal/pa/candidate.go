@@ -229,9 +229,8 @@ func crossJumpExtractable(g *dfg.Graph, nodes []int) bool {
 // convexScratch is occurrence validation's working memory: the
 // signature buffer and the schedulability probes' epoch-stamped node
 // marks (no clearing between checks), walk stack and contractOK window
-// tables. It is reused across checks, and across buildCandidate calls
-// on one goroutine, but never shared: speculation workers build
-// candidates concurrently.
+// tables. It is reused across checks and across one walk's
+// buildCandidate calls.
 type convexScratch struct {
 	mark  []uint32 // == epoch: in the fragment; == epoch+1: visited
 	epoch uint32

@@ -2,7 +2,6 @@ package pa
 
 import (
 	"math"
-	"sync"
 
 	"graphpa/internal/dfg"
 	"graphpa/internal/mining"
@@ -14,7 +13,7 @@ import (
 // are visited, in what order, and which candidates are admitted — is a
 // deterministic function of (a) the embeddings' graphs and (b) the
 // incumbent candidate bounds read by the branch-and-bound policies. The
-// checkpointer records both per subtree on the authoritative walk:
+// checkpointer records both per subtree of the walk:
 //
 //   - The footprint: every embedding with its owning dependence-graph
 //     object. Graph objects are only reused across rounds when their
@@ -64,9 +63,9 @@ type latticeRec struct {
 	nonMinimal int          // children rejected by the minimality test
 	adds       []*Candidate // admissions, in walk order
 
-	// Per-pattern memo of the root visit's pure by-products, under the
-	// same threshold-independence contract as patMemo: a non-nil cand is
-	// exact for every admission threshold, a nil cand stands for every
+	// Per-pattern memo of the root visit's pure by-products. Occurrence
+	// filtering does not depend on the bail threshold, so a non-nil cand
+	// is exact for every admission threshold, a nil cand stands for every
 	// threshold >= candThr. Unlike the subtree replay these only need the
 	// footprint to validate, not the bounds regions, so they keep paying
 	// off after an extraction shifts the incumbent trajectory.
@@ -77,11 +76,9 @@ type latticeRec struct {
 	haveDisjoint bool
 }
 
-// latticeMemo is the cross-round checkpoint store. The authoritative
-// walk writes it; concurrent speculation workers read it (SkipSubtree),
-// hence the RWMutex.
+// latticeMemo is the cross-round checkpoint store, written and read by
+// one run's walks in turn.
 type latticeMemo struct {
-	mu   sync.RWMutex
 	recs map[string]*latticeRec // by Code.Key()
 }
 
@@ -89,24 +86,14 @@ func newLatticeMemo() *latticeMemo {
 	return &latticeMemo{recs: map[string]*latticeRec{}}
 }
 
-func (m *latticeMemo) get(key string) *latticeRec {
-	m.mu.RLock()
-	rec := m.recs[key]
-	m.mu.RUnlock()
-	return rec
-}
+func (m *latticeMemo) get(key string) *latticeRec { return m.recs[key] }
 
-func (m *latticeMemo) put(key string, rec *latticeRec) {
-	m.mu.Lock()
-	m.recs[key] = rec
-	m.mu.Unlock()
-}
+func (m *latticeMemo) put(key string, rec *latticeRec) { m.recs[key] = rec }
 
 // sweep drops records anchored to dependence graphs that are no longer
 // live: a dead graph object never reappears, so such records can never
 // validate again.
 func (m *latticeMemo) sweep(live map[*dfg.Graph]bool) {
-	m.mu.Lock()
 	for k, rec := range m.recs {
 		for _, g := range rec.graphs {
 			if !live[g] {
@@ -115,7 +102,6 @@ func (m *latticeMemo) sweep(live map[*dfg.Graph]bool) {
 			}
 		}
 	}
-	m.mu.Unlock()
 }
 
 // recBuilder is one open (Begin'd, not yet End'd) subtree record.
@@ -128,9 +114,8 @@ type recBuilder struct {
 }
 
 // checkpointer implements mining.Checkpointer for one FindCandidates
-// run: it records subtrees of the authoritative walk into the cross-
-// round memo and fast-forwards subtrees the memo already covers. All
-// methods except covered run on the authoritative goroutine only.
+// run: it records subtrees of the walk into the cross-round memo and
+// fast-forwards subtrees the memo already covers.
 type checkpointer struct {
 	s    *search
 	memo *latticeMemo
@@ -160,7 +145,7 @@ type checkpointer struct {
 // validate under another only through the region checks, exactly like
 // mid-walk incumbent movement.)
 func (ck *checkpointer) snapshot() int {
-	return ck.s.best()
+	return ck.s.bestBen
 }
 
 // footprintOK verifies the subtree's graphs are the recorded objects and
@@ -303,9 +288,9 @@ func (ck *checkpointer) patRec(p *mining.Pattern) *latticeRec {
 }
 
 // noteCand stores the visit's candidate outcome into p's own open
-// record, carrying the patMemo-style threshold contract across rounds.
-// Under depth gating the innermost open record may belong to a shallow
-// ancestor rather than p, so the builder identity is checked.
+// record, carrying its threshold contract (see latticeRec) across
+// rounds. Under depth gating the innermost open record may belong to a
+// shallow ancestor rather than p, so the builder identity is checked.
 func (ck *checkpointer) noteCand(p *mining.Pattern, c *Candidate, thr int) {
 	if len(ck.builders) == 0 {
 		return
@@ -330,20 +315,8 @@ func (ck *checkpointer) noteDisjoint(p *mining.Pattern, idx []int32) {
 	rb.rec.disjoint, rb.rec.haveDisjoint = idx, true
 }
 
-// covered is the speculation-side advisory check behind
-// Speculator.SkipSubtree: the memo probably fast-forwards this subtree,
-// so speculating below it is wasted work. Reads only immutable record
-// state and the (read-only) byID map; safe for concurrent use.
-func (ck *checkpointer) covered(p *mining.Pattern) bool {
-	if len(p.Code) > ckMaxDepth {
-		return false
-	}
-	rec := ck.memo.get(p.Code.Key())
-	return rec != nil && ck.footprintOK(rec, p)
-}
-
-// noteAdd logs an authoritative candidate admission: every open record
-// contains it and must switch to exact-entry validation.
+// noteAdd logs a candidate admission: every open record contains it and
+// must switch to exact-entry validation.
 func (ck *checkpointer) noteAdd(c *Candidate) {
 	ck.log = append(ck.log, c)
 	for _, rb := range ck.builders {
@@ -351,10 +324,10 @@ func (ck *checkpointer) noteAdd(c *Candidate) {
 	}
 }
 
-// noteBest records an authoritative comparison against the incumbent
-// benefit: less reports whether v < best held. Open region-mode records
-// narrow their validity region so the comparison reproduces — v < best
-// pins best >= v+1, its negation pins best < v+1.
+// noteBest records a comparison against the incumbent benefit: less
+// reports whether v < best held. Open region-mode records narrow their
+// validity region so the comparison reproduces — v < best pins
+// best >= v+1, its negation pins best < v+1.
 func (ck *checkpointer) noteBest(v int, less bool) {
 	for _, rb := range ck.builders {
 		if rb.exact {

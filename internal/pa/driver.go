@@ -43,12 +43,12 @@ type Options struct {
 	// Batch is the number of runner-up candidates kept per round
 	// (default 16; ignored with SingleExtract).
 	Batch int
-	// Workers is the parallel width of the optimizer's hot paths
-	// (speculative lattice mining, sequence scanning, dependence-graph
-	// construction): 0 derives the count from GOMAXPROCS, 1 forces the
-	// serial pipeline, n > 1 uses n workers. Every setting produces
-	// identical results — the parallel search replays deterministically —
-	// so only wall clock changes.
+	// Workers is the parallel width of the per-round fan-outs (sequence
+	// scanning per fragment length, dependence-graph construction per
+	// block): 0 derives the count from GOMAXPROCS, 1 forces the serial
+	// pipeline, n > 1 uses n workers. The lattice walk itself is always
+	// serial. Every setting produces identical results — the fan-outs
+	// merge in input order — so only wall clock changes.
 	Workers int
 	// NoIncremental disables all cross-round reuse (dirty-set CFG
 	// resplitting, summary and dependence-graph caching, lattice
@@ -74,13 +74,6 @@ type Options struct {
 	// differential tests and A/B benchmarks compare against; it only
 	// changes how many lattice nodes the walk visits (RoundStat.Visits).
 	Lexicographic bool
-	// Shards, when non-nil, distributes the lattice walk's speculation
-	// phase across remote shard workers (see shard.go): seed subtrees
-	// are speculated on the shards and replayed authoritatively here, so
-	// the Result is byte-identical to a local run — dead shards, stale
-	// incumbent gossip and lost subtrees only cost replay-fallback work.
-	// Only RoundStat.Visits and the Shard* counters change.
-	Shards ShardDialer
 
 	// ctx carries the cancellation context of an OptimizeContext run.
 	// Only the driver sets it; miners read it through Context.
@@ -110,12 +103,7 @@ func (o Options) Context() context.Context {
 	return o.ctx
 }
 
-func (o Options) workers() int {
-	if o.Workers == 1 {
-		return 1
-	}
-	return par.Workers(o.Workers)
-}
+func (o Options) workers() int { return par.Workers(o.Workers) }
 
 // WorkersOrDefault returns the effective parallel width (resolving the
 // Workers-0 default to the GOMAXPROCS-derived count).
@@ -231,21 +219,6 @@ type RoundStat struct {
 	// proved unreachable or the pattern budget truncated the warm walk.
 	DictHits      int
 	DictDiscarded int
-
-	// Shard counters of the distributed walk (all 0 without
-	// Options.Shards). ShardSeeds counts seed subtrees requested from
-	// shard workers, ShardSubtrees the recorded trees streamed back and
-	// decoded, ShardFallbacks the seeds that degraded to local
-	// speculation (dead shard, RPC failure, corrupt payload).
-	// ShardBroadcasts counts incumbent-floor pushes sent to the shards;
-	// ShardSpecVisits totals the speculative pattern visits the shards
-	// ran on the coordinator's behalf — the honest overhead number next
-	// to the round's authoritative Visits.
-	ShardSeeds      int
-	ShardSubtrees   int
-	ShardFallbacks  int
-	ShardBroadcasts int
-	ShardSpecVisits int
 
 	Extractions int // rewrites applied this round
 }

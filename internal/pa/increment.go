@@ -265,7 +265,7 @@ func (c *graphCache) lookup(b *cfg.Block, sums map[string]arm.Effects) (*dfg.Gra
 
 func (c *graphCache) insert(b *cfg.Block, g *dfg.Graph, sums map[string]arm.Effects) {
 	// Labels are memoised eagerly: a cached graph may later be read by
-	// concurrent speculation workers, and lazy memoisation would race.
+	// concurrent sequence-scan workers, and lazy memoisation would race.
 	g.MemoLabels()
 	tmpl := &graphTemplate{instrs: b.Instrs, graph: g, targets: targetsOf(b, sums), gen: c.gen}
 	h := hashInstrs(b.Instrs)

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"graphpa/internal/arm"
 	"graphpa/internal/cfg"
@@ -44,13 +43,8 @@ func fragUB(k, m int) int {
 // recomputing the two benefit polynomials per comparison).
 const ubTabM = 2048
 
-// search is the shared state of one FindCandidates run: the scalar
-// incumbent read by the branch-and-bound policies, plus — in parallel
-// mode — a memo of pure by-products the speculative phase precomputed,
-// keyed by pattern pointer (the replay receives the very *Pattern
-// objects speculation built). All access goes through the mutex: the
-// authoritative replay mutates the incumbent while speculation workers
-// read it for (advisory) pruning bounds.
+// search is the state of one lattice walk: the scalar incumbent read by
+// the branch-and-bound policies and raised by the visitor.
 //
 // The incumbent is deliberately a single scalar plus its tie set, not a
 // ranked list. With admissible bounds and strictly-less pruning
@@ -65,35 +59,30 @@ const ubTabM = 2048
 // warm sources instead (sequence seeds and the previous round's carried
 // candidates, see FindCandidates).
 type search struct {
-	mu      sync.Mutex
-	bestBen int                          // incumbent: highest known admissible benefit (warm-started)
-	ties    []*Candidate                 // mined candidates with Benefit == bestBen, admission order
-	memo    map[*mining.Pattern]*patMemo // nil in serial mode
+	bestBen int          // incumbent: highest known admissible benefit (warm-started)
+	ties    []*Candidate // mined candidates with Benefit == bestBen, admission order
 	// ck, when non-nil, records the walk for cross-round fast-forwarding
-	// (checkpoint.go). Its note hooks run on the authoritative goroutine
-	// only; speculation reaches it solely through the advisory covered().
+	// (checkpoint.go).
 	ck *checkpointer
 
 	// ub is the walk-bound memo: ub[(k-2)*ubTabM+m] is the optimistic
 	// benefit of a k-node fragment with at most m occurrences, for k in
 	// [2, maxK], m in [0, ubTabM). Built once per run (CallBenefit for
 	// the benefit-directed walk, legacy fragUB for the Lexicographic
-	// reference — see newSearch), then read-only — safe for concurrent
-	// speculation reads.
+	// reference — see newSearch), then read-only.
 	ub    []int
 	bound func(k, m int) int // the table's generator, for out-of-range m
 	maxK  int
 
 	// lastSelFor/lastSelN stash the exact independent-set size computed
-	// by the most recent authoritative visit (DgSpan mode only), so the
-	// subtree prune that immediately follows the visit can bound with the
-	// real extraction count instead of the raw embedding count. Written
-	// and read on the authoritative goroutine only.
+	// by the most recent visit (DgSpan mode only), so the subtree prune
+	// that immediately follows the visit can bound with the real
+	// extraction count instead of the raw embedding count.
 	lastSelFor *mining.Pattern
 	lastSelN   int
 
-	// conv is the authoritative goroutine's occurrence-validation
-	// scratch, kept for the whole walk.
+	// conv is the occurrence-validation scratch, kept for the whole
+	// walk.
 	conv convexScratch
 }
 
@@ -132,20 +121,10 @@ func (s *search) ubm(k, m int) int {
 	return s.bound(k, m)
 }
 
-// best reads the incumbent benefit.
-func (s *search) best() int {
-	s.mu.Lock()
-	b := s.bestBen
-	s.mu.Unlock()
-	return b
-}
-
 // admit offers a mined candidate to the incumbent: a strictly better
-// benefit resets the tie set, an equal one joins it, a worse one (only
-// possible for candidates built against a stale threshold) is dropped.
-// Duplicates are allowed — the merge dedupes by canonical key.
+// benefit resets the tie set, an equal one joins it, a worse one is
+// dropped. Duplicates are allowed — the merge dedupes by canonical key.
 func (s *search) admit(c *Candidate) {
-	s.mu.Lock()
 	if c.Benefit > s.bestBen {
 		s.bestBen = c.Benefit
 		s.ties = s.ties[:0]
@@ -153,43 +132,9 @@ func (s *search) admit(c *Candidate) {
 	if c.Benefit == s.bestBen {
 		s.ties = append(s.ties, c)
 	}
-	s.mu.Unlock()
 	if s.ck != nil {
 		s.ck.noteAdd(c)
 	}
-}
-
-// patMemo caches speculative per-pattern work. The candidate entry is
-// reusable because buildCandidate's occurrence filtering is independent
-// of its bail threshold: a non-nil result stands for every lower
-// threshold, and nil built at threshold thr stands for every threshold
-// >= thr.
-type patMemo struct {
-	disjoint     []int32 // DgSpan-mode independent set (embedding rows)
-	haveDisjoint bool
-	cand         *Candidate // validated candidate (nil = rejected)
-	candThr      int        // the bail threshold cand was built against
-	haveCand     bool
-}
-
-func (s *search) lookup(p *mining.Pattern) *patMemo {
-	if s.memo == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.memo[p]
-}
-
-func (s *search) memoize(p *mining.Pattern, fill func(*patMemo)) {
-	s.mu.Lock()
-	mm := s.memo[p]
-	if mm == nil {
-		mm = &patMemo{}
-		s.memo[p] = mm
-	}
-	fill(mm)
-	s.mu.Unlock()
 }
 
 // GraphMiner is graph-based PA: DgSpan when Embedding is false (support =
@@ -282,10 +227,9 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		newMG = make(map[*dfg.Graph]mgEntry, len(graphs))
 		safeByGraph = make(map[*dfg.Graph]bool, len(graphs))
 	}
-	// The call-safety cache is written lazily on miss; speculation workers
-	// and the incremental caches share it, so fill it completely in the
-	// loop below — every occurrence's function owns one of these graphs'
-	// blocks — and it stays read-only for the rest of the round.
+	// The call-safety cache is written lazily on miss; fill it completely
+	// in the loop below — every occurrence's function owns one of these
+	// graphs' blocks — and it stays read-only for the rest of the round.
 	safe := callSafeCache{}
 	for _, g := range graphs {
 		byID[g.Block.ID] = g
@@ -315,7 +259,6 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 	if inc != nil {
 		inc.mg = newMG
 	}
-	workers := opts.workers()
 	maxK := opts.maxNodes()
 	// Warm-start the incumbent — branch-and-bound with an initial
 	// heuristic solution, from two order-invariant sources. Sequence
@@ -356,16 +299,10 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		opts.stat.DictHits = len(dictCands)
 	}
 	ctx := opts.Context()
-	// One graph encoding per FindCandidates call: every walk of this
-	// round (dict-floored, cold re-mine) ships the same graphs.
-	var graphsEnc []byte
-	if opts.Shards != nil {
-		graphsEnc = mining.EncodeGraphs(mgs)
-	}
 
 	// runWalk runs one complete lattice walk with the incumbent floored
 	// at floor. Each call builds a fresh search (incumbent, ties,
-	// speculation memo, checkpoint recorder) — the caches behind it
+	// checkpoint recorder) — the caches behind it
 	// (lattice memo, minimality, call-safety) are shared and sound across
 	// walks: records carry their own bound-validity regions, so a record
 	// taken under one floor replays under another only when the region
@@ -375,31 +312,17 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		if inc != nil {
 			s.ck = &checkpointer{s: s, memo: inc.memo, byID: byID, safe: safeByGraph}
 		}
-		if workers > 1 || opts.Shards != nil {
-			// Sharded walks memoise too: replay-fallback seeds speculate
-			// locally through NewSpeculator even at Workers == 1.
-			s.memo = map[*mining.Pattern]*patMemo{}
-		}
 		s.bestBen = floor
 		// Benefit-bound pruning: a subtree is cut only when NO descendant can
 		// match the incumbent (strictly less — ties must survive, they are
-		// the mined output). The advisory closures serve the speculation
-		// workers, which must not touch the authoritative-only lastSel stash
-		// and never note; staleness there costs fallback work, never output.
-		// A cancelled run prunes everything: the driver discards the
-		// candidate list, so collapsing the walk is the fastest sound exit.
-		advBound := func(p *mining.Pattern) int {
+		// the mined output). Each bound comparison is recorded into the open
+		// checkpoint records (checkpoint.go). A cancelled run prunes
+		// everything without noting: the driver discards the candidate list
+		// and the run's whole incremental state, so collapsing the walk is
+		// the fastest sound exit.
+		bound := func(p *mining.Pattern) int {
 			if m.Embedding {
 				return p.Support // the exact independent-set size
-			}
-			// DgSpan's Support is a graph count, which does NOT bound the
-			// occurrence count; the embedding count does (a descendant's
-			// disjoint embeddings restrict to distinct parent rows).
-			return p.Embeddings.Len()
-		}
-		authBound := func(p *mining.Pattern) int {
-			if m.Embedding {
-				return p.Support
 			}
 			if !opts.Lexicographic && s.lastSelFor == p {
 				// The visit that just ran computed the exact independent set;
@@ -407,56 +330,35 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 				// tightening, so the legacy reference arm skips it.
 				return s.lastSelN
 			}
+			// DgSpan's Support is a graph count, which does NOT bound the
+			// occurrence count; the embedding count does (a descendant's
+			// disjoint embeddings restrict to distinct parent rows).
 			return p.Embeddings.Len()
+		}
+		// below reports whether u cannot reach the incumbent, noting the
+		// comparison.
+		below := func(u int) bool {
+			pruned := u < s.bestBen
+			if s.ck != nil {
+				s.ck.noteBest(u, pruned)
+			}
+			return pruned
 		}
 		prune := func(p *mining.Pattern) bool {
 			if ctx.Err() != nil {
 				return true
 			}
-			return s.ubm(maxK, advBound(p)) < s.best()
+			return below(s.ubm(maxK, bound(p)))
 		}
 		// Extension groups whose raw candidate count cannot yield a pattern
 		// matching the incumbent are dropped before their embeddings are
 		// built.
-		viable := func(count int) bool { return s.ubm(maxK, count) >= s.best() }
+		viable := func(count int) bool { return !below(s.ubm(maxK, count)) }
 		// pruneChild is the tightened between-siblings bound of the
 		// benefit-directed walk: the mining layer hands it each child's
 		// misUpperBound (admissible for the whole subtree), computed anyway
 		// for the sibling ordering.
-		pruneChild := func(set *mining.EmbSet, bound int) bool {
-			return s.ubm(maxK, bound) < s.best()
-		}
-		// The authoritative walk additionally records each bound comparison
-		// into the open checkpoint records (checkpoint.go).
-		authPrune := func(p *mining.Pattern) bool {
-			if ctx.Err() != nil {
-				// Cancellation collapses the walk without noting: the run's
-				// whole incremental state is discarded with the error.
-				return true
-			}
-			u := s.ubm(maxK, authBound(p))
-			pruned := u < s.best()
-			if s.ck != nil {
-				s.ck.noteBest(u, pruned)
-			}
-			return pruned
-		}
-		authViable := func(count int) bool {
-			u := s.ubm(maxK, count)
-			ok := u >= s.best()
-			if s.ck != nil {
-				s.ck.noteBest(u, !ok)
-			}
-			return ok
-		}
-		authPruneChild := func(set *mining.EmbSet, bound int) bool {
-			u := s.ubm(maxK, bound)
-			pruned := u < s.best()
-			if s.ck != nil {
-				s.ck.noteBest(u, pruned)
-			}
-			return pruned
-		}
+		pruneChild := func(set *mining.EmbSet, bound int) bool { return below(s.ubm(maxK, bound)) }
 		budget := opts.maxPatterns()
 		truncated := false
 		cfgm := mining.Config{
@@ -465,29 +367,14 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 			EmbeddingSupport: m.Embedding,
 			GreedyMIS:        opts.GreedyMIS,
 			MaxPatterns:      budget,
-			Workers:          workers,
 			Lexicographic:    opts.Lexicographic,
-			PruneSubtree:     authPrune,
-			ViableCount:      authViable,
+			PruneSubtree:     prune,
+			ViableCount:      viable,
 			NoteTruncated:    func() { truncated = true },
 			NoteNonMinimal: func(n int) {
 				if opts.stat != nil {
 					opts.stat.NonMinimal = n // a re-mine overwrites, as Visits
 				}
-			},
-			NewSpeculator: func() *mining.Speculator {
-				sp := &mining.Speculator{
-					PruneSubtree: prune,
-					ViableCount:  viable,
-					Visit:        func(p *mining.Pattern) { m.speculateVisit(s, byID, maxK, safe, opts, p) },
-				}
-				if !opts.Lexicographic {
-					sp.PruneChild = pruneChild
-				}
-				if s.ck != nil {
-					sp.SkipSubtree = s.ck.covered
-				}
-				return sp
 			},
 		}
 		if !opts.Lexicographic {
@@ -499,54 +386,12 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 			// sibling permutation. Result identity holds regardless: both
 			// arms prune strictly below an admissible bound, which preserves
 			// the final incumbent tie set (see the search doc).
-			cfgm.PruneChild = authPruneChild
+			cfgm.PruneChild = pruneChild
 		}
 		if s.ck != nil {
 			cfgm.Checkpoint = s.ck
 		}
-		// Distributed speculation (shard.go): open one walk on the shard
-		// set, shipping the graphs plus the advisory bound state — the
-		// incumbent floor and the maxK row of the bound table, exactly
-		// what the advisory closures above consult — then source each
-		// seed's speculation remotely. A failed open degrades the whole
-		// walk to local mining; a failed seed degrades that seed. The
-		// gossip pump pushes incumbent improvements for the life of the
-		// walk.
-		var walk ShardWalk
-		var stopGossip func()
-		if opts.Shards != nil {
-			req := mining.EncodeShardWalk(mining.SpecConfig{
-				MinSupport:       opts.minSupport(),
-				MaxNodes:         maxK,
-				MaxPatterns:      budget,
-				EmbeddingSupport: m.Embedding,
-				GreedyMIS:        opts.GreedyMIS,
-				Lexicographic:    opts.Lexicographic,
-				Floor:            floor,
-				UB:               s.ub[(maxK-2)*ubTabM:],
-			}, graphsEnc)
-			if w, err := opts.Shards.NewWalk(ctx, req); err == nil {
-				walk = w
-				cfgm.RemoteSpec = w.Speculate
-				cfgm.NoteRemoteSpec = func(seeds, subtrees, fallbacks int) {
-					if opts.stat != nil {
-						opts.stat.ShardSeeds += seeds
-						opts.stat.ShardSubtrees += subtrees
-						opts.stat.ShardFallbacks += fallbacks
-					}
-				}
-				stopGossip = startGossip(w, s.best)
-			}
-		}
-		visits := mining.Mine(mgs, cfgm, func(p *mining.Pattern) { m.visitPattern(s, byID, maxK, safe, opts, p) })
-		if walk != nil {
-			stopGossip()
-			ws := walk.Close()
-			if opts.stat != nil {
-				opts.stat.ShardBroadcasts += ws.Broadcasts
-				opts.stat.ShardSpecVisits += int(ws.SpecVisits)
-			}
-		}
+		visits := mining.Mine(mgs, cfgm, func(p *mining.Pattern) { m.visitPattern(s, byID, safe, opts, p) })
 		return s, visits, truncated
 	}
 
@@ -576,19 +421,19 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 	return mergeCandidates(opts.batch(), s.ties, warm)
 }
 
-// visitPattern is the authoritative per-pattern visitor: it gates by
-// optimistic benefit, resolves the extraction-ready embedding set, and
-// admits validated candidates into the incumbent list. In parallel mode
-// it reuses whatever the speculative phase already computed for this
-// pattern object.
-func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, maxK int, safe callSafeCache, opts Options, p *mining.Pattern) {
-	// noteBest records authoritative comparisons against the incumbent
-	// benefit for the checkpoint records (no-op without one). EVERY
-	// threshold-dependent decision notes, including trivially-passing
-	// ones: a record's validity region must pin each comparison, or a
-	// later round with a different incumbent could replay a walk that
-	// would have decided differently. Everything else in this visitor is
-	// a pure function of the pattern. less reports v < best.
+// visitPattern is the per-pattern visitor: it gates by optimistic
+// benefit, resolves the extraction-ready embedding set, and admits
+// validated candidates into the incumbent list. It reuses whatever a
+// previous round's checkpoint record of the same pattern already
+// computed.
+func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callSafeCache, opts Options, p *mining.Pattern) {
+	// noteBest records comparisons against the incumbent benefit for the
+	// checkpoint records (no-op without one). EVERY threshold-dependent
+	// decision notes, including trivially-passing ones: a record's
+	// validity region must pin each comparison, or a later round with a
+	// different incumbent could replay a walk that would have decided
+	// differently. Everything else in this visitor is a pure function of
+	// the pattern. less reports v < best.
 	noteBest := func(v int, less bool) {
 		if s.ck != nil {
 			s.ck.noteBest(v, less)
@@ -605,58 +450,41 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, maxK int, 
 	if ubRaw <= 0 {
 		return
 	}
-	best := s.best()
+	best := s.bestBen
 	if ubRaw < best {
 		noteBest(ubRaw, true)
 		return
 	}
 	noteBest(ubRaw, false)
-	mm := s.lookup(p)
 	var rec *latticeRec
 	if s.ck != nil {
 		rec = s.ck.patRec(p)
 	}
-	if (mm == nil || !mm.haveCand) && rec != nil && rec.haveCand {
-		// No same-round speculative result, but a previous round's record
-		// of this pattern passed the footprint check. Its candidate
-		// outcome obeys the same threshold contract as patMemo (the
-		// candidate is a pure function of the pinned embeddings), so
-		// splice it in.
-		syn := patMemo{cand: rec.cand, candThr: rec.candThr, haveCand: true}
-		if mm != nil {
-			syn.disjoint, syn.haveDisjoint = mm.disjoint, mm.haveDisjoint
-		}
-		mm = &syn
-	}
-	if mm != nil && mm.haveCand {
-		if mm.cand != nil {
-			// Occurrence filtering is threshold-independent, so the
-			// speculative candidate is exact; only the admission test
-			// runs against the current incumbent.
-			if s.ck != nil {
-				s.ck.noteCand(p, mm.cand, mm.candThr)
-			}
-			if mm.cand.Benefit >= best {
-				noteBest(mm.cand.Benefit, false)
-				s.admit(mm.cand)
+	if rec != nil && rec.haveCand {
+		// A previous round's record of this pattern passed the footprint
+		// check. Its candidate is a pure function of the pinned
+		// embeddings, and occurrence filtering is independent of the bail
+		// threshold: a non-nil candidate stands for every threshold, nil
+		// built at candThr for every threshold >= candThr. Only the
+		// admission test runs against the current incumbent.
+		if rec.cand != nil {
+			s.ck.noteCand(p, rec.cand, rec.candThr)
+			if rec.cand.Benefit >= best {
+				noteBest(rec.cand.Benefit, false)
+				s.admit(rec.cand)
 			} else {
-				noteBest(mm.cand.Benefit, true)
+				noteBest(rec.cand.Benefit, true)
 			}
 			return
 		}
-		if best-1 >= mm.candThr {
-			// Rejected at threshold candThr: nil stands for every
-			// threshold >= candThr, and the live threshold best-1 has met
-			// or passed it. (A live build here returns nil too, so this
-			// note keeps the outcome reproducible whether or not the memo
-			// entry exists in a replayed round.)
-			if s.ck != nil {
-				s.ck.noteCand(p, nil, mm.candThr)
-			}
-			noteBest(mm.candThr, true)
+		if best-1 >= rec.candThr {
+			// The live threshold best-1 has met or passed candThr, so a
+			// live build returns nil too.
+			s.ck.noteCand(p, nil, rec.candThr)
+			noteBest(rec.candThr, true)
 			return
 		}
-		noteBest(mm.candThr, false)
+		noteBest(rec.candThr, false)
 		// Rejected against a stricter threshold than the current one —
 		// rebuild live below.
 	}
@@ -669,9 +497,7 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, maxK int, 
 		// DETECTION differs (§4.2: repeats within one block "remain
 		// unnoticed", i.e. fragments frequent only there are never
 		// found).
-		if mm != nil && mm.haveDisjoint {
-			sel = mm.disjoint
-		} else if rec != nil && rec.haveDisjoint {
+		if rec != nil && rec.haveDisjoint {
 			// The independent set is a pure function of the pinned
 			// embeddings, and embedding rows are stable across the
 			// footprint check, so the recorded indices apply directly.
@@ -704,46 +530,6 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, maxK int, 
 		return
 	}
 	s.admit(cand)
-}
-
-// speculateVisit mirrors visitPattern on a speculation worker: same
-// gates against a snapshot of the incumbents, but results go into the
-// memo instead of the incumbent list — the authoritative replay alone
-// decides admission. This is where the expensive work (independent
-// sets, candidate validation) runs concurrently.
-func (m *GraphMiner) speculateVisit(s *search, byID map[int]*dfg.Graph, maxK int, safe callSafeCache, opts Options, p *mining.Pattern) {
-	k := p.Code.NumNodes()
-	if k < 2 {
-		return
-	}
-	ubRaw := s.ubm(k, p.Embeddings.Len())
-	if ubRaw <= 0 {
-		return
-	}
-	best := s.best()
-	if ubRaw < best {
-		// The incumbent only rises, so the replay will skip this pattern
-		// at least as early; nothing worth precomputing.
-		return
-	}
-	sel := p.Disjoint
-	if !m.Embedding {
-		sel = mining.DisjointIndices(p.Embeddings, mining.Config{GreedyMIS: opts.GreedyMIS})
-		s.memoize(p, func(mm *patMemo) {
-			mm.disjoint = sel
-			mm.haveDisjoint = true
-		})
-	}
-	ub := s.ubm(k, len(sel))
-	if ub <= 0 || ub < best {
-		return
-	}
-	cand := m.buildCandidate(byID, p.Embeddings, sel, k, safe, best-1, nil, new(convexScratch))
-	s.memoize(p, func(mm *patMemo) {
-		mm.cand = cand
-		mm.candThr = best - 1
-		mm.haveCand = true
-	})
 }
 
 // buildCandidate turns raw disjoint embeddings into a verified candidate,

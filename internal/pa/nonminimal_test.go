@@ -8,7 +8,7 @@ import (
 )
 
 // TestNonMinimalCountWidthInvariant pins RoundStat.NonMinimal to the
-// authoritative walk: the per-round count of children rejected by the
+// walk: the per-round count of children rejected by the
 // minimal-DFS-code test is nonzero, and the same at Workers 1 and 8 and
 // without incremental reuse — fast-forwarded checkpoint subtrees charge
 // their recorded count, as they charge their visits.

@@ -297,7 +297,7 @@ func BenchmarkBuildCandidate(b *testing.B) {
 		k   int
 	}
 	var samples []sample
-	mcfg := mining.Config{MinSupport: 2, MaxNodes: 8, EmbeddingSupport: true, MaxPatterns: 3000, Workers: 1}
+	mcfg := mining.Config{MinSupport: 2, MaxNodes: 8, EmbeddingSupport: true, MaxPatterns: 3000}
 	mining.Mine(mgs, mcfg, func(p *mining.Pattern) {
 		if k := p.Code.NumNodes(); k >= 2 && len(p.Disjoint) >= 2 {
 			samples = append(samples, sample{p.Embeddings, append([]int32(nil), p.Disjoint...), k})

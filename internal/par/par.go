@@ -1,8 +1,8 @@
 // Package par is the shared worker-pool layer of the parallel pipeline:
 // bounded fan-out, ordered fan-in, error short-circuiting, panic
 // propagation and context cancellation. Every concurrent stage in the
-// repo — speculative lattice mining, the benchmark workload×miner
-// matrix, sequence scanning — runs on these two primitives so the
+// repo — dependence-graph construction, sequence scanning, the
+// benchmark workload×miner matrix — runs on these two primitives so the
 // concurrency rules (and their tests) live in one place.
 package par
 

@@ -91,14 +91,17 @@ func (r *CompactRequest) minerName() string {
 	return r.Optimize.Miner
 }
 
-func (r *CompactRequest) paOptions(workers int) pa.Options {
+// paOptions maps the request onto the optimizer's options. Every job
+// mines serially: the server runs Config.JobWorkers jobs side by side
+// instead.
+func (r *CompactRequest) paOptions() pa.Options {
 	return pa.Options{
 		MinSupport:  r.Optimize.MinSupport,
 		MaxNodes:    r.Optimize.MaxFragment,
 		MaxRounds:   r.Optimize.MaxRounds,
 		MaxPatterns: r.Optimize.MaxPatterns,
 		GreedyMIS:   r.Optimize.GreedyMIS,
-		Workers:     workers,
+		Workers:     1,
 	}
 }
 
@@ -231,18 +234,11 @@ func (s *Server) mine(ctx context.Context, req *CompactRequest, key string) (*re
 	if err != nil {
 		return nil, &requestError{err}
 	}
-	po := req.paOptions(s.cfg.mineWorkers())
+	po := req.paOptions()
 	if s.cfg.Dict != nil {
 		// Assigned only when non-nil: a typed-nil *dict.Dict inside the
 		// interface would defeat pa's Warmstart == nil check.
 		po.Warmstart = s.cfg.Dict
-	}
-	if s.shardPool != nil {
-		// Shard topology is server deployment (like Workers): it changes
-		// how the lattice is walked, never the bytes of the result, so it
-		// is set here — after Key() — and must never be added to Key().
-		// TestShardCacheKeyTopologyFree pins this.
-		po.Shards = s.shardPool
 	}
 	res, out, err := core.OptimizeContext(ctx, img, m, po)
 	if err != nil {

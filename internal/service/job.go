@@ -145,6 +145,7 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	j.setState(JobRunning)
+	wait := time.Since(j.enqueued)
 	var mineDur time.Duration
 	val, status, err := s.cache.do(j.ctx, j.key, func() (*result, error) {
 		start := time.Now()
@@ -155,11 +156,11 @@ func (s *Server) runJob(j *job) {
 	switch {
 	case err == nil:
 		if status == statusMiss {
-			s.stats.observeMine(val.miner, val.saved, val.dictHits, mineDur)
+			s.stats.observeMine(val.miner, val.saved, val.dictHits, wait, mineDur)
 		}
 		s.log.Info("job done", "job", j.id, "key", j.key, "cache", string(status),
 			"miner", val.miner, "saved", val.saved, "dict_hits", val.dictHits,
-			"wait", time.Since(j.enqueued))
+			"wait", wait)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.stats.observeCancel()
 		s.log.Info("job cancelled", "job", j.id, "key", j.key)

@@ -13,7 +13,7 @@ import (
 // a few Fprintf calls. Output order is deterministic — metrics in a fixed
 // sequence, label values sorted — so scrapes diff cleanly.
 
-// metricsBuckets are the per-miner latency histogram bounds in seconds,
+// metricsBuckets are the per-miner histogram bounds in seconds,
 // mirroring latencyBuckets exactly; Prometheus convention adds +Inf.
 var metricsBuckets = []string{"0.001", "0.01", "0.1", "1", "10"}
 
@@ -74,58 +74,34 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("pad_dict_compactions_total", "Log compactions.", ds.Compactions)
 	}
 
-	// Worker half of the shard protocol: always present, like the
-	// endpoints themselves.
-	ws := &s.shardsSrv.stats
-	counter("pad_shard_walks_opened_total", "Speculation walks opened by coordinators.", ws.walksOpened.Load())
-	counter("pad_shard_walks_evicted_total", "Walks evicted idle or by the session bound.", ws.walksEvicted.Load())
-	counter("pad_shard_seeds_served_total", "Seed subtrees speculated for coordinators.", ws.seedsServed.Load())
-	counter("pad_shard_floor_received_total", "Incumbent-floor pushes received.", ws.floorRecv.Load())
-	counter("pad_shard_floor_stale_total", "Floor pushes at or below the current floor.", ws.floorStale.Load())
-	counter("pad_shard_spec_visits_total", "Speculative lattice visits across closed walks.", ws.specVisits.Load())
-
-	// Coordinator half: per-shard labels over the configured address
-	// list, present only when this pad fronts a shard fleet.
-	if s.shardPool != nil {
-		type col struct {
-			name, help string
-			v          func(shardCounters) int64
-		}
-		for _, c := range []col{
-			{"pad_shard_seeds_assigned_total", "Seed subtrees requested from this shard.", func(sc shardCounters) int64 { return sc.Seeds }},
-			{"pad_shard_subtrees_total", "Seed subtrees successfully streamed back.", func(sc shardCounters) int64 { return sc.Subtrees }},
-			{"pad_shard_fallbacks_total", "Seed requests that degraded to local speculation.", func(sc shardCounters) int64 { return sc.Fallbacks }},
-			{"pad_shard_broadcasts_sent_total", "Incumbent-floor pushes delivered to this shard.", func(sc shardCounters) int64 { return sc.Broadcasts }},
-			{"pad_shard_walk_errors_total", "Walk opens that failed on this shard.", func(sc shardCounters) int64 { return sc.WalkErrors }},
-		} {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
-			for _, sc := range s.shardPool.counters() {
-				fmt.Fprintf(&b, "%s{shard=%q} %d\n", c.name, sc.Addr, c.v(sc))
-			}
-		}
-	}
-
-	// Per-miner mining-latency histograms over the fixed bucket bounds.
-	// Bucket counts are cumulative per the exposition format.
+	// Per-miner histograms of fresh (uncached) jobs over the fixed bucket
+	// bounds: mining latency, then the queue wait before it. Bucket
+	// counts are cumulative per the exposition format.
 	miners := make([]string, 0, len(snap.Miners))
 	for name := range snap.Miners {
 		miners = append(miners, name)
 	}
 	sort.Strings(miners)
-	fmt.Fprintf(&b, "# HELP pad_mine_duration_seconds Mining latency of fresh (uncached) jobs.\n")
-	fmt.Fprintf(&b, "# TYPE pad_mine_duration_seconds histogram\n")
-	for _, name := range miners {
-		ms := snap.Miners[name]
-		var cum int64
-		for i, le := range metricsBuckets {
-			cum += ms.hist[i]
-			fmt.Fprintf(&b, "pad_mine_duration_seconds_bucket{miner=%q,le=%q} %d\n", name, le, cum)
+	writeHist := func(name, help string, get func(*minerStats) *histogram) {
+		fmt.Fprintf(&b, "# HELP %s %s\n", name, help)
+		fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
+		for _, miner := range miners {
+			h := get(snap.Miners[miner])
+			var cum int64
+			for i, le := range metricsBuckets {
+				cum += h.counts[i]
+				fmt.Fprintf(&b, "%s_bucket{miner=%q,le=%q} %d\n", name, miner, le, cum)
+			}
+			cum += h.counts[len(metricsBuckets)]
+			fmt.Fprintf(&b, "%s_bucket{miner=%q,le=\"+Inf\"} %d\n", name, miner, cum)
+			fmt.Fprintf(&b, "%s_sum{miner=%q} %g\n", name, miner, h.sum.Seconds())
+			fmt.Fprintf(&b, "%s_count{miner=%q} %d\n", name, miner, cum)
 		}
-		cum += ms.hist[len(metricsBuckets)]
-		fmt.Fprintf(&b, "pad_mine_duration_seconds_bucket{miner=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(&b, "pad_mine_duration_seconds_sum{miner=%q} %g\n", name, ms.durSum.Seconds())
-		fmt.Fprintf(&b, "pad_mine_duration_seconds_count{miner=%q} %d\n", name, cum)
 	}
+	writeHist("pad_mine_duration_seconds", "Mining latency of fresh (uncached) jobs.",
+		func(ms *minerStats) *histogram { return &ms.mine })
+	writeHist("pad_queue_wait_seconds", "Queue wait of fresh (uncached) jobs, from enqueue until a worker took the job.",
+		func(ms *minerStats) *histogram { return &ms.wait })
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = fmt.Fprint(w, b.String())

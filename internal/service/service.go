@@ -43,18 +43,15 @@ import (
 	"graphpa/internal/par"
 )
 
-// Config tunes a Server. The zero value is a sensible daemon: job
-// concurrency and per-job mining width derived from the core count so
-// jobs × mine workers ≈ GOMAXPROCS, a 64-deep queue and a 128-entry
-// cache.
+// Config tunes a Server. The zero value is a sensible daemon: one job
+// per core, a 64-deep queue and a 128-entry cache.
 type Config struct {
 	// JobWorkers is the number of jobs mined concurrently (default:
-	// half the cores, capped at 4, at least 1).
+	// par.Workers(0), one per core). Every job mines serially
+	// (pa.Options.Workers = 1): the parallelism that pays is across
+	// independent jobs, not inside one job's sequential lattice walk.
+	// Results are identical at any setting; only latency changes.
 	JobWorkers int
-	// MineWorkers is the pa.Options.Workers width each job mines with
-	// (default: GOMAXPROCS / JobWorkers, at least 1). Results are
-	// identical at any width; only latency changes.
-	MineWorkers int
 	// QueueDepth bounds accepted-but-unstarted jobs (default 64). A full
 	// queue answers 429 with Retry-After.
 	QueueDepth int
@@ -70,45 +67,9 @@ type Config struct {
 	// Responses stay byte-identical with or without a dictionary — it
 	// only changes how much lattice the miner walks.
 	Dict *dict.Dict
-	// Shards, when non-empty, makes this pad a shard COORDINATOR: every
-	// mining job distributes its per-seed speculation across these worker
-	// pad addresses ("host:port") and replays the streamed subtrees
-	// locally. Like Workers and Dict, the shard topology is server
-	// deployment, not request content — responses are byte-identical with
-	// or without shards, so topology must never leak into request Key()
-	// and all topologies share one cache line.
-	Shards []string
-	// ShardOf optionally names the coordinator this pad serves as a
-	// shard worker for (`pad serve -shard-of`). Purely informational —
-	// the `/v1/shard` endpoints are always registered — but it shows up
-	// in logs so a fleet is legible.
-	ShardOf string
 }
 
-func (c Config) jobWorkers() int {
-	if c.JobWorkers > 0 {
-		return c.JobWorkers
-	}
-	w := par.Workers(0) / 2
-	if w < 1 {
-		w = 1
-	}
-	if w > 4 {
-		w = 4
-	}
-	return w
-}
-
-func (c Config) mineWorkers() int {
-	if c.MineWorkers > 0 {
-		return c.MineWorkers
-	}
-	w := par.Workers(0) / c.jobWorkers()
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+func (c Config) jobWorkers() int { return par.Workers(c.JobWorkers) }
 
 func (c Config) queueDepth() int {
 	if c.QueueDepth > 0 {
@@ -127,14 +88,12 @@ func (c Config) cacheEntries() int {
 // Server is the compaction service. Create with New, serve via Handler,
 // stop with Shutdown.
 type Server struct {
-	cfg       Config
-	log       *slog.Logger
-	mux       *http.ServeMux
-	queue     chan *job
-	cache     *resultCache
-	stats     *stats
-	shardsSrv *shardStore // worker half: open walks served to a coordinator
-	shardPool *ShardPool  // coordinator half: nil unless cfg.Shards is set
+	cfg   Config
+	log   *slog.Logger
+	mux   *http.ServeMux
+	queue chan *job
+	cache *resultCache
+	stats *stats
 
 	mu         sync.Mutex
 	jobs       map[string]*job
@@ -168,18 +127,10 @@ func New(cfg Config) *Server {
 		queue:      make(chan *job, cfg.queueDepth()),
 		cache:      newResultCache(cfg.cacheEntries()),
 		stats:      newStats(),
-		shardsSrv:  newShardStore(),
 		jobs:       map[string]*job{},
 		batches:    map[string]*batch{},
 		baseCtx:    ctx,
 		baseCancel: cancel,
-	}
-	if len(cfg.Shards) > 0 {
-		s.shardPool = NewShardPool(cfg.Shards, lg)
-		lg.Info("shard coordinator", "shards", cfg.Shards)
-	}
-	if cfg.ShardOf != "" {
-		lg.Info("shard worker", "coordinator", cfg.ShardOf)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -190,10 +141,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/batch", s.handleSubmitBatch)
 	s.mux.HandleFunc("GET /v1/batch/{id}", s.handleBatchStatus)
 	s.mux.HandleFunc("GET /v1/report/{id}", s.handleReport)
-	s.mux.HandleFunc("POST /v1/shard/walk", s.handleShardWalkOpen)
-	s.mux.HandleFunc("POST /v1/shard/walk/{id}/seed/{n}", s.handleShardSeed)
-	s.mux.HandleFunc("POST /v1/shard/walk/{id}/floor", s.handleShardFloor)
-	s.mux.HandleFunc("DELETE /v1/shard/walk/{id}", s.handleShardClose)
 	for i := 0; i < cfg.jobWorkers(); i++ {
 		s.wg.Add(1)
 		go s.worker()

@@ -89,9 +89,11 @@ func directResult(t *testing.T, req *CompactRequest) *result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers deliberately differs from the server's width: the response
-	// must be identical at any width.
-	res, out, err := core.Optimize(img, m, req.paOptions(1))
+	// Workers deliberately differs from the server's serial jobs: the
+	// response must be identical at any width.
+	po := req.paOptions()
+	po.Workers = 8
+	res, out, err := core.Optimize(img, m, po)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,9 @@ import (
 	"graphpa/internal/dict"
 )
 
-// latencyBuckets are the upper bounds of the per-miner mining-latency
-// histogram; a final unbounded bucket catches the rest.
+// latencyBuckets are the upper bounds of the per-miner latency
+// histograms (mining and queue wait); a final unbounded bucket catches
+// the rest.
 var latencyBuckets = []time.Duration{
 	time.Millisecond,
 	10 * time.Millisecond,
@@ -20,15 +21,44 @@ var latencyBuckets = []time.Duration{
 // bucketLabels mirror latencyBuckets in the /stats JSON.
 var bucketLabels = []string{"le_1ms", "le_10ms", "le_100ms", "le_1s", "le_10s", "inf"}
 
+// histogram counts durations into latencyBuckets and sums them.
+type histogram struct {
+	counts [6]int64 // len(latencyBuckets)+1, one per bucketLabels entry
+	sum    time.Duration
+}
+
+func (h *histogram) observe(d time.Duration) {
+	h.sum += d
+	b := len(latencyBuckets)
+	for i, ub := range latencyBuckets {
+		if d <= ub {
+			b = i
+			break
+		}
+	}
+	h.counts[b]++
+}
+
+// labelled renders the bucket counts keyed by bucketLabels.
+func (h *histogram) labelled() map[string]int64 {
+	out := make(map[string]int64, len(bucketLabels))
+	for i, lbl := range bucketLabels {
+		out[lbl] = h.counts[i]
+	}
+	return out
+}
+
 // minerStats aggregates per-miner accounting: how many jobs actually
-// mined, total instructions saved, and the mining-latency histogram.
+// mined, total instructions saved, the mining-latency histogram and the
+// histogram of those jobs' queue waits (enqueue to a worker taking the
+// job; /metrics only).
 type minerStats struct {
 	Jobs    int64            `json:"jobs"`
 	Saved   int64            `json:"instructions_saved"`
 	Latency map[string]int64 `json:"latency"`
 
-	hist   [6]int64 // len(latencyBuckets)+1, one per bucketLabels entry
-	durSum time.Duration
+	mine histogram
+	wait histogram
 }
 
 // stats is the service-wide accounting behind /stats and /metrics.
@@ -53,9 +83,10 @@ func (s *stats) request() {
 	s.mu.Unlock()
 }
 
-// observeMine records one completed mining execution (cache hits and
-// dedup waiters do not mine and are not observed here).
-func (s *stats) observeMine(miner string, saved, dictHits int, d time.Duration) {
+// observeMine records one completed mining execution that waited wait
+// in the queue and mined for d (cache hits and dedup waiters do not
+// mine and are not observed here).
+func (s *stats) observeMine(miner string, saved, dictHits int, wait, d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mined++
@@ -68,15 +99,8 @@ func (s *stats) observeMine(miner string, saved, dictHits int, d time.Duration) 
 	}
 	ms.Jobs++
 	ms.Saved += int64(saved)
-	ms.durSum += d
-	b := len(latencyBuckets)
-	for i, ub := range latencyBuckets {
-		if d <= ub {
-			b = i
-			break
-		}
-	}
-	ms.hist[b]++
+	ms.mine.observe(d)
+	ms.wait.observe(wait)
 }
 
 func (s *stats) observeCancel() {
@@ -117,12 +141,8 @@ func (s *stats) snapshot() statsSnapshot {
 	var snap statsSnapshot
 	snap.Miners = map[string]*minerStats{}
 	for name, ms := range s.miners {
-		out := &minerStats{Jobs: ms.Jobs, Saved: ms.Saved, Latency: map[string]int64{},
-			hist: ms.hist, durSum: ms.durSum}
-		for i, lbl := range bucketLabels {
-			out.Latency[lbl] = ms.hist[i]
-		}
-		snap.Miners[name] = out
+		snap.Miners[name] = &minerStats{Jobs: ms.Jobs, Saved: ms.Saved,
+			Latency: ms.mine.labelled(), mine: ms.mine, wait: ms.wait}
 	}
 	snap.Totals.Requests = s.requests
 	snap.Totals.Mined = s.mined
