@@ -29,6 +29,10 @@ go test ./internal/mining ./internal/pa -run '^$' -bench . -benchtime 1x -short 
 # images, and minimising a large interesting input at the default 60 s
 # budget would stall the run, so minimisation gets 1 s.
 go test ./internal/link -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimizetime 1s >/dev/null
+# The assembler gets the same budget, seeded with the printed benchmark
+# units and the runtime library (crashers under
+# internal/asm/testdata/fuzz).
+go test ./internal/asm -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s >/dev/null
 
 # --- compaction-service end-to-end check -------------------------------
 # The service deliberately omits the wall-clock suffix from its reports
@@ -74,53 +78,14 @@ wait "$PAD_PID"
 PAD_PID=""
 echo "ci.sh: service report matches CLI"
 
-# --- batch + dictionary warm-start end-to-end --------------------------
-# The same three-program corpus is mined twice against one persistent
-# dictionary, by two separate daemon lifetimes (a restart empties the
-# result cache, so the second run really re-mines). The second run must
-# report dictionary warm-start hits while producing per-program image
-# hashes identical to the first run's — and the first run's outputs are
-# themselves pinned against direct library runs by the Go test suite
-# (TestServiceBatchWarmstart) and against the edgar CLI above.
-mkdir "$TMP/corpus"
-cp internal/bench/programs/crc.mc internal/bench/programs/search.mc \
-	internal/bench/programs/dijkstra.mc "$TMP/corpus/"
-
-"$TMP/pad" serve -addr 127.0.0.1:0 -addr-file "$TMP/addr2" \
-	-dict "$TMP/frag.dict" 2>"$TMP/pad2.log" &
-PAD_PID=$!
-ADDR=$(wait_addr "$TMP/addr2" "$TMP/pad2.log")
-"$TMP/pad" submit -addr "$ADDR" -json -dir "$TMP/corpus" >"$TMP/batch1.json"
-kill -TERM "$PAD_PID"
-wait "$PAD_PID"
-PAD_PID=""
-
-"$TMP/pad" serve -addr 127.0.0.1:0 -addr-file "$TMP/addr3" \
-	-dict "$TMP/frag.dict" 2>"$TMP/pad3.log" &
-PAD_PID=$!
-ADDR=$(wait_addr "$TMP/addr3" "$TMP/pad3.log")
-"$TMP/pad" submit -addr "$ADDR" -json -dir "$TMP/corpus" >"$TMP/batch2.json"
-kill -TERM "$PAD_PID"
-wait "$PAD_PID"
-PAD_PID=""
-
-grep -o '"image_hash":"[0-9a-f]*"' "$TMP/batch1.json" >"$TMP/hashes1"
-grep -o '"image_hash":"[0-9a-f]*"' "$TMP/batch2.json" >"$TMP/hashes2"
-[ -s "$TMP/hashes1" ] || { echo "ci.sh: batch produced no image hashes" >&2; exit 1; }
-diff "$TMP/hashes1" "$TMP/hashes2"
-# The last dict_hits field in the status body is the batch total.
-HITS=$(grep -o '"dict_hits":[0-9]*' "$TMP/batch2.json" | tail -1 | cut -d: -f2)
-if [ -z "$HITS" ] || [ "$HITS" -eq 0 ]; then
-	echo "ci.sh: warm-started batch reported no dictionary hits" >&2
-	exit 1
-fi
-echo "ci.sh: dictionary warm-start reproduces identical images (dict_hits=$HITS)"
-
 # --- job-concurrency end-to-end ---------------------------------------
-# The same three-program corpus is mined by a one-job daemon and by a
+# A three-program corpus is mined by a one-job daemon and by a
 # default daemon (one job per core, run side by side), and the
 # per-program image hashes must be identical: running jobs concurrently
 # may change latency, never bytes.
+mkdir "$TMP/corpus"
+cp internal/bench/programs/crc.mc internal/bench/programs/search.mc \
+	internal/bench/programs/dijkstra.mc "$TMP/corpus/"
 "$TMP/pad" serve -addr 127.0.0.1:0 -addr-file "$TMP/addr_j1" -job-workers 1 2>"$TMP/pad_j1.log" &
 PAD_PID=$!
 ADDR=$(wait_addr "$TMP/addr_j1" "$TMP/pad_j1.log")

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	edgar [-miner edgar|dgspan|sfx|edgar-canon] [-schedule] [-maxrounds n]
-//	      [-minsup n] [-maxfrag n] [-maxpatterns n] [-greedy-mis] [-lex]
+//	      [-minsup n] [-maxfrag n] [-maxpatterns n] [-greedy-mis]
 //	      [-workers n] [-verify]
 //	      [-roundstats] [-dump] [-cpuprofile file] [-memprofile file] file.mc
 //
@@ -42,7 +42,6 @@ func main() {
 	maxFrag := flag.Int("maxfrag", 0, "maximum fragment size in instructions (default 8)")
 	maxPatterns := flag.Int("maxpatterns", 0, "lattice visit budget per mining round (default 100000; raise to approximate the exhaustive search)")
 	greedyMIS := flag.Bool("greedy-mis", false, "use greedy instead of exact independent sets")
-	lex := flag.Bool("lex", false, "lexicographic lattice walk instead of benefit-directed (identical output, more visits)")
 	workers := flag.Int("workers", 0, "width of the per-round DFG-build and sequence-scan fan-outs (0 = all cores, 1 = serial); the lattice walk is always serial and results are identical at any width")
 	verify := flag.Bool("verify", true, "run before/after and compare behaviour")
 	roundStats := flag.Bool("roundstats", false, "print the per-round timing and cache breakdown")
@@ -85,13 +84,12 @@ func main() {
 		}
 	}
 	po := pa.Options{
-		MaxRounds:     *maxRounds,
-		MinSupport:    *minSup,
-		MaxNodes:      *maxFrag,
-		MaxPatterns:   *maxPatterns,
-		GreedyMIS:     *greedyMIS,
-		Workers:       *workers,
-		Lexicographic: *lex,
+		MaxRounds:   *maxRounds,
+		MinSupport:  *minSup,
+		MaxNodes:    *maxFrag,
+		MaxPatterns: *maxPatterns,
+		GreedyMIS:   *greedyMIS,
+		Workers:     *workers,
 	}
 	res, out, err := core.Optimize(img, m, po)
 	if *cpuProfile != "" {

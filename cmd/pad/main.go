@@ -5,7 +5,7 @@
 // Usage:
 //
 //	pad serve [-addr host:port] [-addr-file path] [-job-workers n]
-//	          [-queue n] [-cache n] [-dict path] [-pprof]
+//	          [-queue n] [-cache n] [-pprof]
 //	pad submit [-addr host:port] [-miner edgar|dgspan|sfx|edgar-canon]
 //	           [-asm] [-O] [-schedule] [-minsup n] [-maxfrag n]
 //	           [-maxrounds n] [-maxpatterns n] [-greedy-mis]
@@ -15,14 +15,10 @@
 // writes the bound address to -addr-file for scripts to discover, and
 // shuts down gracefully on SIGINT/SIGTERM — in-flight jobs drain first.
 // -job-workers jobs mine side by side (default: one per core), each
-// with a serial lattice walk.
-// -dict opens (or creates) a persistent fragment dictionary there:
-// every mined program warm-starts from it and publishes back to it, so
-// a corpus of related programs mines faster across restarts with
-// byte-identical output. -pprof exposes the net/http/pprof profiling
-// endpoints under /debug/pprof/ on the same listener (the daemon
-// equivalent of edgar's -cpuprofile/-memprofile); off by default since
-// profiles expose internals.
+// with a serial lattice walk. -pprof exposes the net/http/pprof
+// profiling endpoints under /debug/pprof/ on the same listener (the
+// daemon equivalent of edgar's -cpuprofile/-memprofile); off by default
+// since profiles expose internals.
 // submit retries transient daemon failures (-retries, default 3) with
 // exponential backoff and jitter before giving up with the final error.
 // submit mirrors cmd/edgar's flags and prints the same report lines
@@ -51,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	"graphpa/internal/dict"
 	"graphpa/internal/service"
 )
 
@@ -86,7 +81,6 @@ func serve(args []string) {
 	jobWorkers := fs.Int("job-workers", 0, "jobs mined concurrently, each serially (0 = one per core)")
 	queueDepth := fs.Int("queue", 0, "pending-job queue depth (0 = default 64)")
 	cacheEntries := fs.Int("cache", 0, "result-cache entries (0 = default 128)")
-	dictPath := fs.String("dict", "", "persistent fragment-dictionary file (empty = no dictionary)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the same listener")
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
@@ -99,20 +93,11 @@ func serve(args []string) {
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	var d *dict.Dict
-	if *dictPath != "" {
-		var err error
-		if d, err = dict.Open(dict.Options{Path: *dictPath, Logger: logger}); err != nil {
-			fatal(err)
-		}
-		logger.Info("dictionary open", "path", *dictPath, "entries", d.Len())
-	}
 	svc := service.New(service.Config{
 		JobWorkers:   *jobWorkers,
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheEntries,
 		Logger:       logger,
-		Dict:         d,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -161,12 +146,6 @@ func serve(args []string) {
 	}
 	if err := svc.Shutdown(shutCtx); err != nil {
 		logger.Error("drain", "err", err)
-	}
-	if d != nil {
-		// After the drain: no job can publish once the workers are gone.
-		if err := d.Close(); err != nil {
-			logger.Error("dictionary close", "err", err)
-		}
 	}
 }
 
@@ -324,16 +303,15 @@ func submitBatch(addr, dir string, co *service.CompileOptions, opt service.Optim
 	if rawJSON {
 		os.Stdout.Write(raw)
 	} else {
-		fmt.Printf("%-20s %8s %8s %8s %7s %10s\n", "program", "before", "after", "saved", "cache", "dict_hits")
+		fmt.Printf("%-20s %8s %8s %8s %7s\n", "program", "before", "after", "saved", "cache")
 		for _, p := range status.Programs {
 			if p.State == "failed" {
 				fmt.Printf("%-20s FAILED: %s\n", p.Name, p.Error)
 				continue
 			}
-			fmt.Printf("%-20s %8d %8d %8d %7s %10d\n",
-				p.Name, p.Before, p.After, p.Saved, p.Cache, p.DictHits)
+			fmt.Printf("%-20s %8d %8d %8d %7s\n", p.Name, p.Before, p.After, p.Saved, p.Cache)
 		}
-		fmt.Printf("%-20s %8s %8s %8d %7s %10d\n", "total", "", "", status.Totals.Saved, "", status.Totals.DictHits)
+		fmt.Printf("%-20s %8s %8s %8d\n", "total", "", "", status.Totals.Saved)
 	}
 	if status.Totals.Failed > 0 {
 		os.Exit(1)

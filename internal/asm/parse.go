@@ -20,8 +20,9 @@ func (e *ParseError) Error() string {
 
 // Parse assembles source text into a Unit. The syntax is the canonical
 // instruction syntax produced by arm.Instr.String plus the directives
-// .text, .data, .word, .asciz, .space, .pool/.ltorg and .global (accepted
-// and ignored). Comments start with '@' or "//" and run to end of line.
+// .text, .data, .word, .ascii, .asciz, .space, .pool/.ltorg and .global
+// (accepted and ignored). .asciz appends a NUL terminator, .ascii does
+// not. Comments start with '@' or "//" and run to end of line.
 func Parse(src string) (*Unit, error) {
 	u := &Unit{}
 	inData := false
@@ -147,7 +148,7 @@ func parseDirective(u *Unit, line string, inData *bool, fail func(string, ...any
 			w.Target = rest
 			u.Text = append(u.Text, w)
 		}
-	case ".asciz", ".string":
+	case ".asciz", ".string", ".ascii":
 		s, err := strconv.Unquote(rest)
 		if err != nil {
 			return fail("bad string %s", rest)
@@ -155,7 +156,11 @@ func parseDirective(u *Unit, line string, inData *bool, fail func(string, ...any
 		if !*inData {
 			return fail("%s outside .data", dir)
 		}
-		u.Data = append(u.Data, DataItem{Kind: DataBytes, Bytes: append([]byte(s), 0)})
+		b := []byte(s)
+		if dir != ".ascii" {
+			b = append(b, 0)
+		}
+		u.Data = append(u.Data, DataItem{Kind: DataBytes, Bytes: b})
 	case ".space", ".skip":
 		n, err := strconv.ParseInt(rest, 0, 32)
 		if err != nil || n < 0 {
@@ -511,6 +516,9 @@ func parseMem(in arm.Instr, ops []string, fail func(string, ...any) error) (arm.
 		offFields = ops[2:]
 	} else {
 		parts := splitOperands(inner)
+		if len(parts) == 0 {
+			return bad, fail("empty address %q", ops[1])
+		}
 		inner = parts[0]
 		offFields = parts[1:]
 	}

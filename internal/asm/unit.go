@@ -7,6 +7,7 @@ package asm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"graphpa/internal/arm"
@@ -75,13 +76,30 @@ func Print(u *Unit) string {
 					fmt.Fprintf(&b, "\t.word %d\n", d.Value)
 				}
 			case DataBytes:
-				fmt.Fprintf(&b, "\t.asciz %q\n", string(d.Bytes))
+				// .asciz supplies the terminator Parse appends; bytes
+				// without one (a char array's initialiser) stay .ascii.
+				if n := len(d.Bytes); n > 0 && d.Bytes[n-1] == 0 {
+					fmt.Fprintf(&b, "\t.asciz %s\n", quoteBytes(d.Bytes[:n-1]))
+				} else {
+					fmt.Fprintf(&b, "\t.ascii %s\n", quoteBytes(d.Bytes))
+				}
 			case DataSpace:
 				fmt.Fprintf(&b, "\t.space %d\n", d.Space)
 			}
 		}
 	}
 	return b.String()
+}
+
+// commentSafe escapes the comment markers Parse strips before it reads
+// a line, so a string literal never loses its tail to them. Quote emits
+// neither character inside an escape sequence, so the rewrite is exact.
+var commentSafe = strings.NewReplacer("@", `\x40`, "/", `\x2f`)
+
+// quoteBytes renders b as a double-quoted literal that strconv.Unquote
+// (and so Parse) reads back byte for byte.
+func quoteBytes(b []byte) string {
+	return commentSafe.Replace(strconv.Quote(string(b)))
 }
 
 // PrintText renders an instruction stream as assembly text, one

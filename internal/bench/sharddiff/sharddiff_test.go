@@ -1,10 +1,10 @@
 // Package sharddiff holds the job-sharding differential over the full
 // benchmark suite: pad shards a corpus across concurrent jobs, one
 // serial mine per core, and that may change when each program's mine
-// runs, never what it produces. Like dictdiff it lives outside
-// internal/bench on purpose: the differential optimizes every
-// benchmark twice, and internal/bench already runs close to Go's
-// default per-package test timeout on a 1-core host.
+// runs, never what it produces. It lives outside internal/bench on
+// purpose: the differential optimizes every benchmark twice, and
+// internal/bench already runs close to Go's default per-package test
+// timeout on a 1-core host.
 package sharddiff
 
 // The shard differential: every benchmark is optimized alone, one after

@@ -1,7 +1,9 @@
 package link
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"sort"
 )
 
@@ -146,4 +148,11 @@ func Decode(data []byte) (*Image, error) {
 // content address.
 func (img *Image) Hash() string {
 	return ContentAddress(img.Encode())
+}
+
+// ContentAddress returns the hex SHA-256 of data — the address form
+// Image.Hash uses for the stable image encoding.
+func ContentAddress(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }

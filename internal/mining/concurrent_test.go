@@ -70,33 +70,25 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestParallelMaxPatternsTruncation: the MaxPatterns budget must cut
 // each of several side-by-side walks at exactly its serial truncation
-// point, and report the truncation.
+// point.
 func TestParallelMaxPatternsTruncation(t *testing.T) {
 	budgets := []int{1, 3, 7, 20}
-	run := func(budget int) ([]string, bool) {
-		truncated := false
-		cfg := Config{MinSupport: 2, EmbeddingSupport: true, MaxPatterns: budget,
-			NoteTruncated: func() { truncated = true }}
-		return mineTrace(testGraphSets()["replicated"], cfg), truncated
+	run := func(budget int) []string {
+		cfg := Config{MinSupport: 2, EmbeddingSupport: true, MaxPatterns: budget}
+		return mineTrace(testGraphSets()["replicated"], cfg)
 	}
 	full := mineTrace(testGraphSets()["replicated"], Config{MinSupport: 2, EmbeddingSupport: true})
 
 	var jobs []func() []string
 	var serial [][]string
 	for _, budget := range budgets {
-		tr, truncated := run(budget)
-		if len(tr) != budget || !truncated || budget >= len(full) {
-			t.Fatalf("budget=%d: serial walk visited %d of %d patterns (truncated=%v); want a cut at the budget",
-				budget, len(tr), len(full), truncated)
+		tr := run(budget)
+		if len(tr) != budget || budget >= len(full) {
+			t.Fatalf("budget=%d: serial walk visited %d of %d patterns; want a cut at the budget",
+				budget, len(tr), len(full))
 		}
 		serial = append(serial, tr)
-		jobs = append(jobs, func() []string {
-			tr, truncated := run(budget)
-			if !truncated {
-				return nil
-			}
-			return tr
-		})
+		jobs = append(jobs, func() []string { return run(budget) })
 	}
 	for i, runs := range mineSideBySide(jobs, 3) {
 		for c, got := range runs {

@@ -73,12 +73,6 @@ type Config struct {
 	// Checkpoint, when non-nil, may fast-forward whole lattice subtrees
 	// recorded by an earlier equivalent walk (see Checkpointer).
 	Checkpoint Checkpointer
-	// NoteTruncated, when non-nil, is called once at the end of a walk
-	// the MaxPatterns budget aborted. Callers use it to tell a complete
-	// walk from a truncated one — e.g. the dictionary warm-start discards
-	// its incumbent floor when the walk was cut, because a cold walk
-	// could truncate at a different lattice point.
-	NoteTruncated func()
 	// NoteNonMinimal, when non-nil, receives once at the end of a walk
 	// the number of children the minimal-DFS-code test rejected.
 	// Children are counted where the walk decides to skip them, after
@@ -671,19 +665,10 @@ func Mine(graphs []*Graph, cfg Config, visit func(*Pattern)) int {
 	for _, s := range roots {
 		mn.dfs(Code{s.t}, s.set)
 	}
-	mn.noteEnd()
-	return mn.visited
-}
-
-// noteEnd reports the finished walk's truncation and non-minimal count
-// to the Config hooks.
-func (mn *miner) noteEnd() {
-	if mn.aborted && mn.cfg.NoteTruncated != nil {
-		mn.cfg.NoteTruncated()
-	}
 	if mn.cfg.NoteNonMinimal != nil {
 		mn.cfg.NoteNonMinimal(mn.nonMinimal)
 	}
+	return mn.visited
 }
 
 // seedPatterns builds the 1-edge root patterns: one per distinct minimal

@@ -8,7 +8,6 @@ import (
 	"graphpa/internal/arm"
 	"graphpa/internal/cfg"
 	"graphpa/internal/dfg"
-	"graphpa/internal/dict"
 	"graphpa/internal/loader"
 	"graphpa/internal/par"
 )
@@ -56,16 +55,6 @@ type Options struct {
 	// output is byte-identical either way — this is the kill switch and
 	// the reference the differential tests compare against.
 	NoIncremental bool
-	// Warmstart, when non-nil, connects the run to a persistent fragment
-	// dictionary (internal/dict): seed fragments are pulled once at the
-	// start, revalidated by the graph miner against each round's own
-	// dependence graphs, and used to raise the branch-and-bound incumbent
-	// floor; every round's returned candidates are published back after
-	// the run. The floor only tightens bounds — the Result is
-	// byte-identical to a run without a dictionary (validated-or-discarded:
-	// a floor the walk cannot confirm triggers a cold re-mine of the
-	// round). Only RoundStat.Visits/DictHits/DictDiscarded change.
-	Warmstart dict.Source
 	// Lexicographic reverts the graph miners' lattice walk to pure
 	// DFS-code sibling order with the legacy support-only subtree bound,
 	// disabling the benefit-directed ordering and the MIS-aware child
@@ -86,9 +75,6 @@ type Options struct {
 	// the driver sets it (in both incremental and scratch modes — the
 	// stash is content-addressed, so the two modes relocate identically).
 	carry []carryCand
-	// dictFrags holds the dictionary seed fragments for the whole run,
-	// fetched once by the driver when Warmstart is set.
-	dictFrags []dict.Fragment
 	// stat, when non-nil, receives per-round miner counters (Visits).
 	stat *RoundStat
 }
@@ -211,15 +197,6 @@ type RoundStat struct {
 	// layer, and goes when that layer does.
 	CoarseVisits int
 
-	// DictHits counts dictionary fragments that revalidated against this
-	// round's view (0 without an Options.Warmstart source). DictDiscarded
-	// is the visit count of a warm walk that was thrown away because its
-	// dictionary floor failed validation (the round's Visits then report
-	// the cold re-mine) — nonzero only in the rare rounds where the floor
-	// proved unreachable or the pattern budget truncated the warm walk.
-	DictHits      int
-	DictDiscarded int
-
 	Extractions int // rewrites applied this round
 }
 
@@ -237,15 +214,6 @@ type Result struct {
 
 // Saved returns Before - After.
 func (r *Result) Saved() int { return r.Before - r.After }
-
-// DictHits totals the dictionary warm-start hits across all rounds.
-func (r *Result) DictHits() int {
-	n := 0
-	for i := range r.RoundStats {
-		n += r.RoundStats[i].DictHits
-	}
-	return n
-}
 
 // CrossJumps and Calls count extraction mechanisms (paper Fig. 12).
 func (r *Result) CrossJumps() int {
@@ -298,13 +266,6 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 	used := usedNames(prog)
 	counter := 0
 	incremental := !opts.NoIncremental
-	// Dictionary seeds are fetched once for the whole run: a stable
-	// snapshot keeps every round's revalidation (and the W=1/W=8
-	// differential) independent of concurrent publishers.
-	var pubFrags []dict.Fragment
-	if opts.Warmstart != nil {
-		opts.dictFrags = opts.Warmstart.Seeds()
-	}
 	var view *cfg.Program
 	var st *incState
 	var dirty map[*cfg.Func]bool // functions rewritten by the last round
@@ -369,13 +330,8 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 		// Stash the returned list for the next round's warm start NOW,
 		// while the view still matches the occurrences (Apply rewrites the
 		// blocks below). Both modes stash: relocation is content-addressed,
-		// so incremental and scratch rounds revalidate identically. The
-		// dictionary snapshot is taken at the same moment for the same
-		// reason — its occurrences must capture pre-Apply block content.
+		// so incremental and scratch rounds revalidate identically.
 		opts.carry = stashCarry(view, cands)
-		if opts.Warmstart != nil {
-			pubFrags = dictFragments(pubFrags, cands)
-		}
 		stat.Mine = time.Since(t0)
 		if err := ctx.Err(); err != nil {
 			// A cancelled miner may have returned a truncated candidate
@@ -449,12 +405,6 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 	res.Program = cur
 	res.After = cur.CountInstrs()
 	res.Duration = time.Since(start)
-	// Publish after the run completes (cancelled runs return above and
-	// publish nothing): the dictionary dedupes by content address, so
-	// re-publishing known fragments just refreshes their ranking.
-	if opts.Warmstart != nil && len(pubFrags) > 0 {
-		opts.Warmstart.Publish(pubFrags)
-	}
 	return res, nil
 }
 

@@ -282,135 +282,88 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 			baseFloor = c.Benefit
 		}
 	}
-	// A third warm source, with a stricter contract: dictionary fragments
-	// (dictwarm.go) raise the floor but never join the merge list, and
-	// the floor they set is speculative — valid only if the walk confirms
-	// it by admitting at least one tie, without the pattern budget
-	// truncating the walk. Otherwise the whole walk is discarded and the
-	// round re-mines at the base floor, which is exactly the cold walk.
-	dictCands := m.revalidateDict(graphs, opts.dictFrags, safe, opts)
-	dictFloor := baseFloor
-	for _, c := range dictCands {
-		if c.Benefit > dictFloor {
-			dictFloor = c.Benefit
-		}
-	}
-	if opts.stat != nil {
-		opts.stat.DictHits = len(dictCands)
-	}
 	ctx := opts.Context()
-
-	// runWalk runs one complete lattice walk with the incumbent floored
-	// at floor. Each call builds a fresh search (incumbent, ties,
-	// checkpoint recorder) — the caches behind it
-	// (lattice memo, minimality, call-safety) are shared and sound across
-	// walks: records carry their own bound-validity regions, so a record
-	// taken under one floor replays under another only when the region
-	// checks pass (see checkpoint.go).
-	runWalk := func(floor int) (*search, int, bool) {
-		s := newSearch(maxK, opts.Lexicographic)
-		if inc != nil {
-			s.ck = &checkpointer{s: s, memo: inc.memo, byID: byID, safe: safeByGraph}
+	s := newSearch(maxK, opts.Lexicographic)
+	if inc != nil {
+		s.ck = &checkpointer{s: s, memo: inc.memo, byID: byID, safe: safeByGraph}
+	}
+	s.bestBen = baseFloor
+	// Benefit-bound pruning: a subtree is cut only when NO descendant can
+	// match the incumbent (strictly less — ties must survive, they are
+	// the mined output). Each bound comparison is recorded into the open
+	// checkpoint records (checkpoint.go). A cancelled run prunes
+	// everything without noting: the driver discards the candidate list
+	// and the run's whole incremental state, so collapsing the walk is
+	// the fastest sound exit.
+	bound := func(p *mining.Pattern) int {
+		if m.Embedding {
+			return p.Support // the exact independent-set size
 		}
-		s.bestBen = floor
-		// Benefit-bound pruning: a subtree is cut only when NO descendant can
-		// match the incumbent (strictly less — ties must survive, they are
-		// the mined output). Each bound comparison is recorded into the open
-		// checkpoint records (checkpoint.go). A cancelled run prunes
-		// everything without noting: the driver discards the candidate list
-		// and the run's whole incremental state, so collapsing the walk is
-		// the fastest sound exit.
-		bound := func(p *mining.Pattern) int {
-			if m.Embedding {
-				return p.Support // the exact independent-set size
-			}
-			if !opts.Lexicographic && s.lastSelFor == p {
-				// The visit that just ran computed the exact independent set;
-				// bound with the real extraction count. Part of the MIS-aware
-				// tightening, so the legacy reference arm skips it.
-				return s.lastSelN
-			}
-			// DgSpan's Support is a graph count, which does NOT bound the
-			// occurrence count; the embedding count does (a descendant's
-			// disjoint embeddings restrict to distinct parent rows).
-			return p.Embeddings.Len()
+		if !opts.Lexicographic && s.lastSelFor == p {
+			// The visit that just ran computed the exact independent set;
+			// bound with the real extraction count. Part of the MIS-aware
+			// tightening, so the legacy reference arm skips it.
+			return s.lastSelN
 		}
-		// below reports whether u cannot reach the incumbent, noting the
-		// comparison.
-		below := func(u int) bool {
-			pruned := u < s.bestBen
-			if s.ck != nil {
-				s.ck.noteBest(u, pruned)
-			}
-			return pruned
-		}
-		prune := func(p *mining.Pattern) bool {
-			if ctx.Err() != nil {
-				return true
-			}
-			return below(s.ubm(maxK, bound(p)))
-		}
-		// Extension groups whose raw candidate count cannot yield a pattern
-		// matching the incumbent are dropped before their embeddings are
-		// built.
-		viable := func(count int) bool { return !below(s.ubm(maxK, count)) }
-		// pruneChild is the tightened between-siblings bound of the
-		// benefit-directed walk: the mining layer hands it each child's
-		// misUpperBound (admissible for the whole subtree), computed anyway
-		// for the sibling ordering.
-		pruneChild := func(set *mining.EmbSet, bound int) bool { return below(s.ubm(maxK, bound)) }
-		budget := opts.maxPatterns()
-		truncated := false
-		cfgm := mining.Config{
-			MinSupport:       opts.minSupport(),
-			MaxNodes:         maxK,
-			EmbeddingSupport: m.Embedding,
-			GreedyMIS:        opts.GreedyMIS,
-			MaxPatterns:      budget,
-			Lexicographic:    opts.Lexicographic,
-			PruneSubtree:     prune,
-			ViableCount:      viable,
-			NoteTruncated:    func() { truncated = true },
-			NoteNonMinimal: func(n int) {
-				if opts.stat != nil {
-					opts.stat.NonMinimal = n // a re-mine overwrites, as Visits
-				}
-			},
-		}
-		if !opts.Lexicographic {
-			// The Lexicographic reference arm keeps the old-style walk — the
-			// legacy fragUB support bound (newSearch), subtree and group
-			// pruning only — so the A/B differentials contrast the full
-			// benefit-directed machinery (call-only bound, MIS-aware child
-			// pruning, sibling ordering) against the reference, not just the
-			// sibling permutation. Result identity holds regardless: both
-			// arms prune strictly below an admissible bound, which preserves
-			// the final incumbent tie set (see the search doc).
-			cfgm.PruneChild = pruneChild
-		}
+		// DgSpan's Support is a graph count, which does NOT bound the
+		// occurrence count; the embedding count does (a descendant's
+		// disjoint embeddings restrict to distinct parent rows).
+		return p.Embeddings.Len()
+	}
+	// below reports whether u cannot reach the incumbent, noting the
+	// comparison.
+	below := func(u int) bool {
+		pruned := u < s.bestBen
 		if s.ck != nil {
-			cfgm.Checkpoint = s.ck
+			s.ck.noteBest(u, pruned)
 		}
-		visits := mining.Mine(mgs, cfgm, func(p *mining.Pattern) { m.visitPattern(s, byID, safe, opts, p) })
-		return s, visits, truncated
+		return pruned
 	}
-
-	s, visits, truncated := runWalk(dictFloor)
-	if dictFloor > baseFloor && (truncated || len(s.ties) == 0) {
-		// The dictionary floor failed validation. An empty tie set means
-		// no mined candidate reached the floor — a cold walk's maximum
-		// would be lower, so its output could differ. A truncated walk
-		// is rejected even with ties: floor pruning shifts WHERE the
-		// budget lands in the visit sequence, so the warm and cold
-		// truncation points would diverge. Either way the round re-mines
-		// at the base floor, which reproduces the cold walk exactly; the
-		// discarded visits are reported, not hidden.
-		discarded := visits
-		s, visits, _ = runWalk(baseFloor)
-		if opts.stat != nil {
-			opts.stat.DictDiscarded = discarded
+	prune := func(p *mining.Pattern) bool {
+		if ctx.Err() != nil {
+			return true
 		}
+		return below(s.ubm(maxK, bound(p)))
 	}
+	// Extension groups whose raw candidate count cannot yield a pattern
+	// matching the incumbent are dropped before their embeddings are
+	// built.
+	viable := func(count int) bool { return !below(s.ubm(maxK, count)) }
+	// pruneChild is the tightened between-siblings bound of the
+	// benefit-directed walk: the mining layer hands it each child's
+	// misUpperBound (admissible for the whole subtree), computed anyway
+	// for the sibling ordering.
+	pruneChild := func(set *mining.EmbSet, bound int) bool { return below(s.ubm(maxK, bound)) }
+	cfgm := mining.Config{
+		MinSupport:       opts.minSupport(),
+		MaxNodes:         maxK,
+		EmbeddingSupport: m.Embedding,
+		GreedyMIS:        opts.GreedyMIS,
+		MaxPatterns:      opts.maxPatterns(),
+		Lexicographic:    opts.Lexicographic,
+		PruneSubtree:     prune,
+		ViableCount:      viable,
+		NoteNonMinimal: func(n int) {
+			if opts.stat != nil {
+				opts.stat.NonMinimal = n
+			}
+		},
+	}
+	if !opts.Lexicographic {
+		// The Lexicographic reference arm keeps the old-style walk — the
+		// legacy fragUB support bound (newSearch), subtree and group
+		// pruning only — so the A/B differentials contrast the full
+		// benefit-directed machinery (call-only bound, MIS-aware child
+		// pruning, sibling ordering) against the reference, not just the
+		// sibling permutation. Result identity holds regardless: both
+		// arms prune strictly below an admissible bound, which preserves
+		// the final incumbent tie set (see the search doc).
+		cfgm.PruneChild = pruneChild
+	}
+	if s.ck != nil {
+		cfgm.Checkpoint = s.ck
+	}
+	visits := mining.Mine(mgs, cfgm, func(p *mining.Pattern) { m.visitPattern(s, byID, safe, opts, p) })
 	if opts.stat != nil {
 		opts.stat.Visits = visits
 	}

@@ -10,16 +10,14 @@ import (
 
 // This file is the corpus endpoint: POST /v1/batch accepts many programs
 // under one shared compile/optimize configuration and fans them out over
-// the existing job queue, so a batch shares the worker pool (and the
-// result cache, and the fragment dictionary) with everything else. The
+// the existing job queue, so a batch shares the worker pool and the
+// result cache with everything else. The
 // submission is acknowledged immediately with a batch id; GET
 // /v1/batch/{id} aggregates the per-program job states. Each program is
 // an ordinary job underneath — individually pollable by job id, cached by
-// content address, deduplicated in flight.
-//
-// Batches are where the dictionary earns its keep: programs of one corpus
-// tend to share template-stamped fragments, so the first program's mined
-// patterns warm-start the rest — and persist for the next batch.
+// content address, deduplicated in flight. Every program mines from
+// scratch, as the paper does: batching shares the pool and the cache,
+// not mined patterns (DESIGN.md §11).
 
 // BatchProgram is one program of a corpus submission.
 type BatchProgram struct {
@@ -206,7 +204,6 @@ type BatchProgramStatus struct {
 	Before    int    `json:"before,omitempty"`
 	After     int    `json:"after,omitempty"`
 	Saved     int    `json:"saved,omitempty"`
-	DictHits  int    `json:"dict_hits,omitempty"`
 	ImageHash string `json:"image_hash,omitempty"`
 }
 
@@ -220,7 +217,6 @@ type BatchStatusBody struct {
 		Done     int `json:"done"`
 		Failed   int `json:"failed"`
 		Saved    int `json:"saved"`
-		DictHits int `json:"dict_hits"`
 	} `json:"totals"`
 }
 
@@ -244,9 +240,8 @@ func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 			ps.Cache = string(status)
 			if val != nil {
 				ps.Before, ps.After, ps.Saved = val.before, val.after, val.saved
-				ps.DictHits, ps.ImageHash = val.dictHits, val.imageHash
+				ps.ImageHash = val.imageHash
 				body.Totals.Saved += val.saved
-				body.Totals.DictHits += val.dictHits
 			}
 		case JobFailed:
 			body.Totals.Failed++

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"graphpa/internal/dict"
 )
 
 // submitBatchAndWait posts a batch of benchmark programs and polls until
@@ -56,26 +53,18 @@ func submitBatchAndWait(t *testing.T, url string, names []string) BatchStatusBod
 	}
 }
 
-// TestServiceBatchWarmstart is the corpus acceptance test: a batch mined
-// by a dictionary-backed server produces per-program images byte-identical
-// to direct library runs; a second server sharing the dictionary (fresh
-// cache) re-mines the same corpus with warm-start hits and identical
-// hashes.
-func TestServiceBatchWarmstart(t *testing.T) {
+// TestServiceBatchMatchesDirect is the corpus acceptance test: a batch
+// produces per-program images, stats and job results byte-identical to
+// direct library runs, and resubmitting it is pure cache.
+func TestServiceBatchMatchesDirect(t *testing.T) {
 	names := e2ePrograms()
 	want := map[string]*result{}
 	for _, name := range names {
 		want[name] = directResult(t, benchRequest(t, name))
 	}
 
-	d, err := dict.Open(dict.Options{Path: filepath.Join(t.TempDir(), "frag.dict")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	_, ts1 := newTestServer(t, Config{Dict: d})
-	st1 := submitBatchAndWait(t, ts1.URL, names)
+	_, ts := newTestServer(t, Config{})
+	st1 := submitBatchAndWait(t, ts.URL, names)
 	if st1.Totals.Failed != 0 || st1.Totals.Done != len(names) {
 		t.Fatalf("first batch: %+v", st1.Totals)
 	}
@@ -88,7 +77,7 @@ func TestServiceBatchWarmstart(t *testing.T) {
 			t.Errorf("%s: batch stats %d->%d differ from direct %d->%d", p.Name, p.Before, p.After, w.before, w.after)
 		}
 		// Full byte-identity through the job the batch program rode on.
-		code, _, body := getURL(t, ts1.URL+"/v1/jobs/"+p.JobID)
+		code, _, body := getURL(t, ts.URL+"/v1/jobs/"+p.JobID)
 		if code != http.StatusOK {
 			t.Fatalf("%s: job poll %d", p.Name, code)
 		}
@@ -100,34 +89,12 @@ func TestServiceBatchWarmstart(t *testing.T) {
 			t.Errorf("%s: batch job result differs from direct run", p.Name)
 		}
 	}
-	if d.Len() == 0 {
-		t.Fatal("batch published nothing to the dictionary")
-	}
 
-	// Resubmission to the same server is pure cache.
-	st1b := submitBatchAndWait(t, ts1.URL, names)
-	for _, p := range st1b.Programs {
+	// Resubmission is pure cache.
+	st2 := submitBatchAndWait(t, ts.URL, names)
+	for _, p := range st2.Programs {
 		if p.Cache != string(statusHit) {
 			t.Errorf("%s: resubmission cache %q, want hit", p.Name, p.Cache)
-		}
-	}
-
-	// A second server shares the dictionary but not the cache: it must
-	// re-mine with dictionary warm-start hits and identical hashes.
-	_, ts2 := newTestServer(t, Config{Dict: d})
-	st2 := submitBatchAndWait(t, ts2.URL, names)
-	if st2.Totals.Failed != 0 {
-		t.Fatalf("second batch: %+v", st2.Totals)
-	}
-	if st2.Totals.DictHits == 0 {
-		t.Error("second server reported no dictionary warm-start hits")
-	}
-	for _, p := range st2.Programs {
-		if p.Cache != string(statusMiss) {
-			t.Errorf("%s: second server cache %q, want miss", p.Name, p.Cache)
-		}
-		if p.ImageHash != want[p.Name].imageHash {
-			t.Errorf("%s: warm-started image hash differs from direct run", p.Name)
 		}
 	}
 }
@@ -151,14 +118,10 @@ func TestServiceBatchValidation(t *testing.T) {
 
 // TestServiceMetrics checks the Prometheus text surface: counters move
 // with work, the latency histogram is cumulative and complete, and the
-// dictionary section appears iff a dictionary is configured.
+// exported families are exactly the documented ones — the retired
+// dictionary series (pad_dict_*) and shard series are gone.
 func TestServiceMetrics(t *testing.T) {
-	d, err := dict.Open(dict.Options{Path: filepath.Join(t.TempDir(), "frag.dict")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	_, ts := newTestServer(t, Config{Dict: d})
+	_, ts := newTestServer(t, Config{})
 
 	req := benchRequest(t, "search")
 	if code, _, b := postJSON(t, ts.URL+"/v1/compact", req); code != http.StatusOK {
@@ -180,8 +143,6 @@ func TestServiceMetrics(t *testing.T) {
 		`pad_mine_duration_seconds_count{miner="edgar"} 1`,
 		`pad_jobs{state="done"} 1`,
 		"pad_cache_misses_total 1",
-		"# TYPE pad_dict_entries gauge",
-		"pad_dict_published_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n%s", want, text)
@@ -190,11 +151,21 @@ func TestServiceMetrics(t *testing.T) {
 	if !strings.Contains(text, `pad_mine_duration_seconds_sum{miner="edgar"} `) {
 		t.Error("histogram sum line missing")
 	}
-
-	// Without a dictionary the dict section must be absent.
-	_, ts2 := newTestServer(t, Config{})
-	_, _, body2 := getURL(t, ts2.URL+"/metrics")
-	if strings.Contains(string(body2), "pad_dict_entries") {
-		t.Error("dictionary metrics present without a dictionary")
+	var families []string
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families = append(families, f[2])
+		}
+	}
+	wantFamilies := []string{
+		"pad_requests_total", "pad_jobs_mined_total", "pad_jobs_cancelled_total",
+		"pad_jobs_failed_total", "pad_instructions_saved_total",
+		"pad_queue_depth", "pad_queue_capacity", "pad_jobs",
+		"pad_cache_entries", "pad_cache_hits_total", "pad_cache_misses_total",
+		"pad_cache_dedups_total", "pad_cache_evictions_total",
+		"pad_mine_duration_seconds", "pad_queue_wait_seconds",
+	}
+	if strings.Join(families, " ") != strings.Join(wantFamilies, " ") {
+		t.Errorf("metric families %v, want %v", families, wantFamilies)
 	}
 }

@@ -19,11 +19,6 @@ type result struct {
 	after     int
 	saved     int
 	imageHash string
-	// dictHits is how many dictionary fragments revalidated during the
-	// mine that produced this result. Deliberately NOT part of body: the
-	// response must stay byte-identical with or without a warm
-	// dictionary. Batch status and /metrics read it from here.
-	dictHits int
 }
 
 // flight is one in-progress mine other submissions of the same key wait

@@ -210,7 +210,7 @@ func buildResult(key string, res *pa.Result, img *link.Image) (*result, error) {
 	return &result{
 		body: body, report: resp.Summary, miner: resp.Miner,
 		before: resp.Before, after: resp.After, saved: resp.Saved,
-		imageHash: resp.ImageHash, dictHits: res.DictHits(),
+		imageHash: resp.ImageHash,
 	}, nil
 }
 
@@ -234,13 +234,7 @@ func (s *Server) mine(ctx context.Context, req *CompactRequest, key string) (*re
 	if err != nil {
 		return nil, &requestError{err}
 	}
-	po := req.paOptions()
-	if s.cfg.Dict != nil {
-		// Assigned only when non-nil: a typed-nil *dict.Dict inside the
-		// interface would defeat pa's Warmstart == nil check.
-		po.Warmstart = s.cfg.Dict
-	}
-	res, out, err := core.OptimizeContext(ctx, img, m, po)
+	res, out, err := core.OptimizeContext(ctx, img, m, req.paOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -156,11 +156,10 @@ func (s *Server) runJob(j *job) {
 	switch {
 	case err == nil:
 		if status == statusMiss {
-			s.stats.observeMine(val.miner, val.saved, val.dictHits, wait, mineDur)
+			s.stats.observeMine(val.miner, val.saved, wait, mineDur)
 		}
 		s.log.Info("job done", "job", j.id, "key", j.key, "cache", string(status),
-			"miner", val.miner, "saved", val.saved, "dict_hits", val.dictHits,
-			"wait", wait)
+			"miner", val.miner, "saved", val.saved, "wait", wait)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.stats.observeCancel()
 		s.log.Info("job cancelled", "job", j.id, "key", j.key)

@@ -33,7 +33,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("pad_jobs_cancelled_total", "Jobs cancelled before or during mining.", snap.Totals.Cancelled)
 	counter("pad_jobs_failed_total", "Jobs that failed.", snap.Totals.Failed)
 	counter("pad_instructions_saved_total", "Instructions removed across all mined jobs.", snap.Totals.InstructionsSaved)
-	counter("pad_dict_warmstart_hits_total", "Dictionary fragments revalidated by mined jobs.", snap.Totals.DictHits)
 
 	gauge("pad_queue_depth", "Jobs accepted but not yet started.", int64(len(s.queue)))
 	gauge("pad_queue_capacity", "Bound of the job queue.", int64(cap(s.queue)))
@@ -61,18 +60,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("pad_cache_misses_total", "Cache lookups that ran a mine.", cc.Misses)
 	counter("pad_cache_dedups_total", "Submissions that joined an in-flight mine.", cc.Dedups)
 	counter("pad_cache_evictions_total", "Entries dropped by the LRU bound.", cc.Evictions)
-
-	if s.cfg.Dict != nil {
-		ds := s.cfg.Dict.Stats()
-		gauge("pad_dict_entries", "Live fragments in the dictionary.", int64(ds.Entries))
-		gauge("pad_dict_log_bytes", "Size of the dictionary log file.", ds.LogBytes)
-		counter("pad_dict_published_total", "New fragments accepted by the dictionary.", ds.Published)
-		counter("pad_dict_updated_total", "Benefit/recency bumps of known fragments.", ds.Updated)
-		counter("pad_dict_evicted_total", "Fragments dropped by the size bound.", ds.Evicted)
-		counter("pad_dict_seeds_served_total", "Fragments handed to mining jobs as seeds.", ds.SeedsServed)
-		counter("pad_dict_skipped_total", "Corrupt records skipped during recovery.", ds.Skipped)
-		counter("pad_dict_compactions_total", "Log compactions.", ds.Compactions)
-	}
 
 	// Per-miner histograms of fresh (uncached) jobs over the fixed bucket
 	// bounds: mining latency, then the queue wait before it. Bucket

@@ -23,10 +23,8 @@
 // (async), POST /v1/batch + GET /v1/batch/{id} (corpus submission fanned
 // out over the job queue), GET /v1/report/{id} (human-readable table, by
 // job id or content address), GET /metrics (Prometheus text format).
-// With Config.Dict set, every mining job warm-starts from and publishes
-// to a persistent fragment dictionary (internal/dict), so a corpus of
-// related programs mines faster with byte-identical results. cmd/pad is
-// the daemon and client binary.
+// Every job mines its program from scratch; cmd/pad is the daemon and
+// client binary.
 package service
 
 import (
@@ -39,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"graphpa/internal/dict"
 	"graphpa/internal/par"
 )
 
@@ -61,12 +58,6 @@ type Config struct {
 	// Logger receives structured request and job logs (default:
 	// discard).
 	Logger *slog.Logger
-	// Dict, when non-nil, is the persistent fragment dictionary every
-	// mining job warm-starts from and publishes to (pa.Options.Warmstart).
-	// The caller owns it: open it before New, close it after Shutdown.
-	// Responses stay byte-identical with or without a dictionary — it
-	// only changes how much lattice the miner walks.
-	Dict *dict.Dict
 }
 
 func (c Config) jobWorkers() int { return par.Workers(c.JobWorkers) }
@@ -250,10 +241,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	snap.Queue.Depth = len(s.queue)
 	snap.Queue.Capacity = cap(s.queue)
 	snap.Cache = s.cache.counters()
-	if s.cfg.Dict != nil {
-		ds := s.cfg.Dict.Stats()
-		snap.Dict = &ds
-	}
 	snap.Jobs = map[string]int{JobQueued: 0, JobRunning: 0, JobDone: 0, JobFailed: 0}
 	s.mu.Lock()
 	for _, j := range s.jobs {

@@ -3,8 +3,6 @@ package service
 import (
 	"sync"
 	"time"
-
-	"graphpa/internal/dict"
 )
 
 // latencyBuckets are the upper bounds of the per-miner latency
@@ -68,7 +66,6 @@ type stats struct {
 	cancelled int64
 	failed    int64
 	saved     int64
-	dictHits  int64
 	requests  int64
 	miners    map[string]*minerStats
 }
@@ -86,12 +83,11 @@ func (s *stats) request() {
 // observeMine records one completed mining execution that waited wait
 // in the queue and mined for d (cache hits and dedup waiters do not
 // mine and are not observed here).
-func (s *stats) observeMine(miner string, saved, dictHits int, wait, d time.Duration) {
+func (s *stats) observeMine(miner string, saved int, wait, d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mined++
 	s.saved += int64(saved)
-	s.dictHits += int64(dictHits)
 	ms := s.miners[miner]
 	if ms == nil {
 		ms = &minerStats{}
@@ -124,14 +120,12 @@ type statsSnapshot struct {
 	Jobs   map[string]int         `json:"jobs"`
 	Cache  cacheCounters          `json:"cache"`
 	Miners map[string]*minerStats `json:"miners"`
-	Dict   *dict.Stats            `json:"dict,omitempty"`
 	Totals struct {
 		Requests          int64 `json:"requests"`
 		Mined             int64 `json:"mined"`
 		Cancelled         int64 `json:"cancelled"`
 		Failed            int64 `json:"failed"`
 		InstructionsSaved int64 `json:"instructions_saved"`
-		DictHits          int64 `json:"dict_hits"`
 	} `json:"totals"`
 }
 
@@ -149,6 +143,5 @@ func (s *stats) snapshot() statsSnapshot {
 	snap.Totals.Cancelled = s.cancelled
 	snap.Totals.Failed = s.failed
 	snap.Totals.InstructionsSaved = s.saved
-	snap.Totals.DictHits = s.dictHits
 	return snap
 }
