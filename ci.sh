@@ -17,6 +17,11 @@ else
 	go test -race -count=1 -short ./...
 fi
 
+# perfbench is a separate module, so ./... above never compiles it. Vet
+# and test it here so that a change to an API it uses fails CI, not the
+# benchmark run. (go build ./... would leave a binary in perfbench/.)
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 # Mining and candidate-validation microbenchmarks as a smoke test: one
 # iteration each, just to prove the hot-loop harness still compiles and
 # runs. (-short also keeps the heavy same-process layout A/B out of the
@@ -33,6 +38,10 @@ go test ./internal/link -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s -fuzzminimi
 # units and the runtime library (crashers under
 # internal/asm/testdata/fuzz).
 go test ./internal/asm -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 1s >/dev/null
+# The mini-C front end too, seeded with the benchmark sources: Compile
+# and linking its unit with the runtime library must never panic
+# (crashers under internal/codegen/testdata/fuzz).
+go test ./internal/codegen -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 1s >/dev/null
 
 # --- compaction-service end-to-end check -------------------------------
 # The service deliberately omits the wall-clock suffix from its reports

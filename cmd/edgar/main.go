@@ -134,19 +134,19 @@ func main() {
 }
 
 // printRoundStats renders the per-round breakdown recorded by the
-// driver: phase wall clocks, dependence-graph cache effectiveness,
-// summary-fixpoint scope, lattice visits, children rejected as
-// non-minimal codes, and lattice fast-forwarding. The last row is
-// the fixpoint probe (the round that found nothing left).
+// driver: phase wall clocks, dependence-graph cache effectiveness, call
+// summaries changed since the previous round, lattice visits, children
+// rejected as non-minimal codes, and lattice fast-forwarding. The last
+// row is the fixpoint probe (the round that found nothing left).
 func printRoundStats(stats []pa.RoundStat) {
 	if len(stats) == 0 {
 		return
 	}
-	fmt.Printf("per-round breakdown (blocks reused/rebound/rebuilt; summaries resolved/changed)\n")
+	fmt.Printf("per-round breakdown (blocks reused/rebound/rebuilt; summaries changed)\n")
 	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %10s %8s\n",
-		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums r/c", "visits", "non-min", "ff-visits", "extract")
+		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums chg", "visits", "non-min", "ff-visits", "extract")
 	for _, st := range stats {
-		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11s %8d %8d %10d %8d\n",
+		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11d %8d %8d %10d %8d\n",
 			st.Round,
 			st.CFGBuild.Round(time.Microsecond),
 			st.Summaries.Round(time.Microsecond),
@@ -154,7 +154,7 @@ func printRoundStats(stats []pa.RoundStat) {
 			st.Mine.Round(time.Millisecond),
 			st.Apply.Round(time.Microsecond),
 			fmt.Sprintf("%d/%d/%d", st.BlocksReused, st.BlocksRebound, st.BlocksRebuilt),
-			fmt.Sprintf("%d/%d", st.SummariesRecomputed, st.SummariesChanged),
+			st.SummariesChanged,
 			st.Visits,
 			st.NonMinimal,
 			st.VisitsSaved,

@@ -129,11 +129,6 @@ func TestIncrementalCacheEffectiveness(t *testing.T) {
 		if rs.BlocksReused+rs.BlocksRebound == 0 {
 			t.Errorf("round %d: no dependence graphs reused", rs.Round)
 		}
-		if rs.SummariesRecomputed >= rs.Blocks && rs.Blocks > 0 {
-			// Crude sanity: the summary recompute set must be a subset of
-			// functions, far below the block count on real programs.
-			t.Errorf("round %d: summary recompute set suspiciously large (%d)", rs.Round, rs.SummariesRecomputed)
-		}
 		reused += rs.BlocksReused
 		hits += rs.MemoHits
 	}

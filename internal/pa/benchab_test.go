@@ -102,8 +102,9 @@ func TestBenefitDirectedRijndaelAB(t *testing.T) {
 // TestBenefitDirectedShaAB is the headline perf gate: sha's fixpoint
 // walks to completion under the default budget, its per-round incumbents
 // land on the mod-7 residues where CallBenefit's threshold beats
-// fragUB's (benefit 13 prunes m<=3 instead of m<=2), and the warm-started
-// incumbent kills the post-extraction rounds' rediscovery. Measured ~46%
+// fragUB's (benefit 13 prunes m<=3 instead of m<=2), and the incumbent
+// seeded from the sequence scan kills the post-extraction rounds'
+// rediscovery. Measured ~46%
 // fewer lattice visits with a byte-identical Result.
 func TestBenefitDirectedShaAB(t *testing.T) {
 	if testing.Short() {

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"slices"
-	"sort"
 
 	"graphpa/internal/arm"
 	"graphpa/internal/cfg"
@@ -115,13 +114,6 @@ func CallBenefit(k, m int) int { return m*(k-1) - (k + 1) }
 // CrossJumpBenefit is the net saving of tail-merging: one occurrence
 // survives, the other m−1 shrink to one b each.
 func CrossJumpBenefit(k, m int) int { return (m - 1) * (k - 1) }
-
-// sortedNodes returns a sorted copy.
-func sortedNodes(nodes []int) []int {
-	out := append([]int(nil), nodes...)
-	sort.Ints(out)
-	return out
-}
 
 // containsTerminator reports whether the node set includes the block's
 // terminator instruction AND that terminator transfers control
@@ -280,12 +272,12 @@ func ownedOcc(occ Occurrence) Occurrence {
 	return occ
 }
 
-// admit is the schedulability check for one more occurrence of a
-// fragment, shared by buildCandidate and refilterOccs. blFrags holds the
-// occurrences already admitted per block. A block's first occurrence
-// takes the cheap convexity check; a later one must keep the block's
-// simultaneous contraction of all its occurrences acyclic (contractOK).
-// On success the occurrence joins its block's entry.
+// admit is buildCandidate's schedulability check for one more occurrence
+// of a fragment. blFrags holds the occurrences already admitted per
+// block. A block's first occurrence takes the cheap convexity check; a
+// later one must keep the block's simultaneous contraction of all its
+// occurrences acyclic (contractOK). On success the occurrence joins its
+// block's entry.
 func (sc *convexScratch) admit(blFrags map[*cfg.Block][][]int, occ *Occurrence) bool {
 	prev, ok := blFrags[occ.Block]
 	if !ok {

@@ -33,7 +33,7 @@ func fmtCandKey(c *pa.Candidate) string {
 
 // TestCandKeyMatchesFmtReference compares candKey with the fmt reference
 // on every candidate of each benchmark's round-1 list — the whole mined
-// tie set plus the warm-start pool, with no batch limit — for both graph
+// tie set plus the sequence seeds, with no batch limit — for both graph
 // miners.
 func TestCandKeyMatchesFmtReference(t *testing.T) {
 	for _, name := range bench.Names {

@@ -141,7 +141,7 @@ type checkpointer struct {
 }
 
 // snapshot reads the incumbent benefit the bounds state reduces to.
-// (The warm-started floor is part of it: records taken under one floor
+// (The sequence-seed floor is part of it: records taken under one floor
 // validate under another only through the region checks, exactly like
 // mid-walk incumbent movement.)
 func (ck *checkpointer) snapshot() int {

@@ -2,6 +2,7 @@ package pa
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"graphpa/internal/arm"
@@ -135,4 +136,11 @@ func TestContractOKCycles(t *testing.T) {
 			t.Errorf("%s: contractOK = %v, want %v", c.name, got, c.want)
 		}
 	}
+}
+
+// sortedNodes returns a sorted copy.
+func sortedNodes(nodes []int) []int {
+	out := append([]int(nil), nodes...)
+	sort.Ints(out)
+	return out
 }

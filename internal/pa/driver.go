@@ -50,7 +50,7 @@ type Options struct {
 	// merge in input order — so only wall clock changes.
 	Workers int
 	// NoIncremental disables all cross-round reuse (dirty-set CFG
-	// resplitting, summary and dependence-graph caching, lattice
+	// resplitting, dependence-graph and mining-graph caching, lattice
 	// checkpointing) and reverts to the rebuild-everything loop. The
 	// output is byte-identical either way — this is the kill switch and
 	// the reference the differential tests compare against.
@@ -70,11 +70,6 @@ type Options struct {
 	// inc hands the round's incremental caches to the miner. Only the
 	// incremental driver sets it.
 	inc *incMining
-	// carry holds the previous round's surviving candidates in relocatable
-	// form; the miner revalidates them to warm-start its incumbent. Only
-	// the driver sets it (in both incremental and scratch modes — the
-	// stash is content-addressed, so the two modes relocate identically).
-	carry []carryCand
 	// stat, when non-nil, receives per-round miner counters (Visits).
 	stat *RoundStat
 }
@@ -170,8 +165,9 @@ type RoundStat struct {
 	// rules are exact.
 	RebuiltClean int
 
-	SummariesRecomputed int // functions re-solved by the summary fixpoint
-	SummariesChanged    int // of those, how many actually changed
+	// SummariesChanged counts the functions whose call summary differs
+	// from the previous round's (every function in round 1).
+	SummariesChanged int
 
 	MemoHits    int // lattice subtrees fast-forwarded
 	VisitsSaved int // pattern visits those subtrees would have cost
@@ -251,12 +247,12 @@ func Optimize(prog *loader.Program, m Miner, opts Options) *Result {
 //
 // By default rounds after the first run incrementally: the program view
 // is kept alive across rounds, only functions the previous extraction
-// rewrote are re-split, the summary fixpoint re-solves only the
-// reverse-call-graph closure of those functions, dependence graphs are
-// reused wherever block content and consumed summaries are unchanged,
-// and the lattice search fast-forwards recorded subtrees over untouched
-// blocks. All reuse is equivalence-gated, so the result is byte-identical
-// to Options.NoIncremental (which reverts to full rebuilds every round).
+// rewrote are re-split, dependence graphs are reused wherever block
+// content and consumed call summaries are unchanged, and the lattice
+// search fast-forwards recorded subtrees over untouched blocks. Call
+// summaries are solved from scratch every round in both modes. All reuse
+// is equivalence-gated, so the result is byte-identical to
+// Options.NoIncremental (which reverts to full rebuilds every round).
 func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Options) (*Result, error) {
 	opts.ctx = ctx
 	start := time.Now()
@@ -268,7 +264,8 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 	incremental := !opts.NoIncremental
 	var view *cfg.Program
 	var st *incState
-	var dirty map[*cfg.Func]bool // functions rewritten by the last round
+	var dirty map[*cfg.Func]bool       // functions rewritten by the last round
+	var prevRaw map[string]arm.Effects // last round's undecorated summaries
 	anyApplied := false
 	for {
 		if err := ctx.Err(); err != nil {
@@ -294,14 +291,10 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 		stat.Blocks = len(view.Blocks)
 
 		t0 = time.Now()
-		var summaries map[string]arm.Effects
-		if incremental {
-			summaries = st.updateSummaries(view, dirty, &stat)
-		} else {
-			summaries = CallSummaries(view)
-			stat.SummariesRecomputed = len(view.Funcs)
-			stat.SummariesChanged = len(view.Funcs)
-		}
+		raw := rawSummaries(view)
+		stat.SummariesChanged = summariesChanged(prevRaw, raw)
+		prevRaw = raw
+		summaries := decorateSummaries(raw)
 		stat.Summaries = time.Since(t0)
 
 		t0 = time.Now()
@@ -327,11 +320,6 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 		t0 = time.Now()
 		opts.stat = &stat
 		cands := m.FindCandidates(view, graphs, opts)
-		// Stash the returned list for the next round's warm start NOW,
-		// while the view still matches the occurrences (Apply rewrites the
-		// blocks below). Both modes stash: relocation is content-addressed,
-		// so incremental and scratch rounds revalidate identically.
-		opts.carry = stashCarry(view, cands)
 		stat.Mine = time.Since(t0)
 		if err := ctx.Err(); err != nil {
 			// A cancelled miner may have returned a truncated candidate

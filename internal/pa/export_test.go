@@ -4,5 +4,5 @@ package pa
 // benchmark programs through internal/bench — an import cycle for
 // in-package tests.
 
-// CandKey is the merge's canonical candidate key (warmstart.go).
+// CandKey is the merge's canonical candidate key (miners.go).
 var CandKey = candKey

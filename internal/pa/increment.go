@@ -12,17 +12,17 @@ import (
 
 // This file holds the cross-round state of the incremental mine/extract
 // loop. Each extraction round rewrites a handful of blocks; everything
-// the analyses derived for the untouched rest — call summaries,
-// dependence graphs, node labels, mining graphs, and (via checkpoint.go)
-// whole lattice subtrees — is carried forward instead of recomputed. All
-// reuse is gated by proofs of equivalence (content identity, summary
-// equality, footprint checks); whenever equivalence cannot be shown the
-// affected piece falls back to a full recomputation, so the incremental
-// loop's output is byte-identical to the from-scratch loop's.
+// the analyses derived for the untouched rest — dependence graphs, node
+// labels, mining graphs, and (via checkpoint.go) whole lattice subtrees —
+// is carried forward instead of recomputed. Call summaries are not: the
+// driver solves them from scratch every round (DESIGN.md §8). All reuse
+// is gated by proofs of equivalence (content identity, summary equality,
+// footprint checks); whenever equivalence cannot be shown the affected
+// piece falls back to a full recomputation, so the incremental loop's
+// output is byte-identical to the from-scratch loop's.
 
 // incState is the driver's cross-round cache bundle.
 type incState struct {
-	raw    map[string]arm.Effects // undecorated call-summary fixpoint
 	graphs *graphCache
 	m      incMining
 	primed bool // at least one round has populated the caches
@@ -51,66 +51,6 @@ func newIncState() *incState {
 	st.m.memo = newLatticeMemo()
 	st.m.mg = map[*dfg.Graph]mgEntry{}
 	return st
-}
-
-// updateSummaries maintains the interprocedural summary fixpoint across
-// rounds. Only the reverse-call-graph closure of the rewritten functions
-// is re-solved; every other function's raw value is pinned — sound
-// because the pinned set is closed under calls, so its equations are
-// untouched (see rawSummaries).
-func (st *incState) updateSummaries(view *cfg.Program, dirty map[*cfg.Func]bool, stat *RoundStat) map[string]arm.Effects {
-	if st.raw == nil {
-		st.raw = rawSummaries(view, nil, nil)
-		stat.SummariesRecomputed = len(view.Funcs)
-		stat.SummariesChanged = len(view.Funcs)
-		return decorateSummaries(st.raw)
-	}
-
-	callers := map[string][]string{}
-	for _, fn := range view.Funcs {
-		for _, b := range fn.Blocks {
-			for i := range b.Instrs {
-				if b.Instrs[i].Op == arm.BL && b.Instrs[i].Target != "" {
-					callers[b.Instrs[i].Target] = append(callers[b.Instrs[i].Target], fn.Name)
-				}
-			}
-		}
-	}
-	recompute := map[string]bool{}
-	var queue []string
-	add := func(name string) {
-		if !recompute[name] {
-			recompute[name] = true
-			queue = append(queue, name)
-		}
-	}
-	for fn := range dirty {
-		add(fn.Name)
-	}
-	for _, fn := range view.Funcs {
-		if _, ok := st.raw[fn.Name]; !ok {
-			add(fn.Name)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range callers[n] {
-			add(c)
-		}
-	}
-
-	raw := rawSummaries(view, st.raw, recompute)
-	changed := 0
-	for name := range recompute {
-		if old, ok := st.raw[name]; !ok || old != raw[name] {
-			changed++
-		}
-	}
-	stat.SummariesRecomputed = len(recompute)
-	stat.SummariesChanged = changed
-	st.raw = raw
-	return decorateSummaries(raw)
 }
 
 // buildGraphs produces the per-block dependence graphs for this round,

@@ -7,9 +7,11 @@ import (
 	"graphpa/internal/cfg"
 )
 
-// The incremental summary fixpoint must agree with a from-scratch solve
-// after any edit, including one that changes a callee's footprint deep in
-// the call graph (the change must propagate to every transitive caller).
+// Call summaries solved on the incremental driver's long-lived view must
+// agree with a from-scratch solve after any edit, including one that
+// changes a callee's footprint deep in the call graph (the change must
+// propagate to every transitive caller), and the round's change count
+// must cover exactly the functions whose summary moved.
 func TestIncrementalSummariesMatchFull(t *testing.T) {
 	prog := loadSrc(t, `
 _start:
@@ -32,14 +34,13 @@ other:
 	bx lr
 `)
 	view := cfg.Build(prog)
-	st := newIncState()
-	stat := &RoundStat{}
-	got := st.updateSummaries(view, nil, stat)
-	want := decorateSummaries(rawSummaries(view, nil, nil))
-	compareSummaries(t, "initial", got, want)
+	before := rawSummaries(view)
+	if n := summariesChanged(nil, before); n != len(view.Funcs) {
+		t.Errorf("first solve counts %d changed summaries, want all %d", n, len(view.Funcs))
+	}
 
 	// Edit leaf: it now also writes r7. Every transitive caller's summary
-	// changes; other's must not be recomputed.
+	// changes; other's must not.
 	var leaf *cfg.Func
 	for _, fn := range view.Funcs {
 		if fn.Name == "leaf" {
@@ -56,19 +57,23 @@ other:
 	b.Instrs = fresh
 	view.Resplit(map[*cfg.Func]bool{leaf: true})
 
-	stat = &RoundStat{}
-	got = st.updateSummaries(view, map[*cfg.Func]bool{leaf: true}, stat)
-	want = decorateSummaries(rawSummaries(view, nil, nil))
-	compareSummaries(t, "after edit", got, want)
+	after := rawSummaries(view)
+	compareSummaries(t, "after edit", decorateSummaries(after),
+		CallSummaries(cfg.Build(cfg.Reassemble(view))))
 
-	if !got["top"].Writes.Has(arm.R7) {
+	if !after["top"].Writes.Has(arm.R7) {
 		t.Error("leaf's new write must propagate to its transitive caller top")
 	}
-	// leaf, mid, top, _start form the reverse-call-graph closure of the
-	// edit; "other" is outside it and must be pinned, not re-solved.
-	if stat.SummariesRecomputed >= len(view.Funcs) {
-		t.Errorf("recomputed %d of %d functions; the closure excludes at least one",
-			stat.SummariesRecomputed, len(view.Funcs))
+	for _, name := range []string{"leaf", "mid", "top", "_start"} {
+		if before[name] == after[name] {
+			t.Errorf("summary of %s did not change after the edit", name)
+		}
+	}
+	if before["other"] != after["other"] {
+		t.Error("summary of other changed, but nothing it calls was edited")
+	}
+	if n := summariesChanged(before, after); n != 4 {
+		t.Errorf("edit changed %d summaries, want 4 (leaf and its transitive callers)", n)
 	}
 }
 

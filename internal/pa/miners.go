@@ -3,6 +3,7 @@ package pa
 import (
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"graphpa/internal/arm"
@@ -56,10 +57,9 @@ const ubTabM = 2048
 // the Result-identity guarantee rests on. A ranked runner-up list has no
 // such invariance (which sub-maximum candidates get built depends on
 // when the bound rises), so runners-up come from the order-invariant
-// warm sources instead (sequence seeds and the previous round's carried
-// candidates, see FindCandidates).
+// sequence seeds instead (see FindCandidates).
 type search struct {
-	bestBen int          // incumbent: highest known admissible benefit (warm-started)
+	bestBen int          // incumbent: highest known admissible benefit (seed floor at start)
 	ties    []*Candidate // mined candidates with Benefit == bestBen, admission order
 	// ck, when non-nil, records the walk for cross-round fast-forwarding
 	// (checkpoint.go).
@@ -261,23 +261,16 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 	}
 	maxK := opts.maxNodes()
 	// Warm-start the incumbent — branch-and-bound with an initial
-	// heuristic solution, from two order-invariant sources. Sequence
-	// seeds: with unbounded fragment size the graph search strictly
-	// subsumes the sequence scan; under the fragment-size cap, seeding
-	// restores that subsumption (DgSpan sees at most one occurrence per
-	// block, consistent with its graph-count support). Carried
-	// candidates: the previous round's returned list, revalidated against
-	// the current view — post-extraction rounds start with a real
-	// threshold instead of rediscovering it from zero. Both feed the
-	// merged return list too, so the driver's runner-up supply does not
-	// depend on visit order.
+	// heuristic solution — from the order-invariant sequence seeds. With
+	// unbounded fragment size the graph search strictly subsumes the
+	// sequence scan; under the fragment-size cap, seeding restores that
+	// subsumption (DgSpan sees at most one occurrence per block,
+	// consistent with its graph-count support). The seeds feed the merged
+	// return list too, so the driver's runner-up supply does not depend
+	// on visit order.
 	seeds := ScanSequences(graphs, opts, !m.Embedding)
-	carried := m.revalidateCarry(view, graphs, opts.carry, safe)
-	warm := make([]*Candidate, 0, len(seeds)+len(carried))
-	warm = append(warm, seeds...)
-	warm = append(warm, carried...)
 	baseFloor := 0
-	for _, c := range warm {
+	for _, c := range seeds {
 		if c.Benefit > baseFloor {
 			baseFloor = c.Benefit
 		}
@@ -371,7 +364,72 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		inc.stat.MemoHits += s.ck.hits
 		inc.stat.VisitsSaved += s.ck.saved
 	}
-	return mergeCandidates(opts.batch(), s.ties, warm)
+	return mergeCandidates(opts.batch(), s.ties, seeds)
+}
+
+// candKey is a canonical identity for a candidate: extraction method,
+// fragment size, and each occurrence's block ID plus full DFS index
+// sequence, with unambiguous separators. Two candidates with equal keys
+// specify identical rewrites, so the merge below may keep either.
+func candKey(c *Candidate) string {
+	n := 16
+	for i := range c.Occs {
+		n += 8 + 4*len(c.Occs[i].DFS)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, c.Method.String()...)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(c.Size), 10)
+	for i := range c.Occs {
+		o := &c.Occs[i]
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(o.Block.ID), 10)
+		b = append(b, ':')
+		for j, d := range o.DFS {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(d), 10)
+		}
+	}
+	return string(b)
+}
+
+// mergeCandidates builds FindCandidates' return list from the mined tie
+// set and the sequence seeds: sort by descending benefit with the
+// canonical key as tie-break, drop key duplicates, truncate to the
+// driver's batch size. Every input is an order-invariant set and the
+// comparator is total on distinct rewrites, so the returned list is
+// identical whatever order the walk produced the ties in — the keystone
+// of the lexicographic/benefit-directed Result identity.
+func mergeCandidates(limit int, mined, seeds []*Candidate) []*Candidate {
+	all := make([]*Candidate, 0, len(mined)+len(seeds))
+	all = append(all, mined...)
+	all = append(all, seeds...)
+	if len(all) == 0 {
+		return nil
+	}
+	keys := make(map[*Candidate]string, len(all))
+	for _, c := range all {
+		keys[c] = candKey(c)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Benefit != all[j].Benefit {
+			return all[i].Benefit > all[j].Benefit
+		}
+		return keys[all[i]] < keys[all[j]]
+	})
+	out := all[:0]
+	for i, c := range all {
+		if i > 0 && keys[c] == keys[all[i-1]] {
+			continue
+		}
+		out = append(out, c)
+	}
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
 }
 
 // visitPattern is the per-pattern visitor: it gates by optimistic

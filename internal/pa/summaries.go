@@ -21,24 +21,13 @@ import (
 // exist in a statically linked image, but be safe) assume the most
 // conservative footprint.
 func CallSummaries(view *cfg.Program) map[string]arm.Effects {
-	return decorateSummaries(rawSummaries(view, nil, nil))
+	return decorateSummaries(rawSummaries(view))
 }
 
-// rawSummaries runs the effect fixpoint and returns the undecorated
-// least-fixpoint values (decorateSummaries adds the unconditional
-// call-site effects consumers see).
-//
-// When recompute is nil every function starts from bottom. Otherwise
-// only the functions in recompute are iterated (from bottom) while every
-// other function is pinned to its value in prev. That is sound — and
-// yields exactly the from-scratch least fixpoint — when the complement
-// of recompute is closed under calls: such functions' equations mention
-// only each other and their own unchanged bodies, so their least-
-// fixpoint values cannot have moved, and the recompute members' least
-// values relative to those constants equal the global ones. The driver
-// guarantees the closure property by recomputing the reverse-call-graph
-// closure of every rewritten function.
-func rawSummaries(view *cfg.Program, prev map[string]arm.Effects, recompute map[string]bool) map[string]arm.Effects {
+// rawSummaries runs the effect fixpoint, every function from bottom, and
+// returns the undecorated least-fixpoint values (decorateSummaries adds
+// the unconditional call-site effects consumers see).
+func rawSummaries(view *cfg.Program) map[string]arm.Effects {
 	// Most conservative effects: everything.
 	worst := arm.Effects{LoadsMem: true, StoresMem: true, Barrier: true}
 	for r := arm.R0; r <= arm.CPSR; r++ {
@@ -46,22 +35,9 @@ func rawSummaries(view *cfg.Program, prev map[string]arm.Effects, recompute map[
 		worst.Writes = worst.Writes.Add(r)
 	}
 
-	sum := map[string]arm.Effects{}
-	iter := view.Funcs
-	if recompute != nil {
-		iter = iter[:0:0]
-		for _, fn := range view.Funcs {
-			if recompute[fn.Name] {
-				iter = append(iter, fn)
-				sum[fn.Name] = arm.Effects{Barrier: true}
-			} else {
-				sum[fn.Name] = prev[fn.Name]
-			}
-		}
-	} else {
-		for _, fn := range view.Funcs {
-			sum[fn.Name] = arm.Effects{Barrier: true}
-		}
+	sum := make(map[string]arm.Effects, len(view.Funcs))
+	for _, fn := range view.Funcs {
+		sum[fn.Name] = arm.Effects{Barrier: true}
 	}
 
 	// Save/restore discipline: registers a procedure pushes on entry and
@@ -78,7 +54,7 @@ func rawSummaries(view *cfg.Program, prev map[string]arm.Effects, recompute map[
 		ok    bool
 	}
 	discOf := map[string]disc{}
-	for _, fn := range iter {
+	for _, fn := range view.Funcs {
 		s, ok := preservedRegs(fn)
 		discOf[fn.Name] = disc{saved: s, ok: ok}
 	}
@@ -86,7 +62,7 @@ func rawSummaries(view *cfg.Program, prev map[string]arm.Effects, recompute map[
 	changed := true
 	for changed {
 		changed = false
-		for _, fn := range iter {
+		for _, fn := range view.Funcs {
 			d := discOf[fn.Name]
 			cur := sum[fn.Name]
 			next := cur
@@ -134,11 +110,22 @@ func rawSummaries(view *cfg.Program, prev map[string]arm.Effects, recompute map[
 	return sum
 }
 
+// summariesChanged counts the functions of cur whose summary is new or
+// differs from prev.
+func summariesChanged(prev, cur map[string]arm.Effects) int {
+	n := 0
+	for name, e := range cur {
+		if old, ok := prev[name]; !ok || old != e {
+			n++
+		}
+	}
+	return n
+}
+
 // decorateSummaries adds the effects every call site has regardless of
 // the body: the bl writes lr, and calls act as scheduling barriers. The
-// incremental driver keeps the RAW values across rounds — seeding a
-// later fixpoint from decorated values would not be the least fixpoint —
-// and decorates on the way out.
+// driver counts RoundStat.SummariesChanged on the raw values, so a change
+// the decoration would mask (a new lr write) still counts.
 func decorateSummaries(raw map[string]arm.Effects) map[string]arm.Effects {
 	out := make(map[string]arm.Effects, len(raw))
 	for name, e := range raw {

@@ -102,10 +102,11 @@ func TestServiceBatchMatchesDirect(t *testing.T) {
 func TestServiceBatchValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for name, req := range map[string]BatchRequest{
-		"empty":     {},
-		"unnamed":   {Programs: []BatchProgram{{Source: "int main() { return 0; }"}}},
-		"duplicate": {Programs: []BatchProgram{{Name: "a", Source: "int main() { return 0; }"}, {Name: "a", Source: "int main() { return 1; }"}}},
-		"badminer":  {Programs: []BatchProgram{{Name: "a", Source: "int main() { return 0; }"}}, Optimize: OptimizeOptions{Miner: "nope"}},
+		"empty":       {},
+		"unnamed":     {Programs: []BatchProgram{{Source: "int main() { return 0; }"}}},
+		"duplicate":   {Programs: []BatchProgram{{Name: "a", Source: "int main() { return 0; }"}, {Name: "a", Source: "int main() { return 1; }"}}},
+		"badminer":    {Programs: []BatchProgram{{Name: "a", Source: "int main() { return 0; }"}}, Optimize: OptimizeOptions{Miner: "nope"}},
+		"bigfragment": {Programs: []BatchProgram{{Name: "a", Source: "int main() { return 0; }"}}, Optimize: OptimizeOptions{MaxFragment: MaxFragmentLimit + 1}},
 	} {
 		if code, _, body := postJSON(t, ts.URL+"/v1/batch", &req); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", name, code, body)

@@ -23,6 +23,12 @@ type CompileOptions struct {
 	Schedule bool `json:"schedule"`
 }
 
+// MaxFragmentLimit is the largest max_fragment a request may ask for.
+// The miner allocates a bound table of (max_fragment−1)·2048 ints per
+// round, so an unchecked value is a memory bomb; the largest fragment
+// size any benchmark or test uses is 12.
+const MaxFragmentLimit = 64
+
 // OptimizeOptions selects and tunes the procedural-abstraction run of a
 // request. The zero value of each field means its library default.
 type OptimizeOptions struct {
@@ -117,6 +123,9 @@ func (r *CompactRequest) validate() error {
 	if r.Optimize.MinSupport < 0 || r.Optimize.MaxFragment < 0 ||
 		r.Optimize.MaxRounds < 0 || r.Optimize.MaxPatterns < 0 {
 		return fmt.Errorf("optimize options must be non-negative")
+	}
+	if r.Optimize.MaxFragment > MaxFragmentLimit {
+		return fmt.Errorf("max_fragment %d exceeds the limit of %d", r.Optimize.MaxFragment, MaxFragmentLimit)
 	}
 	return nil
 }

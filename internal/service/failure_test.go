@@ -35,6 +35,10 @@ func TestMalformedSourceReturns400(t *testing.T) {
 			Source:   "int main() { return 0; }",
 			Optimize: OptimizeOptions{MaxRounds: -1},
 		}, "non-negative"},
+		{"max_fragment over the limit", &CompactRequest{
+			Source:   "int main() { return 0; }",
+			Optimize: OptimizeOptions{MaxFragment: MaxFragmentLimit + 1},
+		}, "max_fragment"},
 	}
 	for _, tc := range cases {
 		code, _, body := postJSON(t, ts.URL+"/v1/compact", tc.req)
