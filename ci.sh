@@ -42,6 +42,10 @@ go test ./internal/asm -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimize
 # and linking its unit with the runtime library must never panic
 # (crashers under internal/codegen/testdata/fuzz).
 go test ./internal/codegen -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzminimizetime 1s >/dev/null
+# The service's request decoders (/v1/compact and /v1/batch), seeded
+# with the bodies the service tests send: no panic, and every accepted
+# request validates and has a content address.
+go test ./internal/service -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s -fuzzminimizetime 1s >/dev/null
 
 # --- compaction-service end-to-end check -------------------------------
 # The service deliberately omits the wall-clock suffix from its reports

@@ -172,18 +172,49 @@ func reuseBlocks(old, nb []*Block) []*Block {
 }
 
 // contentKey hashes the block's labels and full instruction content.
+// Any hash is sound here — reuseBlocks verifies every key match with
+// sameBlockContent — so the fields are mixed in binary, FNV-1a style,
+// without formatting: an instruction's small fields share one word, and
+// strings are length-prefixed.
 func (b *Block) contentKey() uint64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset)
 	for _, l := range b.Labels {
-		fmt.Fprintf(h, "L%s|", l)
+		h = mixString(h, l)
 	}
+	h = mixWord(h, uint64(len(b.Labels)))
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
-		fmt.Fprintf(h, "%d~%d~%t~%d~%d~%d~%d~%d~%d~%d~%t~%d~%s|",
-			in.Op, in.Cond, in.SetS, in.Rd, in.Rn, in.Rm, in.Ra,
-			in.Shift, in.ShAmt, in.Imm, in.HasImm, in.Reglist, in.Target)
+		w := uint64(in.Op) | uint64(in.Cond)<<8 | uint64(in.Rd)<<16 | uint64(in.Rn)<<24 |
+			uint64(in.Rm)<<32 | uint64(in.Ra)<<40 | uint64(in.Shift)<<48
+		if in.SetS {
+			w |= 1 << 56
+		}
+		if in.HasImm {
+			w |= 1 << 57
+		}
+		h = mixWord(h, w)
+		h = mixWord(h, uint64(uint32(in.ShAmt))|uint64(uint32(in.Imm))<<32)
+		h = mixWord(h, uint64(in.Reglist))
+		h = mixString(h, in.Target)
 	}
-	return h.Sum64()
+	return h
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// mixWord folds one 64-bit word into an FNV-1a style hash.
+func mixWord(h, w uint64) uint64 { return (h ^ w) * fnvPrime }
+
+// mixString folds s, length first, into an FNV-1a style hash.
+func mixString(h uint64, s string) uint64 {
+	h = mixWord(h, uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 func sameBlockContent(a, b *Block) bool {

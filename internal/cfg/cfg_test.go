@@ -211,3 +211,49 @@ func TestResplitPreservesBlockIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestContentKeyBinary: content-equal blocks share a key, a change to
+// any single label or instruction field moves it, and hashing a block
+// allocates nothing.
+func TestContentKeyBinary(t *testing.T) {
+	p := Build(loadProgram(t, blockSrc))
+	b := p.Funcs[1].Blocks[1] // loop: add, subs, bne
+	clone := func() *Block {
+		return &Block{Labels: append([]string(nil), b.Labels...), Instrs: append([]arm.Instr(nil), b.Instrs...)}
+	}
+	key := b.contentKey()
+	if clone().contentKey() != key {
+		t.Fatal("content-equal blocks hash differently")
+	}
+	edits := map[string]func(*Block){
+		"label":   func(c *Block) { c.Labels[0] += "x" },
+		"nolabel": func(c *Block) { c.Labels = nil },
+		"op":      func(c *Block) { c.Instrs[0].Op = arm.SUB },
+		"cond":    func(c *Block) { c.Instrs[2].Cond = arm.EQ },
+		"sets":    func(c *Block) { c.Instrs[0].SetS = !c.Instrs[0].SetS },
+		"rd":      func(c *Block) { c.Instrs[0].Rd = arm.R7 },
+		"rn":      func(c *Block) { c.Instrs[0].Rn = arm.R7 },
+		"rm":      func(c *Block) { c.Instrs[0].Rm = arm.R7 },
+		"ra":      func(c *Block) { c.Instrs[0].Ra = arm.R7 },
+		"shift":   func(c *Block) { c.Instrs[0].Shift++ },
+		"shamt":   func(c *Block) { c.Instrs[0].ShAmt++ },
+		"imm":     func(c *Block) { c.Instrs[1].Imm++ },
+		"hasimm":  func(c *Block) { c.Instrs[1].HasImm = !c.Instrs[1].HasImm },
+		"reglist": func(c *Block) { c.Instrs[0].Reglist = 1 },
+		"target":  func(c *Block) { c.Instrs[2].Target += "x" },
+		"drop":    func(c *Block) { c.Instrs = c.Instrs[:2] },
+	}
+	for name, edit := range edits {
+		c := clone()
+		edit(c)
+		if sameBlockContent(b, c) {
+			t.Fatalf("%s: edit left the content unchanged", name)
+		}
+		if c.contentKey() == key {
+			t.Errorf("%s: edited block keeps the key", name)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { b.contentKey() }); avg != 0 {
+		t.Errorf("contentKey allocated %.1f objects per call; want 0", avg)
+	}
+}

@@ -103,9 +103,12 @@ func TestAllocsIsMinimal(t *testing.T) {
 }
 
 // TestAllocsChildMinimalAcrossGC pins the walk's minimality test to zero
-// allocations even when garbage collections run between calls: a walking
-// miner keeps its minimal-code scratch itself, where a sync.Pool would be
-// emptied by each collection and refilled on the next call.
+// allocations once warm, even when garbage collections run between
+// calls: a walking miner keeps its minimal-code scratch and its free
+// step sets itself, where a sync.Pool would be emptied by each
+// collection and refilled on the next call. Both paths are measured:
+// the incremental test, on the largest pattern of the replicated running
+// example, and the fallback to the full test, on a→a→a.
 func TestAllocsChildMinimalAcrossGC(t *testing.T) {
 	var code Code
 	Mine(testGraphSets()["replicated"], Config{MinSupport: 2, EmbeddingSupport: true}, func(p *Pattern) {
@@ -113,17 +116,35 @@ func TestAllocsChildMinimalAcrossGC(t *testing.T) {
 			code = p.Code
 		}
 	})
-	prefix, last := code[:len(code)-1], code[len(code)-1]
-	mn := &miner{}
-	if len(code) < 3 || !mn.childMinimal(prefix, last) {
-		t.Fatalf("fixture code %s: want a minimal code of >= 3 edges", code)
+	if len(code) < 3 {
+		t.Fatalf("fixture code %s: want >= 3 edges", code)
 	}
-	avg := testing.AllocsPerRun(20, func() {
-		runtime.GC()
-		runtime.GC()
-		mn.childMinimal(prefix, last)
-	})
-	if avg != 0 {
-		t.Fatalf("childMinimal allocated %.2f objects per run across collections; want 0", avg)
+	aa := Tuple{I: 0, J: 1, LI: "a", LJ: "a", Out: true, LE: "x"}
+	for _, tc := range []struct {
+		name   string
+		parent Code
+		t      Tuple
+	}{
+		{"incremental", code[:len(code)-1], code[len(code)-1]},
+		{"fallback", Code{aa}, Tuple{I: 1, J: 2, LI: "a", LJ: "a", Out: true, LE: "x"}},
+	} {
+		mn := parentMiner(tc.parent)
+		kid, ok := mn.childMinimal(tc.parent, &tc.t, nil)
+		if !ok {
+			t.Fatalf("%s: fixture child of %s is not minimal", tc.name, tc.parent)
+		}
+		mn.stepFree = append(mn.stepFree, kid...)
+		avg := testing.AllocsPerRun(20, func() {
+			runtime.GC()
+			runtime.GC()
+			kid, _ = mn.childMinimal(tc.parent, &tc.t, kid[:0])
+			mn.stepFree = append(mn.stepFree, kid...)
+		})
+		if avg != 0 {
+			t.Fatalf("%s: childMinimal allocated %.2f objects per run across collections; want 0", tc.name, avg)
+		}
+		if tc.name == "fallback" && mn.mini == nil {
+			t.Fatalf("fallback: the test did not fall back to the full test")
+		}
 	}
 }

@@ -17,7 +17,11 @@ package mining
 //     recorded side effects itself (e.g. candidate admissions) and
 //     returns the subtree's visit and non-minimal child counts with
 //     ok=true; the search charges those visits against MaxPatterns,
-//     adds both counts to its own and skips the subtree. remaining
+//     adds both counts to its own and skips the subtree. The
+//     non-minimal count covers every viable group of the subtree that
+//     failed the minimal-code test (Config.NoteNonMinimal); which
+//     groups are viable depends only on ViableCount's answers, so a
+//     record need hold no PruneChild comparison for them. remaining
 //     is the number of visits left before truncation (-1 = unlimited):
 //     implementations MUST return ok=false when their recorded subtree
 //     would not fit, because a truncated subtree behaves differently from

@@ -275,17 +275,20 @@ func (c Code) Key() string {
 // gSpan's own test (Yan & Han, ICDM 2002): c is minimal when no step
 // offers an extension smaller than c's next tuple. The scratch comes from
 // a pool; with a warm pool the call allocates nothing. The lattice walk
-// itself does not use the pool (see miner.childMinimal).
+// itself runs an incremental form of the test (see miner.childMinimal).
 func (c Code) IsMinimal() bool {
 	mn := minimalPool.Get().(*miner)
 	defer minimalPool.Put(mn)
-	return mn.isMinimal(c)
+	return mn.isMinimal(c, nil)
 }
 
 // isMinimal is IsMinimal on the scratch of mn. Nothing is grouped or
 // hashed: each step keeps one candidate list, the extensions equal to
 // c[k], and materialises it into two slabs that alternate per step.
-func (mn *miner) isMinimal(c Code) bool {
+// With rec non-nil (one set per tuple of c) step k's set, S_k, is
+// written to rec[k] instead, so a minimal verdict leaves every step set
+// of c recorded for childMinimal.
+func (mn *miner) isMinimal(c Code, rec []*EmbSet) bool {
 	if len(c) == 0 {
 		return true
 	}
@@ -293,6 +296,9 @@ func (mn *miner) isMinimal(c Code) bool {
 	p := &sc.pg
 	c.toGraphInto(p)
 	set, next := &sc.slab[0], &sc.slab[1]
+	if rec != nil {
+		set = rec[0]
+	}
 	set.k, set.e, set.n = 2, 1, 0
 	set.gids, set.tup = set.gids[:0], set.tup[:0]
 	set.w = 0
@@ -335,6 +341,9 @@ func (mn *miner) isMinimal(c Code) bool {
 			return seen
 		}
 		sc.hit.t = c[k]
+		if rec != nil {
+			next = rec[k]
+		}
 		mn.materializeInto(&sc.hit, set, next)
 		set, next = next, set
 	}

@@ -30,3 +30,39 @@ func (p *GroupProbe) Children(code Code, set *EmbSet) []Code {
 	}
 	return out
 }
+
+// SetChildHook makes check see every minimality verdict the lattice walk
+// reaches: the parent code, the child's tuple and the verdict (nil
+// removes it). No walk may run while it changes.
+func SetChildHook(check func(code Code, t Tuple, minimal bool)) {
+	if check == nil {
+		childHook = nil
+		return
+	}
+	childHook = func(_ *miner, code Code, t Tuple, minimal bool) { check(code, t, minimal) }
+}
+
+// RandomDAGSets is randomDAGSets (property_test.go).
+var RandomDAGSets = randomDAGSets
+
+// ChildTester runs the walk's incremental minimality test on children
+// of one minimal parent code.
+type ChildTester struct {
+	mn   *miner
+	code Code
+	kid  []*EmbSet
+}
+
+// NewChildTester records code's step sets with the full test, as the
+// walk holds them when it expands code.
+func NewChildTester(code Code) *ChildTester {
+	return &ChildTester{mn: parentMiner(code), code: code}
+}
+
+// Minimal reports whether the parent code extended by t is minimal.
+func (ct *ChildTester) Minimal(t Tuple) bool {
+	var ok bool
+	ct.kid, ok = ct.mn.childMinimal(ct.code, &t, ct.kid[:0])
+	ct.mn.stepFree = append(ct.mn.stepFree, ct.kid...)
+	return ok
+}

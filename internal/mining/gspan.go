@@ -74,11 +74,13 @@ type Config struct {
 	// recorded by an earlier equivalent walk (see Checkpointer).
 	Checkpoint Checkpointer
 	// NoteNonMinimal, when non-nil, receives once at the end of a walk
-	// the number of children the minimal-DFS-code test rejected.
-	// Children are counted where the walk decides to skip them, after
-	// PruneChild, and a checkpoint fast-forward charges its subtree's
-	// recorded count, so the count is identical with and without
-	// checkpointing.
+	// the number of children the minimal-DFS-code test rejected. The
+	// test runs on every extension group that passes ViableCount,
+	// before the group is materialised, bounded or offered to
+	// PruneChild, so the count includes children a bound or the
+	// pattern budget would have cut. A checkpoint fast-forward charges
+	// its subtree's recorded count, so the count is identical with and
+	// without checkpointing.
 	NoteNonMinimal func(n int)
 }
 
@@ -97,11 +99,13 @@ func (c Config) needBounds() bool {
 }
 
 // ext is one grouped rightmost extension. bound is the child's
-// misUpperBound, filled only when Config.needBounds.
+// misUpperBound, filled only when Config.needBounds. In expand, the
+// child's step sets (see childMinimal) are steps[s0:s1] of its level.
 type ext struct {
-	t     Tuple
-	set   *EmbSet
-	bound int
+	t      Tuple
+	set    *EmbSet
+	bound  int
+	s0, s1 int32
 }
 
 // cmpExt is the benefit-directed sibling order: descending bound, then
@@ -209,7 +213,7 @@ type scratch struct {
 	slab [2]EmbSet // IsMinimal's partial isomorphisms, alternating per step
 	pg   Graph     // IsMinimal's pattern graph, rebuilt in place
 	hit  rawGroup  // IsMinimal's extensions equal to the code's next tuple
-	kid  Code      // childMinimal's candidate child code
+	kid  Code      // childMinimalFull's candidate child code
 
 	mis misScratch // independent-set solver scratch
 }
@@ -224,9 +228,15 @@ type miner struct {
 	aborted bool
 	mk      marks     // reused across extendGroups calls
 	sc      scratch   // reused across all lattice levels
-	mini    *miner    // childMinimal's minimal-code scratch, made on first use
 	kids    [][]ext   // expand's child buffers by depth
 	free    []*EmbSet // child sets expand never handed to the walk, for reuse
+
+	// The minimal-code test's state (childmin.go).
+	steps    []*EmbSet   // step sets of the code being walked, S_0 first
+	kidSteps [][]*EmbSet // expand's children's step sets by depth
+	stepFree []*EmbSet   // released step sets, for reuse
+	pre      stepPrefix  // prefix state of the code being expanded
+	mini     *miner      // childMinimalFull's scratch, made on first use
 
 	// nonMinimal counts children the walk rejected as non-minimal codes
 	// (Config.NoteNonMinimal).
@@ -491,25 +501,17 @@ func (mn *miner) materializeInto(g *rawGroup, parent, dst *EmbSet) {
 	}
 }
 
+// childHook, when non-nil, sees every minimality verdict of every walk:
+// the miner, the parent code, the child's tuple and the verdict. Only
+// tests set it (export_test.go), and never while a walk runs.
+var childHook func(mn *miner, code Code, t Tuple, minimal bool)
+
 // minimalPool holds minimal-code miners for Code.IsMinimal, so callers
 // outside a walk do not reallocate the scratch (pattern graph, marks,
-// candidate buffer, alternating embedding slabs) per call.
+// candidate buffer, alternating embedding slabs) per call. The walk
+// keeps its own: a garbage collection may drop pooled miners, and the
+// walk's cost should not depend on when collections run.
 var minimalPool = sync.Pool{New: func() any { return new(miner) }}
-
-// childMinimal reports whether code extended by t is a minimal code,
-// on scratch owned by mn. A walk runs the test once per candidate child;
-// the child is built in a reused buffer, so a non-minimal child
-// allocates nothing. The walk keeps its own minimal-code miner rather
-// than taking minimalPool's per call: a garbage collection may drop
-// pooled miners, and the walk's cost should not depend on when
-// collections run.
-func (mn *miner) childMinimal(code Code, t Tuple) bool {
-	if mn.mini == nil {
-		mn.mini = new(miner)
-	}
-	mn.sc.kid = append(append(mn.sc.kid[:0], code...), t)
-	return mn.mini.isMinimal(mn.sc.kid)
-}
 
 // pattern builds the Pattern for (code, set) and computes its support
 // (and Disjoint in embedding mode). Pure given the inputs.
@@ -584,35 +586,56 @@ func (mn *miner) step(p *Pattern) bool {
 	return true
 }
 
-// expand enumerates, filters and materialises the extensions of (code,
-// set), then recurses into each minimal child. Group viability and
-// materialisation happen before any child is visited — the incumbent
-// state a child visit mutates must not influence its siblings' group
-// filtering, exactly as in a monolithic extend-then-loop. Materialising
-// every kid first also releases the group scratch before the recursion
-// reuses it. Only two things happen between sibling descents, and both
-// are deliberate: the benefit-directed order (bounds are pure functions
-// of the child sets) and PruneChild, which exists precisely to see the
-// incumbent raised by earlier siblings.
+// expand enumerates, filters, tests and materialises the extensions of
+// (code, set), then recurses into each child. A group is first filtered
+// by ViableCount, then tested for a minimal code, and only then
+// materialised, so a non-minimal child costs no embeddings and no
+// bound. Group viability and materialisation happen before any child is
+// visited — the incumbent state a child visit mutates must not
+// influence its siblings' group filtering, exactly as in a monolithic
+// extend-then-loop. Materialising every kid first also releases the
+// group scratch before the recursion reuses it. Only two things happen
+// between sibling descents, and both are deliberate: the
+// benefit-directed order (bounds are pure functions of the child sets)
+// and PruneChild, which exists precisely to see the incumbent raised by
+// earlier siblings.
 func (mn *miner) expand(code Code, set *EmbSet) {
 	groups := mn.extendGroups(code, set)
-	// The kids of one level stay live while the level's children are
-	// walked, so each depth keeps its own buffer.
+	if len(groups) == 0 {
+		return
+	}
+	mn.pre.load(&mn.sc, code)
+	// The kids of one level and their step sets stay live while the
+	// level's children are walked, so each depth keeps its own buffers.
 	depth := len(code)
 	for len(mn.kids) <= depth {
 		mn.kids = append(mn.kids, nil)
+		mn.kidSteps = append(mn.kidSteps, nil)
 	}
-	kids := mn.kids[depth][:0]
+	kids, steps := mn.kids[depth][:0], mn.kidSteps[depth][:0]
 	for _, g := range groups {
 		if mn.cfg.ViableCount != nil && !mn.cfg.ViableCount(len(g.cands)) {
+			continue
+		}
+		s0 := len(steps)
+		var ok bool
+		steps, ok = mn.childMinimal(code, &g.t, steps)
+		if childHook != nil {
+			childHook(mn, code, g.t, ok)
+		}
+		if !ok {
+			mn.nonMinimal++
 			continue
 		}
 		cset, ok := mn.materialize(g, set)
 		if !ok {
 			mn.free = append(mn.free, cset)
+			mn.stepFree = append(mn.stepFree, steps[s0:]...)
+			clear(steps[s0:])
+			steps = steps[:s0]
 			continue
 		}
-		kids = append(kids, ext{t: g.t, set: cset})
+		kids = append(kids, ext{t: g.t, set: cset, s0: int32(s0), s1: int32(len(steps))})
 	}
 	if mn.cfg.needBounds() {
 		for i := range kids {
@@ -630,11 +653,11 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 		if mn.cfg.PruneChild != nil && mn.cfg.PruneChild(k.set, k.bound) {
 			continue
 		}
-		if !mn.childMinimal(code, k.t) {
-			mn.nonMinimal++
-			continue
-		}
+		mn.steps = append(mn.steps[:depth], nil)
+		mn.swapSteps(steps[k.s0:k.s1])
 		mn.dfs(append(append(make(Code, 0, len(code)+1), code...), k.t), k.set)
+		mn.swapSteps(steps[k.s0:k.s1])
+		mn.steps = mn.steps[:depth]
 		k.set = nil // the visited pattern holds it, and callers may keep it
 	}
 	// Sets no pattern was built on are reused by later materialize
@@ -644,8 +667,10 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 			mn.free = append(mn.free, k.set)
 		}
 	}
+	mn.stepFree = append(mn.stepFree, steps...)
 	clear(kids)
-	mn.kids[depth] = kids[:0]
+	clear(steps)
+	mn.kids[depth], mn.kidSteps[depth] = kids[:0], steps[:0]
 }
 
 // Mine enumerates every frequent pattern with at least one edge, calling
@@ -663,6 +688,7 @@ func Mine(graphs []*Graph, cfg Config, visit func(*Pattern)) int {
 
 	mn := &miner{cfg: cfg, gx: gx, visit: visit}
 	for _, s := range roots {
+		mn.steps = append(mn.steps[:0], rootStep)
 		mn.dfs(Code{s.t}, s.set)
 	}
 	if mn.cfg.NoteNonMinimal != nil {

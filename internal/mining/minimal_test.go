@@ -1,6 +1,7 @@
 package mining_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -61,6 +62,52 @@ func TestIsMinimalMatchesBoxedBench(t *testing.T) {
 	}
 }
 
+// TestChildMinimalMatchesFull holds the walk's incremental minimality
+// test to the full test and the boxed reference. All three give the same
+// verdict on every viable group of each benchmark's round-1 edgar walk
+// (rijndael's cut short under -short); on every group of unpruned walks
+// over the same round-1 graphs, which reach the deep lattices the bounds
+// cut; and on every group of walks over 30 random DAG sets.
+func TestChildMinimalMatchesFull(t *testing.T) {
+	visits := 20000
+	if testing.Short() {
+		visits = 2000
+	}
+	var where string
+	verdicts := map[bool]int{}
+	mining.SetChildHook(func(code mining.Code, tp mining.Tuple, minimal bool) {
+		child := append(code[:len(code):len(code)], tp)
+		if full, ref := child.IsMinimal(), mining.OldIsMinimal(child); minimal != full || minimal != ref {
+			t.Fatalf("%s: %s: walk verdict %v, IsMinimal %v, reference %v", where, child, minimal, full, ref)
+		}
+		verdicts[minimal]++
+	})
+	defer mining.SetChildHook(nil)
+	for _, name := range bench.Names {
+		where = name
+		w, err := bench.Build(name, bench.DefaultCodegen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := pa.Options{MaxRounds: 1, Workers: 1}
+		if testing.Short() && name == "rijndael" {
+			opts.MaxPatterns = 5000
+		}
+		pa.Optimize(w.Prog, &pa.GraphMiner{Embedding: true}, opts)
+		where = name + "/unpruned"
+		mining.Mine(benchGraphs(t, name, 0), walkConfig(visits), func(*mining.Pattern) {})
+		t.Logf("%s: verdicts %v", name, verdicts)
+	}
+	for i, graphs := range mining.RandomDAGSets(42, 30) {
+		where = fmt.Sprintf("random%02d", i)
+		mining.Mine(graphs, mining.Config{MinSupport: 1, MaxNodes: 5, EmbeddingSupport: true, MaxPatterns: 1000}, func(*mining.Pattern) {})
+	}
+	t.Logf("all: verdicts %v", verdicts)
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Errorf("verdicts %v: both outcomes must be exercised", verdicts)
+	}
+}
+
 // shaRound2 is sha's round-2 lattice sample, shared by the benchmarks
 // below: the first visited patterns and the child codes they generate.
 var shaRound2 struct {
@@ -68,6 +115,7 @@ var shaRound2 struct {
 	graphs []*mining.Graph
 	pats   []*mining.Pattern
 	codes  []mining.Code
+	kids   [][]mining.Tuple // each pattern's child tuples
 }
 
 func shaRound2Lattice(b *testing.B) {
@@ -76,7 +124,13 @@ func shaRound2Lattice(b *testing.B) {
 		probe := mining.NewGroupProbe(shaRound2.graphs, 2)
 		mining.Mine(shaRound2.graphs, walkConfig(3000), func(p *mining.Pattern) {
 			shaRound2.pats = append(shaRound2.pats, p)
-			shaRound2.codes = append(shaRound2.codes, probe.Children(p.Code, p.Embeddings)...)
+			kids := probe.Children(p.Code, p.Embeddings)
+			shaRound2.codes = append(shaRound2.codes, kids...)
+			var ts []mining.Tuple
+			for _, c := range kids {
+				ts = append(ts, c[len(c)-1])
+			}
+			shaRound2.kids = append(shaRound2.kids, ts)
 		})
 	})
 	if len(shaRound2.codes) == 0 || len(shaRound2.pats) == 0 {
@@ -95,6 +149,30 @@ func BenchmarkIsMinimal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, c := range shaRound2.codes {
 			minimalSink = c.IsMinimal()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(shaRound2.codes)), "ns/code")
+}
+
+// BenchmarkChildMinimal runs the walk's incremental minimality test over
+// the same child codes as BenchmarkIsMinimal, each against its parent's
+// step sets as the walk holds them.
+func BenchmarkChildMinimal(b *testing.B) {
+	shaRound2Lattice(b)
+	testers := make([]*mining.ChildTester, len(shaRound2.pats))
+	for i, p := range shaRound2.pats {
+		testers[i] = mining.NewChildTester(p.Code)
+		for _, t := range shaRound2.kids[i] {
+			testers[i].Minimal(t) // warm the tester's step sets
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, ct := range testers {
+			for _, t := range shaRound2.kids[j] {
+				minimalSink = ct.Minimal(t)
+			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(shaRound2.codes)), "ns/code")

@@ -34,6 +34,23 @@ func randDAG(r *rand.Rand, id, nodes, edges int, nodeLabels, edgeLabels []string
 	return g
 }
 
+// randomDAGSets returns n databases of three random DAGs each, over few
+// labels so that automorphisms are dense.
+func randomDAGSets(seed int64, n int) [][]*Graph {
+	r := rand.New(rand.NewSource(seed))
+	nodeLabels := []string{"a", "b", "c"}
+	edgeLabels := []string{"x", "y"}
+	var sets [][]*Graph
+	for trial := 0; trial < n; trial++ {
+		var graphs []*Graph
+		for i := 0; i < 3; i++ {
+			graphs = append(graphs, randDAG(r, i, 5+r.Intn(6), 6+r.Intn(10), nodeLabels, edgeLabels))
+		}
+		sets = append(sets, graphs)
+	}
+	return sets
+}
+
 // TestPropertyEmbeddingsAreValid: every reported embedding must be an
 // injective, label- and direction-preserving subgraph isomorphism, and no
 // pattern may be reported twice.

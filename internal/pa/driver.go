@@ -182,7 +182,10 @@ type RoundStat struct {
 
 	// NonMinimal counts the children the minimal-DFS-code test rejected
 	// this round: lattice nodes reached again through a non-canonical
-	// code. Fast-forwarded checkpoint subtrees charge their recorded
+	// code. The test runs on every extension group that passes the
+	// raw-count viability filter, before its embeddings are built, so
+	// the count includes children the bounds or the visit budget would
+	// have cut. Fast-forwarded checkpoint subtrees charge their recorded
 	// count, so like Visits it is identical across worker widths and
 	// driver modes.
 	NonMinimal int

@@ -26,29 +26,7 @@ type pos struct{ g, start int }
 // fragment-size cap. With onePerBlock, at most one occurrence per basic
 // block is counted (DgSpan's graph-count view).
 func ScanSequences(graphs []*dfg.Graph, opts Options, graphSupport bool) []*Candidate {
-	// Intern instruction texts -> token ids, per round.
-	tokens := map[string]uint64{}
-	next := uint64(1)
-	seqs := make([][]uint64, len(graphs))
-	maxLen := 2
-	for gi, g := range graphs {
-		n := g.N()
-		seq := make([]uint64, n)
-		for i := 0; i < n; i++ {
-			s := g.NodeLabel(i)
-			id, ok := tokens[s]
-			if !ok {
-				id = next
-				next++
-				tokens[s] = id
-			}
-			seq[i] = id
-		}
-		seqs[gi] = seq
-		if n > maxLen {
-			maxLen = n
-		}
-	}
+	seqs, maxLen := tokenSeqs(graphs)
 	if maxLen > opts.MaxSeqLenOrDefault() {
 		maxLen = opts.MaxSeqLenOrDefault()
 	}
@@ -82,17 +60,53 @@ func ScanSequences(graphs []*dfg.Graph, opts Options, graphSupport bool) []*Cand
 	return all
 }
 
+// tokenSeqs interns the graphs' instruction texts into token ids, per
+// round, and returns each graph's token sequence and the longest length
+// (at least 2).
+func tokenSeqs(graphs []*dfg.Graph) (seqs [][]uint64, maxLen int) {
+	tokens := map[string]uint64{}
+	next := uint64(1)
+	seqs = make([][]uint64, len(graphs))
+	maxLen = 2
+	for gi, g := range graphs {
+		n := g.N()
+		seq := make([]uint64, n)
+		for i := 0; i < n; i++ {
+			s := g.NodeLabel(i)
+			id, ok := tokens[s]
+			if !ok {
+				id = next
+				next++
+				tokens[s] = id
+			}
+			seq[i] = id
+		}
+		seqs[gi] = seq
+		if n > maxLen {
+			maxLen = n
+		}
+	}
+	return seqs, maxLen
+}
+
+// window is one length-k token window with its rolling hash.
+type window struct {
+	h uint64
+	p pos
+}
+
 // scanLen finds the positive-benefit candidates of one sequence length:
 // rolling-hash grouping, collision verification, greedy left-to-right
 // overlap resolution, method selection. Pure over its inputs.
 func scanLen(graphs []*dfg.Graph, seqs [][]uint64, k int, graphSupport bool) []*Candidate {
-	// Every length-k window with its rolling hash. Sorted stably by hash,
-	// equal-hash runs are the hash groups in ascending hash order, each in
-	// scan order.
-	type window struct {
-		h uint64
-		p pos
-	}
+	wins := hashWindows(seqs, k)
+	sortWindows(wins)
+	return windowCandidates(graphs, seqs, wins, k, graphSupport)
+}
+
+// hashWindows returns every length-k window with its rolling hash, in
+// (g, start) order.
+func hashWindows(seqs [][]uint64, k int) []window {
 	n := 0
 	for _, seq := range seqs {
 		n += max(len(seq)-k+1, 0)
@@ -119,7 +133,27 @@ func scanLen(graphs []*dfg.Graph, seqs [][]uint64, k int, graphSupport bool) []*
 			wins = append(wins, window{h, pos{gi, i}})
 		}
 	}
-	slices.SortStableFunc(wins, func(a, b window) int { return cmp.Compare(a.h, b.h) })
+	return wins
+}
+
+// sortWindows sorts hashWindows' output by hash, so that equal-hash runs
+// are the hash groups in ascending hash order, each in scan order. The
+// windows arrive in (g, start) order, so sorting by (h, g, start) gives
+// the stable sort by hash without its merge passes.
+func sortWindows(wins []window) {
+	slices.SortFunc(wins, func(a, b window) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.p.g, b.p.g); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.p.start, b.p.start)
+	})
+}
+
+// windowCandidates is scanLen's candidate pass over the sorted windows.
+func windowCandidates(graphs []*dfg.Graph, seqs [][]uint64, wins []window, k int, graphSupport bool) []*Candidate {
 	var out []*Candidate
 	safe := callSafeCache{}
 	for lo, hi := 0, 0; lo < len(wins); lo = hi {

@@ -115,18 +115,27 @@ func (s *Server) pruneBatchesLocked() {
 	s.batchOrder = kept
 }
 
-// handleSubmitBatch acknowledges with a batch id and feeds the programs
-// to the job queue from a goroutine: the bounded queue applies
-// backpressure to the feeder, not to the submitting client.
-func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
+// decodeBatchRequest parses and statically validates a batch body, as
+// decodeRequest does a single submission.
+func decodeBatchRequest(r *http.Request) (*BatchRequest, error) {
 	var req BatchRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
-		return
+		return nil, err
 	}
 	if err := req.validate(); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+// handleSubmitBatch acknowledges with a batch id and feeds the programs
+// to the job queue from a goroutine: the bounded queue applies
+// backpressure to the feeder, not to the submitting client.
+func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeBatchRequest(r)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
 	}
