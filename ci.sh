@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: vet plus the whole test suite under the race detector. The
+# CI gate: gofmt and vet, plus the whole test suite under the race detector. The
 # service's concurrent jobs (TestConcurrentJobsMatchSerial) and the
 # per-round fan-outs are only trustworthy raced, so -race is not
 # optional here. Short mode (the default) trims the end-to-end
@@ -10,6 +10,14 @@
 set -eu
 cd "$(dirname "$0")"
 
+# Formatting. gofmt walks directories, not modules, so this one check
+# covers perfbench/ too.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "ci.sh: files not gofmt-clean:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 go vet ./...
 if [ "${1:-}" = "-full" ]; then
 	go test -race -count=1 ./...

@@ -49,8 +49,16 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the optimization to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after optimization) to this file")
 	flag.Parse()
-	if *workers < 0 {
-		fmt.Fprintln(os.Stderr, "edgar: -workers must be non-negative")
+	po := pa.Options{
+		MaxRounds:   *maxRounds,
+		MinSupport:  *minSup,
+		MaxNodes:    *maxFrag,
+		MaxPatterns: *maxPatterns,
+		GreedyMIS:   *greedyMIS,
+		Workers:     *workers,
+	}
+	if err := po.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "edgar:", err)
 		os.Exit(2)
 	}
 	if flag.NArg() != 1 {
@@ -82,14 +90,6 @@ func main() {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fatal(err)
 		}
-	}
-	po := pa.Options{
-		MaxRounds:   *maxRounds,
-		MinSupport:  *minSup,
-		MaxNodes:    *maxFrag,
-		MaxPatterns: *maxPatterns,
-		GreedyMIS:   *greedyMIS,
-		Workers:     *workers,
 	}
 	res, out, err := core.Optimize(img, m, po)
 	if *cpuProfile != "" {

@@ -33,8 +33,9 @@ func main() {
 	benchBase := flag.String("bench-baseline", "", "compare wall clocks against a committed benchmark record")
 	verbose := flag.Bool("v", false, "log per-program progress to stderr")
 	flag.Parse()
-	if *workers < 0 {
-		fmt.Fprintln(os.Stderr, "paper-tables: -workers must be non-negative")
+	opts := pa.Options{MaxNodes: *maxFrag, MaxPatterns: *maxPatterns, Workers: *workers}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "paper-tables:", err)
 		os.Exit(2)
 	}
 
@@ -67,7 +68,7 @@ func main() {
 	}
 
 	list := strings.Split(*miners, ",")
-	ev, err := bench.Evaluate(ws, list, pa.Options{MaxNodes: *maxFrag, MaxPatterns: *maxPatterns, Workers: *workers}, !*noverify)
+	ev, err := bench.Evaluate(ws, list, opts, !*noverify)
 	if err != nil {
 		fatal(err)
 	}

@@ -98,6 +98,24 @@ func TestOptimizeDefaultsToEdgar(t *testing.T) {
 	}
 }
 
+// TestNegativeOptionsRejected: out-of-range options are an error from
+// the facade, never a panic inside the optimizer.
+func TestNegativeOptionsRejected(t *testing.T) {
+	bin, err := Compile(testProg, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []OptimizeOptions{
+		{MinSupport: -1},
+		{MaxFragment: -1},
+		{MaxRounds: -1},
+	} {
+		if _, _, err := bin.Optimize(opts); err == nil || !strings.Contains(err.Error(), "non-negative") {
+			t.Errorf("%+v: got error %v, want a non-negative option error", opts, err)
+		}
+	}
+}
+
 func TestUnknownMinerRejected(t *testing.T) {
 	bin, err := Compile(testProg, CompileOptions{})
 	if err != nil {

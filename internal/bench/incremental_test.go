@@ -67,7 +67,8 @@ func scratchEntries(t *testing.T) (names []string, entries map[string]*scratchEn
 // TestIncrementalMatchesScratch: for every benchmark and both widths,
 // the incremental run must agree with the from-scratch reference on the
 // full report (rounds, instruction counts, the exact extraction
-// sequence) and produce a word-identical re-linked image.
+// sequence), walk the same per-round Visits and NonMinimal counts, and
+// produce a word-identical re-linked image.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	names, inc := detEntries(t)
 	_, ref := scratchEntries(t)
@@ -100,6 +101,21 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 			}
 			if !width.sameImgs {
 				t.Errorf("%s %s: incremental and from-scratch images differ", n, width.label)
+			}
+			// Fast-forwarded subtrees charge their recorded counts, so
+			// the walk's per-round visit and non-minimal counts match
+			// the live walk's too.
+			if len(a.RoundStats) != len(b.RoundStats) {
+				t.Errorf("%s %s: %d incremental round stats vs %d from scratch",
+					n, width.label, len(a.RoundStats), len(b.RoundStats))
+				continue
+			}
+			for i, rs := range a.RoundStats {
+				want := b.RoundStats[i]
+				if rs.Visits != want.Visits || rs.NonMinimal != want.NonMinimal {
+					t.Errorf("%s %s: round %d walks %d visits, %d non-minimal; scratch %d, %d",
+						n, width.label, rs.Round, rs.Visits, rs.NonMinimal, want.Visits, want.NonMinimal)
+				}
 			}
 		}
 	}

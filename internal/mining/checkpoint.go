@@ -2,10 +2,10 @@ package mining
 
 // Checkpointer lets a caller carry exact lattice-walk state across
 // searches of evolving-but-mostly-identical graph sets (the incremental
-// mine/extract loop): the walk records, per frequent
-// pattern, the side effects of the whole subtree rooted there; a later
-// search may then skip a subtree it can prove would behave identically —
-// same visits, same candidate admissions — by replaying those effects
+// mine/extract loop): the walk reports, per frequent pattern, the visit
+// counts of the whole subtree rooted there; a later search may then skip
+// a subtree it can prove would behave identically — same visits, no
+// side effects the skip would lose — and charge the recorded counts
 // instead of re-walking it.
 //
 // The protocol is strict so the visit sequence stays byte-identical to an
@@ -13,11 +13,11 @@ package mining
 //
 //   - FastForward is consulted before a frequent pattern would be
 //     visited. If the implementation can prove the entire subtree rooted
-//     at p behaves exactly as a recorded earlier walk, it replays the
-//     recorded side effects itself (e.g. candidate admissions) and
-//     returns the subtree's visit and non-minimal child counts with
-//     ok=true; the search charges those visits against MaxPatterns,
-//     adds both counts to its own and skips the subtree. The
+//     at p behaves exactly as a recorded earlier walk whose visitor calls
+//     had no effect the caller still needs, it returns the subtree's
+//     visit and non-minimal child counts with ok=true; the search
+//     charges those visits against MaxPatterns, adds both counts to its
+//     own and skips the subtree without visiting any of it. The
 //     non-minimal count covers every viable group of the subtree that
 //     failed the minimal-code test (Config.NoteNonMinimal); which
 //     groups are viable depends only on ViableCount's answers, so a
@@ -26,7 +26,8 @@ package mining
 //     implementations MUST return ok=false when their recorded subtree
 //     would not fit, because a truncated subtree behaves differently from
 //     a replayed one.
-//   - Begin marks entry into p's subtree and returns a token (never nil for a recording implementation).
+//   - Begin marks entry into p's subtree and returns a token, or nil to
+//     leave the subtree unrecorded (End is then not called for it).
 //   - End closes Begin's record with the subtree's total visit and
 //     non-minimal child counts and whether the search was truncated
 //     inside it. Truncated records are unusable: the recorded walk did

@@ -12,39 +12,38 @@ import (
 // extraction never touched; the walk of such a subtree — which patterns
 // are visited, in what order, and which candidates are admitted — is a
 // deterministic function of (a) the embeddings' graphs and (b) the
-// incumbent candidate bounds read by the branch-and-bound policies. The
+// incumbent candidate bound read by the branch-and-bound policies. The
 // checkpointer records both per subtree of the walk:
 //
 //   - The footprint: every embedding with its owning dependence-graph
 //     object. Graph objects are only reused across rounds when their
 //     block content and consumed summaries are unchanged (graphCache), so
 //     object identity proves content identity.
-//   - The bounds dependence. Subtrees that admit no candidate read the
+//   - The bounds dependence. A subtree that admits no candidate reads the
 //     incumbent only through threshold comparisons "value < best?"; each
 //     observed comparison narrows a half-open validity region [lo, hi)
 //     for the incumbent benefit within which every decision reproduces.
-//     Subtrees that DO admit candidates move the incumbent mid-walk;
-//     they are recorded in exact mode — valid only when the incumbent
-//     benefit at entry matches — because then the interior bound
-//     trajectory evolves identically too.
+//     A subtree that admits a candidate moves the incumbent mid-walk and
+//     is not recorded (DESIGN.md §10: such records never replayed at
+//     default options).
 //
 // A later round's walk reaching the same DFS code fast-forwards the
-// subtree when footprint and bounds validate: it replays the recorded
-// admissions and charges the recorded visit count against MaxPatterns
-// (refusing when the recorded subtree would overrun the budget, since a
-// truncated walk behaves differently from a replayed one). Any failed
-// check falls back to live mining of that subtree — the correctness
-// fallback; fast-forwarding only ever changes how much work is done,
-// never the visit sequence or the mined output.
+// subtree when footprint and bounds validate, charging the recorded
+// visit count against MaxPatterns (refusing when the recorded subtree
+// would overrun the budget, since a truncated walk behaves differently
+// from a replayed one). A recorded subtree admitted nothing, so its
+// counts are all there is to replay. Any failed check falls back to live
+// mining of that subtree — the correctness fallback; fast-forwarding only
+// ever changes how much work is done, never the visit sequence or the
+// mined output.
 
 // ckMaxDepth bounds how deep (in DFS-code edges) subtree records are
 // kept. Shallow roots dominate the payoff — a validated shallow record
-// replays its entire subtree, and the per-pattern memos of the few
-// shallow patterns cover the expensive wide frontier — while recording
-// every deep pattern of an exploding walk costs far more in allocation
-// and GC-scanned live memory than the occasional deep hit returns.
-// Notes from deeper patterns still narrow the open shallow records, so
-// gating loses coverage, never correctness.
+// replays its entire subtree — while recording every deep pattern of an
+// exploding walk costs far more in allocation and GC-scanned live memory
+// than the occasional deep hit returns. Notes from deeper patterns still
+// narrow the open shallow records, so gating loses coverage, never
+// correctness.
 const ckMaxDepth = 4
 
 // latticeRec is one recorded subtree, keyed by its root's DFS code
@@ -54,26 +53,10 @@ type latticeRec struct {
 	embs   *mining.EmbSet // root embeddings at record time (flat slabs)
 	safe   []bool         // CallSafe of each graph's function at record time
 
-	exact     bool // admissions inside: valid only for an identical entry incumbent
-	entryBest int  // incumbent benefit at entry
-
-	bestLo, bestHi int // non-exact validity: bestLo <= best < bestHi
+	bestLo, bestHi int // validity region: bestLo <= best < bestHi
 
 	visits     int
-	nonMinimal int          // children rejected by the minimality test
-	adds       []*Candidate // admissions, in walk order
-
-	// Per-pattern memo of the root visit's pure by-products. Occurrence
-	// filtering does not depend on the bail threshold, so a non-nil cand
-	// is exact for every admission threshold, a nil cand stands for every
-	// threshold >= candThr. Unlike the subtree replay these only need the
-	// footprint to validate, not the bounds regions, so they keep paying
-	// off after an extraction shifts the incumbent trajectory.
-	cand         *Candidate
-	candThr      int
-	disjoint     []int32 // DgSpan independent set, as root-embedding rows
-	haveCand     bool    // the two flags share the record's last word
-	haveDisjoint bool
+	nonMinimal int // children rejected by the minimality test
 }
 
 // latticeMemo is the cross-round checkpoint store, written and read by
@@ -85,10 +68,6 @@ type latticeMemo struct {
 func newLatticeMemo() *latticeMemo {
 	return &latticeMemo{recs: map[string]*latticeRec{}}
 }
-
-func (m *latticeMemo) get(key string) *latticeRec { return m.recs[key] }
-
-func (m *latticeMemo) put(key string, rec *latticeRec) { m.recs[key] = rec }
 
 // sweep drops records anchored to dependence graphs that are no longer
 // live: a dead graph object never reappears, so such records can never
@@ -107,10 +86,8 @@ func (m *latticeMemo) sweep(live map[*dfg.Graph]bool) {
 // recBuilder is one open (Begin'd, not yet End'd) subtree record.
 type recBuilder struct {
 	rec      *latticeRec
-	p        *mining.Pattern // the subtree's root pattern
-	key      string          // the root code's Key(), computed once
-	logStart int             // admissions log length at Begin
-	exact    bool            // an admission happened inside
+	key      string // the root code's Key(), computed once
+	admitted bool   // a candidate was admitted inside
 }
 
 // checkpointer implements mining.Checkpointer for one FindCandidates
@@ -123,13 +100,6 @@ type checkpointer struct {
 	safe map[*dfg.Graph]bool // CallSafe of each graph's function this round
 
 	builders []*recBuilder // open records, innermost last
-	log      []*Candidate  // admissions in walk order
-
-	// The footprint-valid record FastForward last found for a pattern it
-	// could not fully replay (bounds or budget refused): the visit that
-	// follows reuses the record's per-pattern memo through patRec.
-	lastFor *mining.Pattern
-	lastRec *latticeRec
 
 	// The key FastForward computed for its pattern, reused by the Begin
 	// that immediately follows a refused fast-forward.
@@ -138,14 +108,6 @@ type checkpointer struct {
 
 	hits  int
 	saved int
-}
-
-// snapshot reads the incumbent benefit the bounds state reduces to.
-// (The sequence-seed floor is part of it: records taken under one floor
-// validate under another only through the region checks, exactly like
-// mid-walk incumbent movement.)
-func (ck *checkpointer) snapshot() int {
-	return ck.s.bestBen
 }
 
 // footprintOK verifies the subtree's graphs are the recorded objects and
@@ -171,60 +133,33 @@ func (ck *checkpointer) footprintOK(rec *latticeRec, p *mining.Pattern) bool {
 	return true
 }
 
-func (ck *checkpointer) validFor(rec *latticeRec, best int) bool {
-	if rec.exact {
-		// Admissions inside compare against the moving incumbent, whose
-		// whole trajectory is determined by its entry value (tie-set
-		// membership never feeds back into the walk), so entry equality is
-		// the exact condition.
-		return best == rec.entryBest
-	}
-	return best >= rec.bestLo && best < rec.bestHi
-}
-
-// FastForward implements mining.Checkpointer.
+// FastForward implements mining.Checkpointer. The incumbent it validates
+// against includes the sequence-seed floor: records taken under one
+// floor validate under another only through the region check, exactly
+// like mid-walk incumbent movement.
 func (ck *checkpointer) FastForward(p *mining.Pattern, remaining int) (int, int, bool) {
 	if len(p.Code) > ckMaxDepth {
 		return 0, 0, false
 	}
 	key := p.Code.Key()
 	ck.lastKeyFor, ck.lastKey = p, key
-	rec := ck.memo.get(key)
-	if rec == nil {
+	rec := ck.memo.recs[key]
+	if rec == nil || !ck.footprintOK(rec, p) {
 		return 0, 0, false
 	}
-	if !ck.footprintOK(rec, p) {
-		return 0, 0, false
-	}
-	// The footprint holds even if the replay below is refused: the visit
-	// that follows can still reuse the record's per-pattern memo.
-	ck.lastFor, ck.lastRec = p, rec
 	if remaining >= 0 && rec.visits > remaining {
 		// The budget would truncate inside this subtree; a replay cannot
 		// reproduce a truncated walk.
 		return 0, 0, false
 	}
-	if !ck.validFor(rec, ck.snapshot()) {
+	if best := ck.s.bestBen; best < rec.bestLo || best >= rec.bestHi {
 		return 0, 0, false
 	}
-	for _, c := range rec.adds {
-		ck.s.admit(c) // runs noteAdd: enclosing open records turn exact
-	}
-	if !rec.exact {
-		// The skipped subtree's bounds dependence becomes part of every
-		// enclosing record still in region mode.
-		for _, rb := range ck.builders {
-			if rb.exact {
-				continue
-			}
-			r := rb.rec
-			if rec.bestLo > r.bestLo {
-				r.bestLo = rec.bestLo
-			}
-			if rec.bestHi < r.bestHi {
-				r.bestHi = rec.bestHi
-			}
-		}
+	// The skipped subtree's bounds dependence becomes part of every
+	// enclosing open record.
+	for _, rb := range ck.builders {
+		rb.rec.bestLo = max(rb.rec.bestLo, rec.bestLo)
+		rb.rec.bestHi = min(rb.rec.bestHi, rec.bestHi)
 	}
 	ck.hits++
 	ck.saved += rec.visits
@@ -246,99 +181,58 @@ func (ck *checkpointer) Begin(p *mining.Pattern) any {
 	// pointer-free, the retained record costs the GC nothing to scan.
 	n := p.Embeddings.Len()
 	rec := &latticeRec{
-		graphs:    make([]*dfg.Graph, n),
-		embs:      p.Embeddings,
-		safe:      make([]bool, n),
-		entryBest: ck.snapshot(),
-		bestLo:    math.MinInt,
-		bestHi:    math.MaxInt,
+		graphs: make([]*dfg.Graph, n),
+		embs:   p.Embeddings,
+		safe:   make([]bool, n),
+		bestLo: math.MinInt,
+		bestHi: math.MaxInt,
 	}
 	for i := 0; i < n; i++ {
 		g := ck.byID[p.Embeddings.GID(i)]
 		rec.graphs[i] = g
 		rec.safe[i] = ck.safe[g]
 	}
-	rb := &recBuilder{rec: rec, p: p, key: key, logStart: len(ck.log)}
+	rb := &recBuilder{rec: rec, key: key}
 	ck.builders = append(ck.builders, rb)
 	return rb
 }
 
-// End implements mining.Checkpointer.
+// End implements mining.Checkpointer. A truncated subtree keeps the
+// key's older record: the walk did not finish this one. A subtree that
+// admitted a candidate stores nothing and evicts the older record, which
+// this walk has just superseded.
 func (ck *checkpointer) End(token any, visits, nonMinimal int, truncated bool) {
 	rb := token.(*recBuilder)
 	ck.builders = ck.builders[:len(ck.builders)-1]
 	if truncated {
-		return // the walk did not finish this subtree; unusable
-	}
-	rec := rb.rec
-	rec.visits, rec.nonMinimal = visits, nonMinimal
-	rec.adds = append([]*Candidate(nil), ck.log[rb.logStart:]...)
-	rec.exact = rb.exact
-	ck.memo.put(rb.key, rec)
-}
-
-// patRec returns the footprint-valid previous-round record of p, if
-// FastForward found one it could not fully replay. Only valid during p's
-// own visit (each pattern object is visited exactly once).
-func (ck *checkpointer) patRec(p *mining.Pattern) *latticeRec {
-	if ck.lastFor == p {
-		return ck.lastRec
-	}
-	return nil
-}
-
-// noteCand stores the visit's candidate outcome into p's own open
-// record, carrying its threshold contract (see latticeRec) across
-// rounds. Under depth gating the innermost open record may belong to a
-// shallow ancestor rather than p, so the builder identity is checked.
-func (ck *checkpointer) noteCand(p *mining.Pattern, c *Candidate, thr int) {
-	if len(ck.builders) == 0 {
 		return
 	}
-	rb := ck.builders[len(ck.builders)-1]
-	if rb.p != p {
+	if rb.admitted {
+		delete(ck.memo.recs, rb.key)
 		return
 	}
-	rb.rec.cand, rb.rec.candThr, rb.rec.haveCand = c, thr, true
+	rb.rec.visits, rb.rec.nonMinimal = visits, nonMinimal
+	ck.memo.recs[rb.key] = rb.rec
 }
 
-// noteDisjoint stores the DgSpan independent set (as root-embedding
-// rows) into p's own open record.
-func (ck *checkpointer) noteDisjoint(p *mining.Pattern, idx []int32) {
-	if len(ck.builders) == 0 {
-		return
-	}
-	rb := ck.builders[len(ck.builders)-1]
-	if rb.p != p {
-		return
-	}
-	rb.rec.disjoint, rb.rec.haveDisjoint = idx, true
-}
-
-// noteAdd logs a candidate admission: every open record contains it and
-// must switch to exact-entry validation.
-func (ck *checkpointer) noteAdd(c *Candidate) {
-	ck.log = append(ck.log, c)
+// noteAdd flags every open record: each contains the admission, which
+// moves the incumbent mid-subtree.
+func (ck *checkpointer) noteAdd() {
 	for _, rb := range ck.builders {
-		rb.exact = true
+		rb.admitted = true
 	}
 }
 
 // noteBest records a comparison against the incumbent benefit: less
-// reports whether v < best held. Open region-mode records narrow their
-// validity region so the comparison reproduces — v < best pins
-// best >= v+1, its negation pins best < v+1.
+// reports whether v < best held. Open records narrow their validity
+// region so the comparison reproduces — v < best pins best >= v+1, its
+// negation pins best < v+1.
 func (ck *checkpointer) noteBest(v int, less bool) {
 	for _, rb := range ck.builders {
-		if rb.exact {
-			continue
-		}
 		if less {
-			if v+1 > rb.rec.bestLo {
-				rb.rec.bestLo = v + 1
-			}
-		} else if v+1 < rb.rec.bestHi {
-			rb.rec.bestHi = v + 1
+			rb.rec.bestLo = max(rb.rec.bestLo, v+1)
+		} else {
+			rb.rec.bestHi = min(rb.rec.bestHi, v+1)
 		}
 	}
 }

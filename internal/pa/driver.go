@@ -135,6 +135,30 @@ func (o Options) maxPatterns() int {
 // spelled out.
 func (o Options) MaxPatternsOrDefault() int { return o.maxPatterns() }
 
+// Validate rejects options no run can honour: every count and bound is
+// non-negative, and 0 selects its default. OptimizeContext checks it
+// first; the CLIs and the compaction service call it themselves to
+// refuse bad input before doing any work.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"MinSupport", o.MinSupport},
+		{"MaxNodes", o.MaxNodes},
+		{"MaxSeqLen", o.MaxSeqLen},
+		{"MaxRounds", o.MaxRounds},
+		{"MaxPatterns", o.MaxPatterns},
+		{"Batch", o.Batch},
+		{"Workers", o.Workers},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("pa: option %s must be non-negative, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Extraction records one applied rewrite.
 type Extraction struct {
 	Name    string
@@ -232,11 +256,12 @@ func (r *Result) Calls() int { return len(r.Extractions) - r.CrossJumps() }
 // graphs, extract the fragment with the highest size benefit, and restart
 // until no fragment shrinks the program (or MaxRounds is hit). The input
 // program is not modified; the optimized program is in Result.Program.
+// Optimize panics on options Validate rejects.
 func Optimize(prog *loader.Program, m Miner, opts Options) *Result {
 	res, err := OptimizeContext(context.Background(), prog, m, opts)
 	if err != nil {
-		// Unreachable: the background context never cancels and that is
-		// the only error source.
+		// The background context never cancels, so the only error is an
+		// option Validate rejects: a caller bug.
 		panic(err)
 	}
 	return res
@@ -246,7 +271,8 @@ func Optimize(prog *loader.Program, m Miner, opts Options) *Result {
 // abandoned — returning ctx.Err(), never a partial Result — when ctx is
 // cancelled. Cancellation is observed between rounds, inside the parallel
 // dependence-graph build, and by the graph miners at every lattice
-// subtree, so even a single long mining round aborts promptly.
+// subtree, so even a single long mining round aborts promptly. Options
+// Validate rejects return its error before any work is done.
 //
 // By default rounds after the first run incrementally: the program view
 // is kept alive across rounds, only functions the previous extraction
@@ -257,6 +283,9 @@ func Optimize(prog *loader.Program, m Miner, opts Options) *Result {
 // is equivalence-gated, so the result is byte-identical to
 // Options.NoIncremental (which reverts to full rebuilds every round).
 func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Options) (*Result, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts.ctx = ctx
 	start := time.Now()
 	res := &Result{Miner: m.Name(), Before: prog.CountInstrs()}

@@ -133,7 +133,7 @@ func (s *search) admit(c *Candidate) {
 		s.ties = append(s.ties, c)
 	}
 	if s.ck != nil {
-		s.ck.noteAdd(c)
+		s.ck.noteAdd()
 	}
 }
 
@@ -434,9 +434,9 @@ func mergeCandidates(limit int, mined, seeds []*Candidate) []*Candidate {
 
 // visitPattern is the per-pattern visitor: it gates by optimistic
 // benefit, resolves the extraction-ready embedding set, and admits
-// validated candidates into the incumbent list. It reuses whatever a
-// previous round's checkpoint record of the same pattern already
-// computed.
+// validated candidates into the incumbent list. Every visit computes
+// live: checkpoint replay skips whole subtrees (checkpoint.go) and
+// carries nothing into a pattern it does visit.
 func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callSafeCache, opts Options, p *mining.Pattern) {
 	// noteBest records comparisons against the incumbent benefit for the
 	// checkpoint records (no-op without one). EVERY threshold-dependent
@@ -467,38 +467,6 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 		return
 	}
 	noteBest(ubRaw, false)
-	var rec *latticeRec
-	if s.ck != nil {
-		rec = s.ck.patRec(p)
-	}
-	if rec != nil && rec.haveCand {
-		// A previous round's record of this pattern passed the footprint
-		// check. Its candidate is a pure function of the pinned
-		// embeddings, and occurrence filtering is independent of the bail
-		// threshold: a non-nil candidate stands for every threshold, nil
-		// built at candThr for every threshold >= candThr. Only the
-		// admission test runs against the current incumbent.
-		if rec.cand != nil {
-			s.ck.noteCand(p, rec.cand, rec.candThr)
-			if rec.cand.Benefit >= best {
-				noteBest(rec.cand.Benefit, false)
-				s.admit(rec.cand)
-			} else {
-				noteBest(rec.cand.Benefit, true)
-			}
-			return
-		}
-		if best-1 >= rec.candThr {
-			// The live threshold best-1 has met or passed candThr, so a
-			// live build returns nil too.
-			s.ck.noteCand(p, nil, rec.candThr)
-			noteBest(rec.candThr, true)
-			return
-		}
-		noteBest(rec.candThr, false)
-		// Rejected against a stricter threshold than the current one —
-		// rebuild live below.
-	}
 	sel := p.Disjoint
 	if !m.Embedding {
 		// DgSpan's frequency is graph-count (that is p.Support here),
@@ -508,17 +476,7 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 		// DETECTION differs (§4.2: repeats within one block "remain
 		// unnoticed", i.e. fragments frequent only there are never
 		// found).
-		if rec != nil && rec.haveDisjoint {
-			// The independent set is a pure function of the pinned
-			// embeddings, and embedding rows are stable across the
-			// footprint check, so the recorded indices apply directly.
-			sel = rec.disjoint
-		} else {
-			sel = mining.DisjointIndices(p.Embeddings, mining.Config{GreedyMIS: opts.GreedyMIS})
-		}
-		if s.ck != nil {
-			s.ck.noteDisjoint(p, sel)
-		}
+		sel = mining.DisjointIndices(p.Embeddings, mining.Config{GreedyMIS: opts.GreedyMIS})
 		// Stash the exact extraction count for the subtree prune that
 		// follows this visit: DgSpan's Support is a graph count, useless
 		// as an occurrence bound, but this independent set is exact.
@@ -534,9 +492,6 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 	}
 	noteBest(ub, false)
 	cand := m.buildCandidate(byID, p.Embeddings, sel, k, safe, best-1, noteBest, &s.conv)
-	if s.ck != nil {
-		s.ck.noteCand(p, cand, best-1)
-	}
 	if cand == nil {
 		return
 	}

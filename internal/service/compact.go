@@ -120,9 +120,8 @@ func (r *CompactRequest) validate() error {
 	if _, err := core.MinerByName(r.minerName()); err != nil {
 		return err
 	}
-	if r.Optimize.MinSupport < 0 || r.Optimize.MaxFragment < 0 ||
-		r.Optimize.MaxRounds < 0 || r.Optimize.MaxPatterns < 0 {
-		return fmt.Errorf("optimize options must be non-negative")
+	if err := r.paOptions().Validate(); err != nil {
+		return err
 	}
 	if r.Optimize.MaxFragment > MaxFragmentLimit {
 		return fmt.Errorf("max_fragment %d exceeds the limit of %d", r.Optimize.MaxFragment, MaxFragmentLimit)
