@@ -44,7 +44,7 @@ var evalOnce = struct {
 func evaluation(b *testing.B) *bench.Evaluation {
 	ws := workloads(b)
 	evalOnce.once.Do(func() {
-		evalOnce.ev, evalOnce.err = bench.Evaluate(ws, []string{"sfx", "dgspan", "edgar"}, pa.Options{MaxPatterns: 30000}, false)
+		evalOnce.ev, evalOnce.err = bench.Evaluate(ws, []string{"sfx", "dgspan", "edgar"}, pa.Options{MaxPatterns: 30000}, 0, false)
 	})
 	if evalOnce.err != nil {
 		b.Fatal(evalOnce.err)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI gate: gofmt and vet, plus the whole test suite under the race detector. The
-# service's concurrent jobs (TestConcurrentJobsMatchSerial) and the
-# per-round fan-outs are only trustworthy raced, so -race is not
+# service's concurrent jobs (TestConcurrentJobsMatchSerial), optimizer
+# runs side by side (TestShardedResultIdentical) and the benchmark
+# harness's parallel cells are only trustworthy raced, so -race is not
 # optional here. Short mode (the default) trims the end-to-end
 # determinism suite to its two fastest benchmark programs; run
 # `./ci.sh -full` for the complete matrix. After the tests, the pad daemon is exercised for
@@ -176,9 +177,9 @@ done <"$TMP/saved.drift"
 echo "ci.sh: tables.txt Table 1 matches the mined savings"
 
 # --- exact visits gate ----------------------------------------------------
-# The lattice walk is deterministic at every worker width, so each drift
-# program's visit count must equal the committed BENCH_edgar.json record
-# exactly. The baseline comparison above tolerates 5%, enough to hide a
+# The lattice walk is deterministic, so each drift program's visit
+# count must equal the committed BENCH_edgar.json record exactly. The
+# baseline comparison above tolerates 5%, enough to hide a
 # minimality-test bug that moves visits by a few percent. A change that
 # moves visits on purpose regenerates BENCH_edgar.json with it.
 awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }

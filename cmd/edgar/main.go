@@ -6,12 +6,8 @@
 //
 //	edgar [-miner edgar|dgspan|sfx|edgar-canon] [-schedule] [-maxrounds n]
 //	      [-minsup n] [-maxfrag n] [-maxpatterns n] [-greedy-mis]
-//	      [-workers n] [-verify]
-//	      [-roundstats] [-dump] [-cpuprofile file] [-memprofile file] file.mc
-//
-// -workers sets the width of the per-round fan-outs (dependence-graph
-// build, sequence scan); the lattice walk itself is serial. The output
-// is identical at any width.
+//	      [-verify] [-roundstats] [-dump]
+//	      [-cpuprofile file] [-memprofile file] file.mc
 //
 // The paper's pipeline (§2.1): decompile, reconstruct labels, split into
 // basic blocks, build data-flow graphs, mine, extract, repeat.
@@ -42,7 +38,6 @@ func main() {
 	maxFrag := flag.Int("maxfrag", 0, "maximum fragment size in instructions (default 8)")
 	maxPatterns := flag.Int("maxpatterns", 0, "lattice visit budget per mining round (default 100000; raise to approximate the exhaustive search)")
 	greedyMIS := flag.Bool("greedy-mis", false, "use greedy instead of exact independent sets")
-	workers := flag.Int("workers", 0, "width of the per-round DFG-build and sequence-scan fan-outs (0 = all cores, 1 = serial); the lattice walk is always serial and results are identical at any width")
 	verify := flag.Bool("verify", true, "run before/after and compare behaviour")
 	roundStats := flag.Bool("roundstats", false, "print the per-round timing and cache breakdown")
 	dump := flag.Bool("dump", false, "print the optimized assembly")
@@ -55,7 +50,6 @@ func main() {
 		MaxNodes:    *maxFrag,
 		MaxPatterns: *maxPatterns,
 		GreedyMIS:   *greedyMIS,
-		Workers:     *workers,
 	}
 	if err := po.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "edgar:", err)

@@ -27,15 +27,19 @@ func main() {
 	programs := flag.String("programs", "", "comma-separated program subset (default: all)")
 	maxFrag := flag.Int("maxfrag", 0, "maximum fragment size (default 8)")
 	maxPatterns := flag.Int("maxpatterns", 0, "per-round mining budget (default 100000)")
-	workers := flag.Int("workers", 0, "width of the program x miner cells and of each run's per-round fan-outs (0 = all cores, 1 = serial); tables are identical at any width")
+	workers := flag.Int("workers", 0, "number of program x miner cells run side by side, each a serial optimizer run (0 = all cores); tables are identical at any width")
 	noverify := flag.Bool("noverify", false, "skip differential behaviour checks")
 	benchJSON := flag.String("bench-json", "", "write a machine-readable benchmark record to this file")
 	benchBase := flag.String("bench-baseline", "", "compare wall clocks against a committed benchmark record")
 	verbose := flag.Bool("v", false, "log per-program progress to stderr")
 	flag.Parse()
-	opts := pa.Options{MaxNodes: *maxFrag, MaxPatterns: *maxPatterns, Workers: *workers}
+	opts := pa.Options{MaxNodes: *maxFrag, MaxPatterns: *maxPatterns}
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "paper-tables:", err)
+		os.Exit(2)
+	}
+	if *workers < 0 {
+		fmt.Fprintln(os.Stderr, "paper-tables: -workers must be non-negative, got", *workers)
 		os.Exit(2)
 	}
 
@@ -68,7 +72,7 @@ func main() {
 	}
 
 	list := strings.Split(*miners, ",")
-	ev, err := bench.Evaluate(ws, list, opts, !*noverify)
+	ev, err := bench.Evaluate(ws, list, opts, *workers, !*noverify)
 	if err != nil {
 		fatal(err)
 	}

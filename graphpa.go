@@ -98,7 +98,8 @@ type OptimizeOptions struct {
 	Miner string
 	// MinSupport is the frequency threshold (default 2).
 	MinSupport int
-	// MaxFragment caps mined fragment size in instructions (default 8).
+	// MaxFragment caps mined fragment size in instructions (default 8,
+	// at most 64).
 	MaxFragment int
 	// MaxRounds bounds mine/extract iterations (0 = run to fixpoint).
 	MaxRounds int

@@ -1,6 +1,7 @@
 package graphpa
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -99,19 +100,24 @@ func TestOptimizeDefaultsToEdgar(t *testing.T) {
 }
 
 // TestNegativeOptionsRejected: out-of-range options are an error from
-// the facade, never a panic inside the optimizer.
+// the facade, never a panic inside the optimizer (a MaxFragment of
+// math.MaxInt used to panic sizing the walk's bound table).
 func TestNegativeOptionsRejected(t *testing.T) {
 	bin, err := Compile(testProg, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []OptimizeOptions{
-		{MinSupport: -1},
-		{MaxFragment: -1},
-		{MaxRounds: -1},
+	for _, tc := range []struct {
+		opts OptimizeOptions
+		want string
+	}{
+		{OptimizeOptions{MinSupport: -1}, "non-negative"},
+		{OptimizeOptions{MaxFragment: -1}, "non-negative"},
+		{OptimizeOptions{MaxRounds: -1}, "non-negative"},
+		{OptimizeOptions{MaxFragment: math.MaxInt}, "at most"},
 	} {
-		if _, _, err := bin.Optimize(opts); err == nil || !strings.Contains(err.Error(), "non-negative") {
-			t.Errorf("%+v: got error %v, want a non-negative option error", opts, err)
+		if _, _, err := bin.Optimize(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: got error %v, want an error saying %q", tc.opts, err, tc.want)
 		}
 	}
 }

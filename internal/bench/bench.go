@@ -109,7 +109,7 @@ type Evaluation struct {
 	// > 1 it undercuts the sum of per-cell Durations (the paper-tables
 	// timing output reports the ratio).
 	Wall time.Duration
-	// Workers is the effective parallel width Evaluate ran with.
+	// Workers is the number of cells Evaluate ran side by side.
 	Workers int
 	// Opts is the optimizer configuration the matrix ran under, kept so
 	// the benchmark record can embed an options fingerprint (BenchJSON).
@@ -129,15 +129,15 @@ func progressf(format string, args ...any) {
 // Evaluate optimizes every workload with every miner. When verify is set,
 // each optimized binary is executed and its behaviour compared against
 // the original (differential check). The program×miner cells run
-// concurrently (width from opts.Workers, like the optimizer itself), but
-// every cell is an independent deterministic computation and the ordered
-// fan-in stores results and reports progress in the serial loop's order,
-// so the Evaluation — and any table rendered from it — is byte-identical
-// at every width. Cell errors ride in the produced value so the first
+// concurrently on workers goroutines (0 = one per core), but every cell
+// is an independent deterministic computation and the ordered fan-in
+// stores results and reports progress in the serial loop's order, so the
+// Evaluation — and any table rendered from it — is byte-identical at
+// every width. Cell errors ride in the produced value so the first
 // failing cell in serial order is the one reported.
-func Evaluate(ws []*Workload, miners []string, opts pa.Options, verify bool) (*Evaluation, error) {
+func Evaluate(ws []*Workload, miners []string, opts pa.Options, workers int, verify bool) (*Evaluation, error) {
 	start := time.Now()
-	workers := opts.WorkersOrDefault()
+	workers = par.Workers(workers)
 	ev := &Evaluation{Workloads: ws, Miners: miners, Workers: workers,
 		Opts: opts, Results: map[string]map[string]*pa.Result{}}
 	resolved := make([]pa.Miner, len(miners))

@@ -33,9 +33,11 @@ type BenchRow struct {
 // identical search configuration — comparing a benefit-directed record
 // against a lexicographic one, or records taken at different pattern
 // budgets, silently diffs incomparable numbers — so the baseline gate
-// refuses mismatched fingerprints (FingerprintsMatch). Workers is
-// recorded for provenance but compared loosely by callers that want it:
-// every width produces identical visit counts by construction.
+// refuses mismatched fingerprints (FingerprintsMatch). Workers records
+// the harness's cell width for provenance; it never changes the counts.
+// Lexicographic marks records of the lexicographic reference walk, which
+// only tests can select now; new records write false, and old records
+// keep loading and comparing.
 type BenchFingerprint struct {
 	Workers       int  `json:"workers"`
 	MaxPatterns   int  `json:"maxpatterns"`
@@ -77,9 +79,8 @@ func BenchJSON(ev *Evaluation, miners []string) *BenchDoc {
 		Workers: ev.Workers,
 		Miners:  append([]string(nil), miners...),
 		Fingerprint: &BenchFingerprint{
-			Workers:       ev.Workers,
-			MaxPatterns:   ev.Opts.MaxPatternsOrDefault(),
-			Lexicographic: ev.Opts.Lexicographic,
+			Workers:     ev.Workers,
+			MaxPatterns: ev.Opts.MaxPatternsOrDefault(),
 		},
 	}
 	for _, mn := range miners {
@@ -160,7 +161,7 @@ func CompareBench(d, base *BenchDoc) (perRun map[string]float64, total float64) 
 // CompareVisits summarises d's lattice visit counts against a baseline,
 // for runs present in both with nonzero baseline visits (matched by
 // name+miner). Unlike wall clock, visits are deterministic — identical
-// across worker widths, driver modes and machines — so the ratios can
+// across harness widths, cross-round reuse and machines — so the ratios can
 // gate CI at a tight tolerance. Ratio < 1 means d visits fewer nodes.
 // ok reports whether the baseline carried visit counts at all (records
 // predating the field compare as absent, not as regressions).

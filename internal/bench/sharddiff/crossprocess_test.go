@@ -115,7 +115,7 @@ func TestShardCrossProcessAB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, img, err := core.Optimize(w.Image, m, pa.Options{MaxPatterns: maxPatterns, Workers: 1})
+		_, img, err := core.Optimize(w.Image, m, pa.Options{MaxPatterns: maxPatterns})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func optimize(w *bench.Workload, miner string) outcome {
 	if err != nil {
 		return outcome{err: err}
 	}
-	res, img, err := core.Optimize(w.Image, m, pa.Options{MaxPatterns: maxPatterns, Workers: 1})
+	res, img, err := core.Optimize(w.Image, m, pa.Options{MaxPatterns: maxPatterns})
 	return outcome{res, img, err}
 }
 

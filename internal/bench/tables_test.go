@@ -20,7 +20,7 @@ func smallEval(t *testing.T) ([]*Workload, *Evaluation) {
 		}
 		ws = append(ws, w)
 	}
-	ev, err := Evaluate(ws, []string{"sfx", "dgspan", "edgar"}, pa.Options{MaxPatterns: 30000}, true)
+	ev, err := Evaluate(ws, []string{"sfx", "dgspan", "edgar"}, pa.Options{MaxPatterns: 30000}, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

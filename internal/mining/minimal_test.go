@@ -19,7 +19,7 @@ func benchGraphs(tb testing.TB, name string, rounds int) []*mining.Graph {
 		tb.Fatal(err)
 	}
 	if rounds > 0 {
-		res := pa.Optimize(w.Prog, &pa.GraphMiner{Embedding: true}, pa.Options{MaxRounds: rounds, Workers: 1})
+		res := pa.Optimize(w.Prog, &pa.GraphMiner{Embedding: true}, pa.Options{MaxRounds: rounds})
 		w = &bench.Workload{Name: name, Prog: res.Program}
 	}
 	var out []*mining.Graph
@@ -89,7 +89,7 @@ func TestChildMinimalMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := pa.Options{MaxRounds: 1, Workers: 1}
+		opts := pa.Options{MaxRounds: 1}
 		if testing.Short() && name == "rijndael" {
 			opts.MaxPatterns = 5000
 		}

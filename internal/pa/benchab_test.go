@@ -75,8 +75,7 @@ func TestBenefitDirectedRijndaelAB(t *testing.T) {
 	}
 	const budget = 600_000 // above the complete round-2 walk; rounds must not truncate
 	opts := pa.Options{MaxRounds: 2, MaxPatterns: budget}
-	lexOpts := opts
-	lexOpts.Lexicographic = true
+	lexOpts := pa.Lexicographic(opts)
 
 	runtime.GC()
 	t0 := time.Now()
@@ -110,7 +109,7 @@ func TestBenefitDirectedShaAB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sha workload A/B; skipped with -short")
 	}
-	lex := optimizeWorkload(t, "sha", pa.Options{Lexicographic: true})
+	lex := optimizeWorkload(t, "sha", pa.Lexicographic(pa.Options{}))
 	bf := optimizeWorkload(t, "sha", pa.Options{})
 	if got, want := resultFingerprint(bf), resultFingerprint(lex); got != want {
 		t.Fatalf("benefit-directed Result differs from lexicographic reference\ngot:\n%s\nwant:\n%s", got, want)
@@ -123,9 +122,9 @@ func TestBenefitDirectedShaAB(t *testing.T) {
 }
 
 // TestBenefitDirectedMatrix drives the full equivalence matrix — the
-// lexicographic reference and the benefit-directed walk, each serial and
-// parallel, incremental and scratch — on two mid-size workloads, pinning
-// one fingerprint per workload.
+// lexicographic reference and the benefit-directed walk, each with and
+// without cross-round reuse — on two mid-size workloads, pinning one
+// fingerprint per workload.
 func TestBenefitDirectedMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-configuration benchmark runs; skipped with -short")
@@ -138,27 +137,29 @@ func TestBenefitDirectedMatrix(t *testing.T) {
 		var want string
 		visits := make([][]int, len(arms)) // per-round visit traces by arm
 		for ai, arm := range arms {
-			for _, workers := range []int{1, 8} {
-				for _, noInc := range []bool{false, true} {
-					res := optimizeWorkload(t, name, pa.Options{
-						Lexicographic: arm.lex,
-						Workers:       workers, NoIncremental: noInc,
-					})
-					cfgName := fmt.Sprintf("%s/%s/w=%d/noinc=%v", name, arm.name, workers, noInc)
-					if got := resultFingerprint(res); want == "" {
-						want = got
-					} else if got != want {
-						t.Fatalf("%s: Result differs from reference", cfgName)
-					}
-					var vt []int
-					for _, rs := range res.RoundStats {
-						vt = append(vt, rs.Visits)
-					}
-					if visits[ai] == nil {
-						visits[ai] = vt
-					} else if fmt.Sprint(vt) != fmt.Sprint(visits[ai]) {
-						t.Fatalf("%s: visit trace %v, want %v", cfgName, vt, visits[ai])
-					}
+			for _, rebuild := range []bool{false, true} {
+				opts := pa.Options{}
+				if arm.lex {
+					opts = pa.Lexicographic(opts)
+				}
+				if rebuild {
+					opts = pa.Rebuild(opts)
+				}
+				res := optimizeWorkload(t, name, opts)
+				cfgName := fmt.Sprintf("%s/%s/rebuild=%v", name, arm.name, rebuild)
+				if got := resultFingerprint(res); want == "" {
+					want = got
+				} else if got != want {
+					t.Fatalf("%s: Result differs from reference", cfgName)
+				}
+				var vt []int
+				for _, rs := range res.RoundStats {
+					vt = append(vt, rs.Visits)
+				}
+				if visits[ai] == nil {
+					visits[ai] = vt
+				} else if fmt.Sprint(vt) != fmt.Sprint(visits[ai]) {
+					t.Fatalf("%s: visit trace %v, want %v", cfgName, vt, visits[ai])
 				}
 			}
 		}

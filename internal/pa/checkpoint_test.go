@@ -11,7 +11,7 @@ import (
 // that round 2's walk fast-forwards. On rijndael's first two rounds under
 // a 10k budget, round 2 replays 48 visits from round 1's records.
 func TestCheckpointReuseAcrossRounds(t *testing.T) {
-	res := optimizeWorkload(t, "rijndael", pa.Options{MaxRounds: 2, MaxPatterns: 10_000, Workers: 1})
+	res := optimizeWorkload(t, "rijndael", pa.Options{MaxRounds: 2, MaxPatterns: 10_000})
 	if len(res.RoundStats) < 2 {
 		t.Fatalf("ran %d rounds, want 2", len(res.RoundStats))
 	}

@@ -54,10 +54,10 @@ func runSideBySide(t *testing.T, runs []*concurrentRun) {
 }
 
 // TestShardedResultIdentical: runs sharded across concurrent jobs —
-// both programs, both miners, worker widths 1 and 8, both driver
-// modes, all at once and sharing one miner value per kind — must each
-// produce a byte-identical Result to a lone run, with an equal visit
-// trace.
+// both programs, both miners, the incremental driver and the rebuild
+// reference, all at once and sharing one miner value per kind — must
+// each produce a byte-identical Result to a lone run, with an equal
+// visit trace.
 func TestShardedResultIdentical(t *testing.T) {
 	srcs := map[string]string{"reorder": reorderSrc, "mixed": orderTestSrc}
 	var runs []*concurrentRun
@@ -65,17 +65,15 @@ func TestShardedResultIdentical(t *testing.T) {
 		for _, embedding := range []bool{true, false} {
 			miner := &GraphMiner{Embedding: embedding}
 			ref := Optimize(loadSrc(t, src), &GraphMiner{Embedding: embedding}, Options{MaxPatterns: 10_000_000})
-			for _, workers := range []int{1, 8} {
-				for _, noInc := range []bool{true, false} {
-					runs = append(runs, &concurrentRun{
-						name:   fmt.Sprintf("%s/%s/w=%d/noinc=%v", sname, miner.Name(), workers, noInc),
-						src:    src,
-						miner:  miner,
-						opts:   Options{Workers: workers, NoIncremental: noInc, MaxPatterns: 10_000_000},
-						want:   fingerprint(ref),
-						visits: fmt.Sprint(visitTrace(ref)),
-					})
-				}
+			for _, rebuild := range []bool{true, false} {
+				runs = append(runs, &concurrentRun{
+					name:   fmt.Sprintf("%s/%s/rebuild=%v", sname, miner.Name(), rebuild),
+					src:    src,
+					miner:  miner,
+					opts:   Options{MaxPatterns: 10_000_000, ref: reference{rebuild: rebuild}},
+					want:   fingerprint(ref),
+					visits: fmt.Sprint(visitTrace(ref)),
+				})
 			}
 		}
 	}

@@ -7,17 +7,15 @@ import (
 
 	"graphpa/internal/arm"
 	"graphpa/internal/cfg"
-	"graphpa/internal/dfg"
 	"graphpa/internal/loader"
-	"graphpa/internal/par"
 )
 
 // Options tunes the optimizer.
 type Options struct {
 	// MinSupport is the frequency threshold (default 2).
 	MinSupport int
-	// MaxNodes caps mined fragment size (default 8; larger finds more
-	// but mines longer).
+	// MaxNodes caps mined fragment size (default 8, at most
+	// MaxNodesLimit; larger finds more but mines longer).
 	MaxNodes int
 	// MaxSeqLen caps SFX sequence length (default 32).
 	MaxSeqLen int
@@ -42,28 +40,16 @@ type Options struct {
 	// Batch is the number of runner-up candidates kept per round
 	// (default 16; ignored with SingleExtract).
 	Batch int
-	// Workers is the parallel width of the per-round fan-outs (sequence
-	// scanning per fragment length, dependence-graph construction per
-	// block): 0 derives the count from GOMAXPROCS, 1 forces the serial
-	// pipeline, n > 1 uses n workers. The lattice walk itself is always
-	// serial. Every setting produces identical results — the fan-outs
-	// merge in input order — so only wall clock changes.
+	// Workers is ignored: every run is one serial pipeline, and the
+	// parallelism that pays is across runs (the compaction service's
+	// concurrent jobs, the benchmark harness's program×miner cells). It
+	// stays only because perfbench still sets it, and goes when that
+	// benchmark definition next changes.
 	Workers int
-	// NoIncremental disables all cross-round reuse (dirty-set CFG
-	// resplitting, dependence-graph and mining-graph caching, lattice
-	// checkpointing) and reverts to the rebuild-everything loop. The
-	// output is byte-identical either way — this is the kill switch and
-	// the reference the differential tests compare against.
-	NoIncremental bool
-	// Lexicographic reverts the graph miners' lattice walk to pure
-	// DFS-code sibling order with the legacy support-only subtree bound,
-	// disabling the benefit-directed ordering and the MIS-aware child
-	// pruning. The candidate output is byte-identical either way — this
-	// is the kill switch and the reference arm the search-order
-	// differential tests and A/B benchmarks compare against; it only
-	// changes how many lattice nodes the walk visits (RoundStat.Visits).
-	Lexicographic bool
 
+	// ref selects a reference arm the differential tests compare the
+	// default pipeline against. Only tests set it (export_test.go).
+	ref reference
 	// ctx carries the cancellation context of an OptimizeContext run.
 	// Only the driver sets it; miners read it through Context.
 	ctx context.Context
@@ -84,11 +70,22 @@ func (o Options) Context() context.Context {
 	return o.ctx
 }
 
-func (o Options) workers() int { return par.Workers(o.Workers) }
-
-// WorkersOrDefault returns the effective parallel width (resolving the
-// Workers-0 default to the GOMAXPROCS-derived count).
-func (o Options) WorkersOrDefault() int { return o.workers() }
+// reference is the test-only selection of reference arms. Each leaves
+// the Result byte-identical to the default pipeline's; only the walk's
+// visit counts and the cross-round cache counters move.
+type reference struct {
+	// lexicographic reverts the graph miners' lattice walk to pure
+	// DFS-code sibling order with the legacy fragUB subtree bound and no
+	// MIS-aware child pruning. It changes how many lattice nodes the walk
+	// visits (RoundStat.Visits); the benefit-directed walk's saving
+	// against it is what the A/B tests pin.
+	lexicographic bool
+	// rebuild discards all cross-round state: every round reassembles
+	// the program, builds its view afresh with cfg.Build and starts a new
+	// incState, so dependence graphs, mining graphs and lattice records
+	// are all built from scratch.
+	rebuild bool
+}
 
 func (o Options) batch() int {
 	if o.SingleExtract {
@@ -135,10 +132,18 @@ func (o Options) maxPatterns() int {
 // spelled out.
 func (o Options) MaxPatternsOrDefault() int { return o.maxPatterns() }
 
+// MaxNodesLimit is the largest MaxNodes Validate accepts. The graph
+// miners allocate a bound table of (MaxNodes−1)·2048 ints per round, so
+// an unchecked value is a memory bomb (or, near math.MaxInt, a panic
+// sizing the table); the largest fragment size any benchmark or test
+// uses is 12.
+const MaxNodesLimit = 64
+
 // Validate rejects options no run can honour: every count and bound is
-// non-negative, and 0 selects its default. OptimizeContext checks it
-// first; the CLIs and the compaction service call it themselves to
-// refuse bad input before doing any work.
+// non-negative, 0 selects its default, and MaxNodes is at most
+// MaxNodesLimit. OptimizeContext checks it first; the CLIs and the
+// compaction service call it themselves to refuse bad input before
+// doing any work.
 func (o Options) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -150,11 +155,13 @@ func (o Options) Validate() error {
 		{"MaxRounds", o.MaxRounds},
 		{"MaxPatterns", o.MaxPatterns},
 		{"Batch", o.Batch},
-		{"Workers", o.Workers},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("pa: option %s must be non-negative, got %d", f.name, f.v)
 		}
+	}
+	if o.MaxNodes > MaxNodesLimit {
+		return fmt.Errorf("pa: option MaxNodes must be at most %d, got %d", MaxNodesLimit, o.MaxNodes)
 	}
 	return nil
 }
@@ -198,10 +205,9 @@ type RoundStat struct {
 
 	// Visits counts frequent lattice nodes the miner actually visited this
 	// round (fast-forwarded checkpoint subtrees are charged as if walked,
-	// so the count is identical across worker widths and incremental
-	// modes; it differs between the benefit-directed and Lexicographic
-	// walks — that difference is the search-order win the benchmarks
-	// track).
+	// so the count is identical with and without cross-round reuse; it
+	// differs between the benefit-directed and lexicographic walks — that
+	// difference is the search-order win the benchmarks track).
 	Visits int
 
 	// NonMinimal counts the children the minimal-DFS-code test rejected
@@ -210,8 +216,8 @@ type RoundStat struct {
 	// raw-count viability filter, before its embeddings are built, so
 	// the count includes children the bounds or the visit budget would
 	// have cut. Fast-forwarded checkpoint subtrees charge their recorded
-	// count, so like Visits it is identical across worker widths and
-	// driver modes.
+	// count, so like Visits it is identical with and without cross-round
+	// reuse.
 	NonMinimal int
 
 	// CoarseVisits is always 0: it counted the coarse mine of the
@@ -269,19 +275,19 @@ func Optimize(prog *loader.Program, m Miner, opts Options) *Result {
 
 // OptimizeContext is Optimize under a cancellation context: the run is
 // abandoned — returning ctx.Err(), never a partial Result — when ctx is
-// cancelled. Cancellation is observed between rounds, inside the parallel
-// dependence-graph build, and by the graph miners at every lattice
-// subtree, so even a single long mining round aborts promptly. Options
-// Validate rejects return its error before any work is done.
+// cancelled. Cancellation is observed between rounds and by the graph
+// miners at every lattice subtree, so even a single long mining round
+// aborts promptly. Options Validate rejects return its error before any
+// work is done.
 //
-// By default rounds after the first run incrementally: the program view
-// is kept alive across rounds, only functions the previous extraction
-// rewrote are re-split, dependence graphs are reused wherever block
-// content and consumed call summaries are unchanged, and the lattice
-// search fast-forwards recorded subtrees over untouched blocks. Call
-// summaries are solved from scratch every round in both modes. All reuse
-// is equivalence-gated, so the result is byte-identical to
-// Options.NoIncremental (which reverts to full rebuilds every round).
+// Rounds after the first run incrementally: the program view is kept
+// alive across rounds, only functions the previous extraction rewrote
+// are re-split, dependence graphs are reused wherever block content and
+// consumed call summaries are unchanged, and the lattice search
+// fast-forwards recorded subtrees over untouched blocks. Call summaries
+// are solved from scratch every round. All reuse is equivalence-gated,
+// so the result is byte-identical to rebuilding everything every round
+// (the rebuild reference arm the differential tests run).
 func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -293,12 +299,10 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 	cur := prog
 	used := usedNames(prog)
 	counter := 0
-	incremental := !opts.NoIncremental
 	var view *cfg.Program
 	var st *incState
 	var dirty map[*cfg.Func]bool       // functions rewritten by the last round
 	var prevRaw map[string]arm.Effects // last round's undecorated summaries
-	anyApplied := false
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -309,15 +313,15 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 		stat := RoundStat{Round: len(res.RoundStats) + 1}
 
 		t0 := time.Now()
-		if incremental {
-			if view == nil {
-				view = cfg.Build(cur)
-				st = newIncState()
-			} else {
-				view.Resplit(dirty)
-			}
-		} else {
+		if view != nil && opts.ref.rebuild {
+			cur = cfg.Reassemble(view)
+			view = nil
+		}
+		if view == nil {
 			view = cfg.Build(cur)
+			st = newIncState()
+		} else {
+			view.Resplit(dirty)
 		}
 		stat.CFGBuild = time.Since(t0)
 		stat.Blocks = len(view.Blocks)
@@ -330,23 +334,9 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 		stat.Summaries = time.Since(t0)
 
 		t0 = time.Now()
-		var graphs []*dfg.Graph
-		if incremental {
-			g, err := st.buildGraphs(ctx, view, summaries, dirty, opts, &stat)
-			if err != nil {
-				return nil, err
-			}
-			graphs = g
-			st.beginMining(graphs, &stat)
-			opts.inc = &st.m
-		} else {
-			g, err := buildGraphsFull(ctx, view, summaries, opts)
-			if err != nil {
-				return nil, err
-			}
-			graphs = g
-			stat.BlocksRebuilt = len(graphs)
-		}
+		graphs := st.buildGraphs(view, summaries, dirty, &stat)
+		st.beginMining(graphs, &stat)
+		opts.inc = &st.m
 		stat.DFGBuild = time.Since(t0)
 
 		t0 = time.Now()
@@ -410,45 +400,18 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 		if applied == 0 {
 			break
 		}
-		anyApplied = true
 		res.Rounds++
-		if !incremental {
-			cur = cfg.Reassemble(view)
-		}
 	}
-	if incremental && anyApplied {
+	if res.Rounds > 0 {
 		// Resplit preserves flattened content exactly, so one final
-		// reassembly of the long-lived view equals the per-round
-		// reassemble/rebuild chain of the non-incremental loop.
+		// reassembly of the long-lived view equals a reassemble/rebuild
+		// chain run every round.
 		cur = cfg.Reassemble(view)
 	}
 	res.Program = cur
 	res.After = cur.CountInstrs()
 	res.Duration = time.Since(start)
 	return res, nil
-}
-
-// buildGraphsFull is the non-incremental per-round dependence-graph
-// build: every block from scratch, in parallel when configured (indexed
-// writes keep the result order-identical to the serial loop).
-func buildGraphsFull(ctx context.Context, view *cfg.Program, summaries map[string]arm.Effects, opts Options) ([]*dfg.Graph, error) {
-	graphs := make([]*dfg.Graph, len(view.Blocks))
-	if w := opts.workers(); w > 1 {
-		if err := par.Do(ctx, w, len(view.Blocks), func(_ context.Context, i int) error {
-			graphs[i] = dfg.Build(view.Blocks[i], summaries)
-			return nil
-		}); err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			panic(err) // workers return no errors; panics re-raise in par.Do
-		}
-	} else {
-		for i, b := range view.Blocks {
-			graphs[i] = dfg.Build(b, summaries)
-		}
-	}
-	return graphs, nil
 }
 
 func usedNames(prog *loader.Program) map[string]bool {

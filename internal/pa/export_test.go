@@ -15,6 +15,20 @@ import (
 // CandKey is the merge's canonical candidate key (miners.go).
 var CandKey = candKey
 
+// Lexicographic returns opts with the lexicographic reference walk
+// selected (Options.ref).
+func Lexicographic(opts Options) Options {
+	opts.ref.lexicographic = true
+	return opts
+}
+
+// Rebuild returns opts with the rebuild-every-round reference driver
+// selected (Options.ref).
+func Rebuild(opts Options) Options {
+	opts.ref.rebuild = true
+	return opts
+}
+
 // ScanBothSorts runs the sequence scan of every window length over
 // graphs twice: with scanLen's own window sort and with a stable sort by
 // hash alone, the reference order. It returns each run's candidates,

@@ -1,13 +1,10 @@
 package pa
 
 import (
-	"context"
-
 	"graphpa/internal/arm"
 	"graphpa/internal/cfg"
 	"graphpa/internal/dfg"
 	"graphpa/internal/mining"
-	"graphpa/internal/par"
 )
 
 // This file holds the cross-round state of the incremental mine/extract
@@ -55,9 +52,10 @@ func newIncState() *incState {
 
 // buildGraphs produces the per-block dependence graphs for this round,
 // reusing cached graphs wherever block content and the consumed call
-// summaries are unchanged and building only the rest (in parallel when
-// configured, preserving block order exactly like the full build).
-func (st *incState) buildGraphs(ctx context.Context, view *cfg.Program, sums map[string]arm.Effects, dirty map[*cfg.Func]bool, opts Options, stat *RoundStat) ([]*dfg.Graph, error) {
+// summaries are unchanged and building only the rest. Every lookup runs
+// before any insert, so a block never reuses a template built earlier in
+// the same round.
+func (st *incState) buildGraphs(view *cfg.Program, sums map[string]arm.Effects, dirty map[*cfg.Func]bool, stat *RoundStat) []*dfg.Graph {
 	c := st.graphs
 	c.gen++
 	graphs := make([]*dfg.Graph, len(view.Blocks))
@@ -81,29 +79,14 @@ func (st *incState) buildGraphs(ctx context.Context, view *cfg.Program, sums map
 		}
 		graphs[i] = g
 	}
-	if w := opts.workers(); w > 1 && len(missIdx) > 1 {
-		if err := par.Do(ctx, w, len(missIdx), func(_ context.Context, j int) error {
-			i := missIdx[j]
-			graphs[i] = dfg.Build(view.Blocks[i], sums)
-			return nil
-		}); err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			panic(err) // workers return no errors; panics re-raise in par.Do
-		}
-	} else {
-		for _, i := range missIdx {
-			graphs[i] = dfg.Build(view.Blocks[i], sums)
-		}
-	}
 	for _, i := range missIdx {
+		graphs[i] = dfg.Build(view.Blocks[i], sums)
 		c.insert(view.Blocks[i], graphs[i], sums)
 	}
 	c.sweepBlocks(view.Blocks)
 	c.evict()
 	st.primed = true
-	return graphs, nil
+	return graphs
 }
 
 // beginMining prepares the miner-facing caches for a round: checkpoint
@@ -204,8 +187,8 @@ func (c *graphCache) lookup(b *cfg.Block, sums map[string]arm.Effects) (*dfg.Gra
 }
 
 func (c *graphCache) insert(b *cfg.Block, g *dfg.Graph, sums map[string]arm.Effects) {
-	// Labels are memoised eagerly: a cached graph may later be read by
-	// concurrent sequence-scan workers, and lazy memoisation would race.
+	// Labels are memoised once here, so every later round's NodeLabel
+	// on a cached graph is an array read instead of a fresh render.
 	g.MemoLabels()
 	tmpl := &graphTemplate{instrs: b.Instrs, graph: g, targets: targetsOf(b, sums), gen: c.gen}
 	h := hashInstrs(b.Instrs)

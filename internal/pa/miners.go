@@ -28,7 +28,7 @@ type Miner interface {
 // occurrences, whichever extraction mechanism wins. Monotone increasing
 // in both k and m over the useful range (m >= 2), so fragUB(maxK, bound)
 // dominates every candidate any descendant pattern can yield. This is
-// the legacy walk bound, kept for the Lexicographic reference arm; the
+// the legacy walk bound, kept for the lexicographic reference arm; the
 // benefit-directed walk bounds with CallBenefit alone (see newSearch).
 func fragUB(k, m int) int {
 	ub := CallBenefit(k, m)
@@ -68,7 +68,7 @@ type search struct {
 	// ub is the walk-bound memo: ub[(k-2)*ubTabM+m] is the optimistic
 	// benefit of a k-node fragment with at most m occurrences, for k in
 	// [2, maxK], m in [0, ubTabM). Built once per run (CallBenefit for
-	// the benefit-directed walk, legacy fragUB for the Lexicographic
+	// the benefit-directed walk, legacy fragUB for the lexicographic
 	// reference — see newSearch), then read-only.
 	ub    []int
 	bound func(k, m int) int // the table's generator, for out-of-range m
@@ -96,7 +96,7 @@ type search struct {
 // by k+1-m, so support-2 and -3 subtrees that only a tail merge could
 // redeem are cut). Cross-jump candidates are untouched: they come
 // exclusively from the ScanSequences seeds, which bypass the walk. The
-// Lexicographic reference arm keeps the legacy fragUB bound — pruning
+// lexicographic reference arm keeps the legacy fragUB bound — pruning
 // strictly below EITHER admissible bound preserves the final incumbent
 // tie set, so the two arms still return identical candidates.
 func newSearch(maxK int, lexicographic bool) *search {
@@ -276,7 +276,7 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		}
 	}
 	ctx := opts.Context()
-	s := newSearch(maxK, opts.Lexicographic)
+	s := newSearch(maxK, opts.ref.lexicographic)
 	if inc != nil {
 		s.ck = &checkpointer{s: s, memo: inc.memo, byID: byID, safe: safeByGraph}
 	}
@@ -292,7 +292,7 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		if m.Embedding {
 			return p.Support // the exact independent-set size
 		}
-		if !opts.Lexicographic && s.lastSelFor == p {
+		if !opts.ref.lexicographic && s.lastSelFor == p {
 			// The visit that just ran computed the exact independent set;
 			// bound with the real extraction count. Part of the MIS-aware
 			// tightening, so the legacy reference arm skips it.
@@ -333,7 +333,7 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		EmbeddingSupport: m.Embedding,
 		GreedyMIS:        opts.GreedyMIS,
 		MaxPatterns:      opts.maxPatterns(),
-		Lexicographic:    opts.Lexicographic,
+		Lexicographic:    opts.ref.lexicographic,
 		PruneSubtree:     prune,
 		ViableCount:      viable,
 		NoteNonMinimal: func(n int) {
@@ -342,8 +342,8 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 			}
 		},
 	}
-	if !opts.Lexicographic {
-		// The Lexicographic reference arm keeps the old-style walk — the
+	if !opts.ref.lexicographic {
+		// The lexicographic reference arm keeps the old-style walk — the
 		// legacy fragUB support bound (newSearch), subtree and group
 		// pruning only — so the A/B differentials contrast the full
 		// benefit-directed machinery (call-only bound, MIS-aware child
@@ -498,42 +498,34 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 	s.admit(cand)
 }
 
-// buildCandidate turns raw disjoint embeddings into a verified candidate,
-// choosing the extraction method per the paper: fragments that include a
-// block terminator are tail-merged, everything else is outlined. minBen
-// is the benefit the candidate must beat to be useful; validation bails
-// out as soon as that becomes impossible. Per occurrence of a k-node
-// fragment, validation costs one induced signature — O(k²·d_in) over the
-// fragment's in-edges, independent of the block's edge count — plus the
-// schedulability probe (convexScratch.admit), which reuses one scratch
-// for the whole call: a block's first occurrence takes the convexity
-// walk over block nodes below the fragment's last instruction, a later
-// one the contraction probe, a Kahn count over the block window spanned
-// by that block's occurrences — no trial schedule is built. note,
-// when non-nil, receives the terminal threshold comparison that decided
-// the outcome (checkpoint recording): occurrence filtering is
-// threshold-independent, so the result is cand exactly when its benefit
-// beats minBen — one comparison pins the outcome for a whole threshold
-// region.
+// buildCandidate turns raw disjoint embeddings into a verified call
+// candidate. The walk never yields a tail merge: no mined occurrence
+// holds a block terminator (see newSearch), so cross jumps come only
+// from the sequence seeds. minBen is the benefit the candidate must beat
+// to be useful; validation bails out as soon as that becomes impossible.
+// Per occurrence of a k-node fragment, validation costs one induced
+// signature — O(k²·d_in) over the fragment's in-edges, independent of
+// the block's edge count — plus the schedulability probe
+// (convexScratch.admit), which reuses one scratch for the whole call: a
+// block's first occurrence takes the convexity walk over block nodes
+// below the fragment's last instruction, a later one the contraction
+// probe, a Kahn count over the block window spanned by that block's
+// occurrences — no trial schedule is built. note, when non-nil, receives
+// the terminal threshold comparison that decided the outcome (checkpoint
+// recording): occurrence filtering is threshold-independent, so the
+// result is cand exactly when its benefit beats minBen — one comparison
+// pins the outcome for a whole threshold region.
 func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet, sel []int32, k int, safe callSafeCache, minBen int, note func(v int, le bool), conv *convexScratch) *Candidate {
 	if len(sel) == 0 {
 		return nil
 	}
 	first := byID[set.GID(int(sel[0]))]
 	firstOcc := conv.scratchOcc(first, set.Nodes(int(sel[0])))
-	hasTerm := containsTerminator(first, firstOcc.Nodes)
 
 	// Embeddings must agree on their full induced dependence structure
 	// (and instruction texts) to share one extracted body; keep only
 	// those matching the first.
 	conv.setReference(&firstOcc)
-
-	benefit := func(m int) int {
-		if hasTerm {
-			return CrossJumpBenefit(k, m)
-		}
-		return CallBenefit(k, m)
-	}
 
 	// Occurrences are checked in scratch and copied out only once they
 	// pass the extractability and signature checks; the kept ones
@@ -546,7 +538,7 @@ func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet,
 		// cannot beat minBen. (The bound only shrinks and stays >= the
 		// final benefit, so for any threshold at or above this value the
 		// outcome is nil too — the single note covers the whole bail.)
-		if v := benefit(len(occs) + len(sel) - i); v <= minBen {
+		if v := CallBenefit(k, len(occs)+len(sel)-i); v <= minBen {
 			if note != nil {
 				note(v, true)
 			}
@@ -554,25 +546,16 @@ func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet,
 		}
 		g := byID[set.GID(int(row))]
 		occ := conv.scratchOcc(g, set.Nodes(int(row)))
-		if hasTerm {
-			if !crossJumpExtractable(g, occ.Nodes) {
-				continue
-			}
-		} else {
-			if !callExtractable(g, occ.Nodes, safe) {
-				continue
-			}
-		}
-		if !conv.sameSignature(&occ) {
+		if !callExtractable(g, occ.Nodes, safe) || !conv.sameSignature(&occ) {
 			continue
 		}
 		occ = ownedOcc(occ)
-		if !hasTerm && !conv.admit(blFrags, &occ) {
+		if !conv.admit(blFrags, &occ) {
 			continue
 		}
 		occs = append(occs, occ)
 	}
-	b := benefit(len(occs))
+	b := CallBenefit(k, len(occs))
 	if len(occs) < 2 || b <= 0 {
 		// Threshold-independent rejection (minBen is never negative), so
 		// nothing to note.
@@ -584,12 +567,5 @@ func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet,
 	if b <= minBen {
 		return nil
 	}
-	return &Candidate{Size: k, Occs: slices.Clone(occs), Method: methodOf(hasTerm), Benefit: b}
-}
-
-func methodOf(hasTerm bool) Method {
-	if hasTerm {
-		return MethodCrossJump
-	}
-	return MethodCall
+	return &Candidate{Size: k, Occs: slices.Clone(occs), Method: MethodCall, Benefit: b}
 }

@@ -2,14 +2,15 @@ package pa
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
 
 // TestValidateRejectsNegativeOptions: every count and bound must be
-// non-negative, and OptimizeContext reports the violation as an error
-// before any work (a negative MaxNodes used to panic sizing the walk's
-// bound table).
+// non-negative, MaxNodes at most MaxNodesLimit, and OptimizeContext
+// reports the violation as an error before any work (a negative or huge
+// MaxNodes used to panic sizing the walk's bound table).
 func TestValidateRejectsNegativeOptions(t *testing.T) {
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatalf("zero options (all defaults) rejected: %v", err)
@@ -24,15 +25,19 @@ func TestValidateRejectsNegativeOptions(t *testing.T) {
 		{"MaxRounds", Options{MaxRounds: -1}},
 		{"MaxPatterns", Options{MaxPatterns: -1}},
 		{"Batch", Options{Batch: -1}},
-		{"Workers", Options{Workers: -1}},
+		{"MaxNodes", Options{MaxNodes: MaxNodesLimit + 1}},
+		{"MaxNodes", Options{MaxNodes: math.MaxInt}},
 	} {
 		err := tc.opts.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("%s = -1: Validate returned %v, want an error naming the field", tc.field, err)
+			t.Errorf("%+v: Validate returned %v, want an error naming %s", tc.opts, err, tc.field)
 			continue
 		}
 		if _, err := OptimizeContext(context.Background(), nil, &GraphMiner{Embedding: true}, tc.opts); err == nil {
-			t.Errorf("%s = -1: OptimizeContext returned no error", tc.field)
+			t.Errorf("%+v: OptimizeContext returned no error", tc.opts)
 		}
+	}
+	if err := (Options{MaxNodes: MaxNodesLimit}).Validate(); err != nil {
+		t.Errorf("MaxNodes = MaxNodesLimit rejected: %v", err)
 	}
 }

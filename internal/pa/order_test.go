@@ -23,9 +23,9 @@ func buildForMining(t *testing.T, prog *loader.Program) (*cfg.Program, []*dfg.Gr
 
 // The benefit-directed walk (best-first sibling order, MIS-aware child
 // pruning, warm-started incumbent) must be invisible in the output: the
-// Lexicographic kill switch flips the entire machinery and the Result
-// has to come out byte-identical, at every worker width, in both driver
-// modes. These tests pin that equivalence on small fixed programs; the
+// lexicographic reference arm flips the entire machinery and the Result
+// has to come out byte-identical, with and without cross-round reuse.
+// These tests pin that equivalence on small fixed programs; the
 // full-benchmark version lives in the heavy A/B suite.
 
 // searchArms enumerates the two search configurations whose Results
@@ -121,32 +121,29 @@ func TestOrderInvariantResult(t *testing.T) {
 	for sname, src := range srcs {
 		for _, embedding := range []bool{true, false} {
 			miner := &GraphMiner{Embedding: embedding}
-			// Reference arm: lexicographic walk, serial, scratch rebuilds.
+			// Reference arm: lexicographic walk, rebuilt every round.
 			ref := Optimize(loadSrc(t, src), miner,
-				Options{Lexicographic: true, NoIncremental: true, MaxPatterns: 10_000_000})
+				Options{MaxPatterns: 10_000_000, ref: reference{lexicographic: true, rebuild: true}})
 			want := fingerprint(ref)
 			armVisits := make([][]int, len(searchArms))
 			for ai, arm := range searchArms {
-				for _, workers := range []int{1, 8} {
-					for _, noInc := range []bool{true, false} {
-						name := fmt.Sprintf("%s/%s/%s/w=%d/noinc=%v", sname, miner.Name(), arm.name, workers, noInc)
-						res := Optimize(loadSrc(t, src), miner, Options{
-							Lexicographic: arm.lex,
-							Workers:       workers, NoIncremental: noInc,
-							MaxPatterns: 10_000_000,
-						})
-						if got := fingerprint(res); got != want {
-							t.Fatalf("%s: Result differs from lexicographic reference\ngot:\n%s\nwant:\n%s", name, got, want)
-						}
-						// Visits must be identical across worker widths and
-						// driver modes within one search arm (they differ
-						// BETWEEN arms — that difference is the point).
-						v := visitTrace(res)
-						if armVisits[ai] == nil {
-							armVisits[ai] = v
-						} else if fmt.Sprint(v) != fmt.Sprint(armVisits[ai]) {
-							t.Fatalf("%s: visit trace %v, want %v (must not depend on workers/incremental)", name, v, armVisits[ai])
-						}
+				for _, rebuild := range []bool{true, false} {
+					name := fmt.Sprintf("%s/%s/%s/rebuild=%v", sname, miner.Name(), arm.name, rebuild)
+					res := Optimize(loadSrc(t, src), miner, Options{
+						MaxPatterns: 10_000_000,
+						ref:         reference{lexicographic: arm.lex, rebuild: rebuild},
+					})
+					if got := fingerprint(res); got != want {
+						t.Fatalf("%s: Result differs from lexicographic reference\ngot:\n%s\nwant:\n%s", name, got, want)
+					}
+					// Visits must be identical across driver modes within one
+					// search arm (they differ BETWEEN arms — that difference is
+					// the point).
+					v := visitTrace(res)
+					if armVisits[ai] == nil {
+						armVisits[ai] = v
+					} else if fmt.Sprint(v) != fmt.Sprint(armVisits[ai]) {
+						t.Fatalf("%s: visit trace %v, want %v (must not depend on cross-round reuse)", name, v, armVisits[ai])
 					}
 				}
 			}
@@ -163,23 +160,21 @@ func TestOrderInvariantCandidateList(t *testing.T) {
 			miner := &GraphMiner{Embedding: embedding}
 			var want []string
 			for _, arm := range searchArms {
-				for _, workers := range []int{1, 8} {
-					prog := loadSrc(t, src)
-					view, graphs := buildForMining(t, prog)
-					opts := Options{Lexicographic: arm.lex, Workers: workers, MaxPatterns: 10_000_000}
-					cands := miner.FindCandidates(view, graphs, opts)
-					var got []string
-					for _, c := range cands {
-						got = append(got, fmt.Sprintf("%s ben=%d", candKey(c), c.Benefit))
-					}
-					if want == nil {
-						want = got
-						continue
-					}
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("%s/%s/%s/w=%d: candidate list differs\ngot:  %v\nwant: %v",
-							sname, miner.Name(), arm.name, workers, got, want)
-					}
+				prog := loadSrc(t, src)
+				view, graphs := buildForMining(t, prog)
+				opts := Options{MaxPatterns: 10_000_000, ref: reference{lexicographic: arm.lex}}
+				cands := miner.FindCandidates(view, graphs, opts)
+				var got []string
+				for _, c := range cands {
+					got = append(got, fmt.Sprintf("%s ben=%d", candKey(c), c.Benefit))
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s/%s/%s: candidate list differs\ngot:  %v\nwant: %v",
+						sname, miner.Name(), arm.name, got, want)
 				}
 			}
 		}

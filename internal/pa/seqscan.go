@@ -2,12 +2,10 @@ package pa
 
 import (
 	"cmp"
-	"context"
 	"slices"
 	"sort"
 
 	"graphpa/internal/dfg"
-	"graphpa/internal/par"
 )
 
 const (
@@ -32,26 +30,8 @@ func ScanSequences(graphs []*dfg.Graph, opts Options, graphSupport bool) []*Cand
 	}
 
 	var all []*Candidate
-
-	if w := opts.workers(); w > 1 && maxLen > 2 {
-		// Each sequence length is an independent scan over the read-only
-		// token arrays; ordered fan-in keeps `all` in the serial k order,
-		// which the stable sort below depends on for tie-breaking.
-		err := par.OrderedMap(context.Background(), w, maxLen-1,
-			func(_ context.Context, i int) ([]*Candidate, error) {
-				return scanLen(graphs, seqs, i+2, graphSupport), nil
-			},
-			func(_ int, cands []*Candidate) error {
-				all = append(all, cands...)
-				return nil
-			})
-		if err != nil {
-			panic(err) // scanners return no errors; panics re-raise in par.OrderedMap
-		}
-	} else {
-		for k := 2; k <= maxLen; k++ {
-			all = append(all, scanLen(graphs, seqs, k, graphSupport)...)
-		}
+	for k := 2; k <= maxLen; k++ {
+		all = append(all, scanLen(graphs, seqs, k, graphSupport)...)
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].Benefit > all[j].Benefit })
 	if len(all) > 64 {

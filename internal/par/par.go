@@ -1,9 +1,9 @@
-// Package par is the shared worker-pool layer of the parallel pipeline:
-// bounded fan-out, ordered fan-in, error short-circuiting, panic
-// propagation and context cancellation. Every concurrent stage in the
-// repo — dependence-graph construction, sequence scanning, the
-// benchmark workload×miner matrix — runs on these two primitives so the
-// concurrency rules (and their tests) live in one place.
+// Package par is the shared worker-pool layer for running independent
+// jobs side by side: bounded fan-out, ordered fan-in, error
+// short-circuiting, panic propagation and context cancellation. The
+// benchmark harness's build and workload×miner matrix run on
+// OrderedMap, so the concurrency rules (and their tests) live in one
+// place. Each optimizer run itself is serial.
 package par
 
 import (
@@ -61,51 +61,6 @@ func rethrow(err error) error {
 		panic(fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", pe.val, pe.stack))
 	}
 	return err
-}
-
-// Do runs fn(ctx, i) for every i in [0, n) on at most `workers`
-// goroutines (0 = GOMAXPROCS). The first error cancels the derived
-// context and is returned; jobs not yet started are skipped. A worker
-// panic is re-raised on the calling goroutine.
-func Do(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	g := &group{cancel: cancel}
-	next := int64(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					g.setErr(&panicError{val: r, stack: debug.Stack()})
-				}
-			}()
-			for cctx.Err() == nil {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				if err := fn(cctx, i); err != nil {
-					g.setErr(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := g.firstErr(); err != nil {
-		return rethrow(err)
-	}
-	return ctx.Err()
 }
 
 // item is one produced result awaiting ordered consumption.

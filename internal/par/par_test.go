@@ -24,97 +24,62 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-// TestDoSaturation verifies the pool never exceeds its worker bound and
-// still completes every job.
-func TestDoSaturation(t *testing.T) {
+// TestOrderedMapSaturation verifies the pool never runs more than its
+// worker bound of producers at once and still delivers every result.
+func TestOrderedMapSaturation(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 64
-			var cur, max, doneCount int64
-			err := Do(context.Background(), workers, n, func(_ context.Context, i int) error {
-				c := atomic.AddInt64(&cur, 1)
-				for {
-					m := atomic.LoadInt64(&max)
-					if c <= m || atomic.CompareAndSwapInt64(&max, m, c) {
-						break
+			var cur, max int64
+			consumed := 0
+			err := OrderedMap(context.Background(), workers, n,
+				func(_ context.Context, i int) (int, error) {
+					c := atomic.AddInt64(&cur, 1)
+					for {
+						m := atomic.LoadInt64(&max)
+						if c <= m || atomic.CompareAndSwapInt64(&max, m, c) {
+							break
+						}
 					}
-				}
-				time.Sleep(time.Millisecond)
-				atomic.AddInt64(&cur, -1)
-				atomic.AddInt64(&doneCount, 1)
-				return nil
-			})
+					time.Sleep(time.Millisecond)
+					atomic.AddInt64(&cur, -1)
+					return i, nil
+				},
+				func(i, v int) error {
+					consumed++
+					return nil
+				})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if doneCount != n {
-				t.Fatalf("completed %d of %d jobs", doneCount, n)
+			if consumed != n {
+				t.Fatalf("consumed %d of %d results", consumed, n)
 			}
 			if max > int64(workers) {
-				t.Fatalf("saturation: %d concurrent jobs with %d workers", max, workers)
+				t.Fatalf("saturation: %d concurrent producers with %d workers", max, workers)
 			}
 		})
 	}
 }
 
-// TestDoErrorShortCircuit verifies the first error cancels the fan-out:
-// jobs not yet started are skipped.
-func TestDoErrorShortCircuit(t *testing.T) {
-	boom := errors.New("boom")
-	var started int64
-	err := Do(context.Background(), 2, 1000, func(_ context.Context, i int) error {
-		atomic.AddInt64(&started, 1)
-		if i == 3 {
-			return boom
-		}
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if s := atomic.LoadInt64(&started); s == 1000 {
-		t.Fatalf("error did not short-circuit: all %d jobs started", s)
-	}
-}
-
-// TestDoPanicPropagation verifies a worker panic is re-raised on the
-// calling goroutine with the worker's stack attached.
-func TestDoPanicPropagation(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("worker panic was swallowed")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "kaboom") || !strings.Contains(msg, "worker goroutine stack") {
-			t.Fatalf("unexpected panic payload: %q", msg)
-		}
-	}()
-	_ = Do(context.Background(), 4, 16, func(_ context.Context, i int) error {
-		if i == 7 {
-			panic("kaboom")
-		}
-		return nil
-	})
-}
-
-// TestDoCancellation verifies cancelling the parent context mid-fan-out
-// stops the remaining jobs and surfaces context.Canceled.
-func TestDoCancellation(t *testing.T) {
+// TestOrderedMapCancellation verifies cancelling the parent context
+// mid-fan-out stops the remaining jobs and surfaces context.Canceled.
+func TestOrderedMapCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started int64
 	release := make(chan struct{})
 	var once sync.Once
-	err := Do(ctx, 2, 1000, func(ctx context.Context, i int) error {
-		atomic.AddInt64(&started, 1)
-		once.Do(func() {
-			cancel()
-			close(release)
-		})
-		<-release
-		return nil
-	})
+	err := OrderedMap(ctx, 2, 1000,
+		func(ctx context.Context, i int) (int, error) {
+			atomic.AddInt64(&started, 1)
+			once.Do(func() {
+				cancel()
+				close(release)
+			})
+			<-release
+			return i, nil
+		},
+		func(i, v int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -178,13 +143,16 @@ func TestOrderedMapConsumeError(t *testing.T) {
 	}
 }
 
-// TestOrderedMapProduceError verifies a producer error is returned and
-// the consumer is not fed beyond it.
+// TestOrderedMapProduceError verifies a producer error is returned,
+// short-circuits the jobs not yet started, and the consumer is not fed
+// beyond it.
 func TestOrderedMapProduceError(t *testing.T) {
 	boom := errors.New("boom")
 	var consumed []int
+	var started int64
 	err := OrderedMap(context.Background(), 4, 100,
 		func(_ context.Context, i int) (int, error) {
+			atomic.AddInt64(&started, 1)
 			if i == 10 {
 				return 0, boom
 			}
@@ -197,6 +165,9 @@ func TestOrderedMapProduceError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
+	if s := atomic.LoadInt64(&started); s == 100 {
+		t.Fatalf("error did not short-circuit: all %d jobs started", s)
+	}
 	for _, i := range consumed {
 		if i >= 10 {
 			// Results after the failed index must never reach the
@@ -206,11 +177,17 @@ func TestOrderedMapProduceError(t *testing.T) {
 	}
 }
 
-// TestOrderedMapPanic verifies producer panics cross the fan-in.
+// TestOrderedMapPanic verifies a producer panic is re-raised on the
+// calling goroutine with the worker's stack attached.
 func TestOrderedMapPanic(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("producer panic was swallowed")
+		}
+		msg := fmt.Sprint(r)
+		if !strings.Contains(msg, "kaboom") || !strings.Contains(msg, "worker goroutine stack") {
+			t.Fatalf("unexpected panic payload: %q", msg)
 		}
 	}()
 	_ = OrderedMap(context.Background(), 4, 16,
@@ -259,12 +236,6 @@ func TestOrderedMapEmpty(t *testing.T) {
 	if err := OrderedMap(context.Background(), 4, 0,
 		func(_ context.Context, i int) (int, error) { return 0, nil },
 		func(i, v int) error { t.Fatal("consume called"); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := Do(context.Background(), 4, 0, func(_ context.Context, i int) error {
-		t.Fatal("fn called")
-		return nil
-	}); err != nil {
 		t.Fatal(err)
 	}
 }

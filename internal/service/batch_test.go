@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"graphpa/internal/pa"
 )
 
 // submitBatchAndWait posts a batch of benchmark programs and polls until
@@ -106,7 +108,7 @@ func TestServiceBatchValidation(t *testing.T) {
 		"unnamed":     {Programs: []BatchProgram{{Source: "int main() { return 0; }"}}},
 		"duplicate":   {Programs: []BatchProgram{{Name: "a", Source: "int main() { return 0; }"}, {Name: "a", Source: "int main() { return 1; }"}}},
 		"badminer":    {Programs: []BatchProgram{{Name: "a", Source: "int main() { return 0; }"}}, Optimize: OptimizeOptions{Miner: "nope"}},
-		"bigfragment": {Programs: []BatchProgram{{Name: "a", Source: "int main() { return 0; }"}}, Optimize: OptimizeOptions{MaxFragment: MaxFragmentLimit + 1}},
+		"bigfragment": {Programs: []BatchProgram{{Name: "a", Source: "int main() { return 0; }"}}, Optimize: OptimizeOptions{MaxFragment: pa.MaxNodesLimit + 1}},
 	} {
 		if code, _, body := postJSON(t, ts.URL+"/v1/batch", &req); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", name, code, body)

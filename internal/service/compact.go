@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -22,12 +23,6 @@ type CompileOptions struct {
 	// Schedule enables the list scheduler.
 	Schedule bool `json:"schedule"`
 }
-
-// MaxFragmentLimit is the largest max_fragment a request may ask for.
-// The miner allocates a bound table of (max_fragment−1)·2048 ints per
-// round, so an unchecked value is a memory bomb; the largest fragment
-// size any benchmark or test uses is 12.
-const MaxFragmentLimit = 64
 
 // OptimizeOptions selects and tunes the procedural-abstraction run of a
 // request. The zero value of each field means its library default.
@@ -97,9 +92,7 @@ func (r *CompactRequest) minerName() string {
 	return r.Optimize.Miner
 }
 
-// paOptions maps the request onto the optimizer's options. Every job
-// mines serially: the server runs Config.JobWorkers jobs side by side
-// instead.
+// paOptions maps the request onto the optimizer's options.
 func (r *CompactRequest) paOptions() pa.Options {
 	return pa.Options{
 		MinSupport:  r.Optimize.MinSupport,
@@ -107,7 +100,6 @@ func (r *CompactRequest) paOptions() pa.Options {
 		MaxRounds:   r.Optimize.MaxRounds,
 		MaxPatterns: r.Optimize.MaxPatterns,
 		GreedyMIS:   r.Optimize.GreedyMIS,
-		Workers:     1,
 	}
 }
 
@@ -121,20 +113,24 @@ func (r *CompactRequest) validate() error {
 		return err
 	}
 	if err := r.paOptions().Validate(); err != nil {
-		return err
-	}
-	if r.Optimize.MaxFragment > MaxFragmentLimit {
-		return fmt.Errorf("max_fragment %d exceeds the limit of %d", r.Optimize.MaxFragment, MaxFragmentLimit)
+		return errors.New(requestFieldNames.Replace(err.Error()))
 	}
 	return nil
 }
 
+// requestFieldNames renders pa.Options.Validate's diagnostics in the
+// request's own JSON field names.
+var requestFieldNames = strings.NewReplacer(
+	"MinSupport", "min_support",
+	"MaxNodes", "max_fragment",
+	"MaxRounds", "max_rounds",
+	"MaxPatterns", "max_patterns",
+)
+
 // Key returns the request's content address: the hex SHA-256 of the
 // input bytes and every option that can change the output. Zero-valued
 // options are resolved to their library defaults first, so spelling a
-// default out loud shares the cache line with leaving it blank. The
-// mining worker width is deliberately excluded — the parallel search is
-// deterministic, so every width produces the same bytes.
+// default out loud shares the cache line with leaving it blank.
 func (r *CompactRequest) Key() string {
 	h := sha256.New()
 	kind := "minic"

@@ -30,16 +30,13 @@ func small5Requests(t *testing.T) []*CompactRequest {
 }
 
 // TestConfigDefaultJobPool pins the pool sizing: the zero Config runs
-// one job per core, and every job mines serially.
+// one job per core.
 func TestConfigDefaultJobPool(t *testing.T) {
 	if got, want := (Config{}).jobWorkers(), par.Workers(0); got != want {
 		t.Errorf("Config{} runs %d jobs, want par.Workers(0) = %d", got, want)
 	}
 	if got := (Config{JobWorkers: 3}).jobWorkers(); got != 3 {
 		t.Errorf("Config{JobWorkers: 3} runs %d jobs", got)
-	}
-	if w := (&CompactRequest{}).paOptions().Workers; w != 1 {
-		t.Errorf("jobs mine at Workers %d, want 1", w)
 	}
 }
 

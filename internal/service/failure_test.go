@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"graphpa/internal/bench"
+	"graphpa/internal/pa"
 )
 
 func TestMalformedSourceReturns400(t *testing.T) {
@@ -37,7 +38,7 @@ func TestMalformedSourceReturns400(t *testing.T) {
 		}, "non-negative"},
 		{"max_fragment over the limit", &CompactRequest{
 			Source:   "int main() { return 0; }",
-			Optimize: OptimizeOptions{MaxFragment: MaxFragmentLimit + 1},
+			Optimize: OptimizeOptions{MaxFragment: pa.MaxNodesLimit + 1},
 		}, "max_fragment"},
 	}
 	for _, tc := range cases {

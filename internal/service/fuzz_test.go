@@ -7,12 +7,13 @@ import (
 	"testing"
 
 	"graphpa/internal/bench"
+	"graphpa/internal/pa"
 )
 
 // FuzzDecodeRequest feeds arbitrary bytes to the two request decoders,
 // decodeRequest (/v1/compact, /v1/jobs) and decodeBatchRequest
 // (/v1/batch). Neither may panic, and every request they accept must
-// pass validate — max_fragment within MaxFragmentLimit included — and
+// pass validate — max_fragment within pa.MaxNodesLimit included — and
 // have a content address, as must each program of an accepted batch.
 // The seeds are the request bodies the service tests send.
 func FuzzDecodeRequest(f *testing.F) {
@@ -29,12 +30,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		&CompactRequest{Source: "   "},
 		&CompactRequest{Source: tiny, Optimize: OptimizeOptions{Miner: "bogus"}},
 		&CompactRequest{Source: tiny, Optimize: OptimizeOptions{MaxRounds: -1}},
-		&CompactRequest{Source: tiny, Optimize: OptimizeOptions{MaxFragment: MaxFragmentLimit + 1}},
+		&CompactRequest{Source: tiny, Optimize: OptimizeOptions{MaxFragment: pa.MaxNodesLimit + 1}},
 		&BatchRequest{Programs: []BatchProgram{{Name: "a", Source: tiny}, {Name: "b", Source: src}}, Optimize: OptimizeOptions{Miner: "sfx"}},
 		&BatchRequest{},
 		&BatchRequest{Programs: []BatchProgram{{Source: tiny}}},
 		&BatchRequest{Programs: []BatchProgram{{Name: "a", Source: tiny}, {Name: "a", Source: tiny}}},
-		&BatchRequest{Programs: []BatchProgram{{Name: "a", Source: tiny}}, Optimize: OptimizeOptions{MaxFragment: MaxFragmentLimit + 1}},
+		&BatchRequest{Programs: []BatchProgram{{Name: "a", Source: tiny}}, Optimize: OptimizeOptions{MaxFragment: pa.MaxNodesLimit + 1}},
 	}
 	for _, s := range seeds {
 		body, err := json.Marshal(s)
@@ -69,8 +70,8 @@ func checkAccepted(t *testing.T, req *CompactRequest) {
 	if err := req.validate(); err != nil {
 		t.Fatalf("accepted request fails validate: %v", err)
 	}
-	if req.Optimize.MaxFragment > MaxFragmentLimit {
-		t.Fatalf("accepted max_fragment %d above the limit %d", req.Optimize.MaxFragment, MaxFragmentLimit)
+	if req.Optimize.MaxFragment > pa.MaxNodesLimit {
+		t.Fatalf("accepted max_fragment %d above the limit %d", req.Optimize.MaxFragment, pa.MaxNodesLimit)
 	}
 	if k := req.Key(); len(k) != 64 {
 		t.Fatalf("accepted request has key %q, want 64 hex digits", k)

