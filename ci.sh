@@ -153,12 +153,9 @@ echo "ci.sh: benchmark record and visit-count gate passed"
 # the same defaults and require each program's saved count to equal
 # tables.txt's Edgar column: a change that moves savings without
 # regenerating tables.txt (and EXPERIMENTS.md, which quotes it) fails
-# here. The smoke lane covers every benchmark whose walk completes
-# quickly; -full adds rijndael.
-DRIFT_PROGRAMS=bitcnts,crc,dijkstra,patricia,qsort,search,sha
-if [ "${1:-}" = "-full" ]; then
-	DRIFT_PROGRAMS="$DRIFT_PROGRAMS,rijndael"
-fi
+# here. Every benchmark's edgar fixpoint takes well under a second, so
+# both lanes cover all eight.
+DRIFT_PROGRAMS=bitcnts,crc,dijkstra,patricia,qsort,rijndael,search,sha
 "$TMP/paper-tables" -only timings -programs "$DRIFT_PROGRAMS" -miners edgar \
 	-noverify -bench-json "$TMP/bench.drift.json" >/dev/null
 awk '/^Table 1:/ { on = 1; next } on && /^total/ { exit } on { print $1, $NF }' \
@@ -197,3 +194,19 @@ while read -r name visits; do
 	fi
 done <"$TMP/visits.drift"
 echo "ci.sh: BENCH_edgar.json visit counts match the mined walks exactly"
+
+# --- truncation gate ------------------------------------------------------
+# MaxPatterns is a safety valve, not part of the search: no edgar round
+# on the suite may stop at it. A round that does is no longer
+# order-invariant (DESIGN.md §10), and its savings depend on the budget.
+awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
+	/"truncated_rounds":/ { gsub(/,/, "", $2); print name, $2 }' \
+	"$TMP/bench.drift.json" >"$TMP/truncated.drift"
+[ "$(wc -l <"$TMP/truncated.drift")" -eq 8 ] || { echo "ci.sh: the drift record lacks truncated_rounds for the 8 programs" >&2; exit 1; }
+while read -r name truncated; do
+	if [ "$truncated" != 0 ]; then
+		echo "ci.sh: $name: $truncated edgar rounds stopped at the pattern budget" >&2
+		exit 1
+	fi
+done <"$TMP/truncated.drift"
+echo "ci.sh: no edgar round reached the pattern budget"

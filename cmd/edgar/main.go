@@ -51,7 +51,7 @@ func main() {
 		MaxPatterns: *maxPatterns,
 		GreedyMIS:   *greedyMIS,
 	}
-	if err := po.Validate(); err != nil {
+	if err := po.ValidateAs(flagNames); err != nil {
 		fmt.Fprintln(os.Stderr, "edgar:", err)
 		os.Exit(2)
 	}
@@ -129,18 +129,19 @@ func main() {
 
 // printRoundStats renders the per-round breakdown recorded by the
 // driver: phase wall clocks, dependence-graph cache effectiveness, call
-// summaries changed since the previous round, lattice visits, children
-// rejected as non-minimal codes, and lattice fast-forwarding. The last
-// row is the fixpoint probe (the round that found nothing left).
+// summaries changed since the previous round, lattice visits, and the
+// children the walk cut as non-minimal codes or as unextractable
+// fragments. The last row is the fixpoint probe (the round that found
+// nothing left).
 func printRoundStats(stats []pa.RoundStat) {
 	if len(stats) == 0 {
 		return
 	}
 	fmt.Printf("per-round breakdown (blocks reused/rebound/rebuilt; summaries changed)\n")
-	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %10s %8s\n",
-		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums chg", "visits", "non-min", "ff-visits", "extract")
+	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %8s %8s\n",
+		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums chg", "visits", "non-min", "unextr", "extract")
 	for _, st := range stats {
-		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11d %8d %8d %10d %8d\n",
+		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11d %8d %8d %8d %8d\n",
 			st.Round,
 			st.CFGBuild.Round(time.Microsecond),
 			st.Summaries.Round(time.Microsecond),
@@ -151,9 +152,18 @@ func printRoundStats(stats []pa.RoundStat) {
 			st.SummariesChanged,
 			st.Visits,
 			st.NonMinimal,
-			st.VisitsSaved,
+			st.Unextractable,
 			st.Extractions)
 	}
+}
+
+// flagNames names the flags that set each pa.Options field, for
+// ValidateAs' diagnostics.
+var flagNames = map[string]string{
+	"MinSupport":  "-minsup",
+	"MaxNodes":    "-maxfrag",
+	"MaxRounds":   "-maxrounds",
+	"MaxPatterns": "-maxpatterns",
 }
 
 func fatal(err error) {

@@ -34,7 +34,7 @@ func main() {
 	verbose := flag.Bool("v", false, "log per-program progress to stderr")
 	flag.Parse()
 	opts := pa.Options{MaxNodes: *maxFrag, MaxPatterns: *maxPatterns}
-	if err := opts.Validate(); err != nil {
+	if err := opts.ValidateAs(flagNames); err != nil {
 		fmt.Fprintln(os.Stderr, "paper-tables:", err)
 		os.Exit(2)
 	}
@@ -145,6 +145,13 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown artifact %q", *only))
 	}
+}
+
+// flagNames names the flags that set each pa.Options field, for
+// ValidateAs' diagnostics.
+var flagNames = map[string]string{
+	"MaxNodes":    "-maxfrag",
+	"MaxPatterns": "-maxpatterns",
 }
 
 func fatal(err error) {

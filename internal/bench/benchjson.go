@@ -26,6 +26,10 @@ type BenchRow struct {
 	// regression gate compares (wall clock is too noisy for CI). Zero in
 	// records predating the field and for the SFX miner.
 	Visits int `json:"visits,omitempty"`
+	// TruncatedRounds counts the rounds whose walk reached the pattern
+	// budget (MaxPatterns) and stopped there. Zero in records predating
+	// the field.
+	TruncatedRounds int `json:"truncated_rounds"`
 }
 
 // BenchFingerprint pins the optimizer configuration a benchmark record
@@ -83,26 +87,31 @@ func BenchJSON(ev *Evaluation, miners []string) *BenchDoc {
 			MaxPatterns: ev.Opts.MaxPatternsOrDefault(),
 		},
 	}
+	budget := ev.Opts.MaxPatternsOrDefault()
 	for _, mn := range miners {
 		for _, w := range ev.Workloads {
 			r, ok := ev.Results[w.Name][mn]
 			if !ok {
 				continue
 			}
-			visits := 0
+			visits, truncated := 0, 0
 			for _, rs := range r.RoundStats {
 				visits += rs.Visits
+				if rs.Visits >= budget {
+					truncated++
+				}
 			}
 			d.Programs = append(d.Programs, BenchRow{
-				Name:        w.Name,
-				Miner:       mn,
-				Before:      r.Before,
-				After:       r.After,
-				Saved:       r.Saved(),
-				Rounds:      r.Rounds,
-				Extractions: len(r.Extractions),
-				WallMS:      float64(r.Duration.Microseconds()) / 1000,
-				Visits:      visits,
+				Name:            w.Name,
+				Miner:           mn,
+				Before:          r.Before,
+				After:           r.After,
+				Saved:           r.Saved(),
+				Rounds:          r.Rounds,
+				Extractions:     len(r.Extractions),
+				WallMS:          float64(r.Duration.Microseconds()) / 1000,
+				Visits:          visits,
+				TruncatedRounds: truncated,
 			})
 			d.TotalWallMS += float64(r.Duration.Microseconds()) / 1000
 			d.TotalVisits += visits

@@ -35,3 +35,20 @@ func TestBaselineRecordLoads(t *testing.T) {
 		t.Errorf("lexicographic fingerprint %+v matches the benefit-directed baseline", lex)
 	}
 }
+
+// TestBenchRowTruncatedRounds: a round whose walk used up the pattern
+// budget counts as truncated, one below it does not.
+func TestBenchRowTruncatedRounds(t *testing.T) {
+	const budget = 50
+	ev := &Evaluation{
+		Workloads: []*Workload{{Name: "p"}},
+		Results: map[string]map[string]*pa.Result{"p": {"edgar": {RoundStats: []pa.RoundStat{
+			{Visits: budget}, {Visits: budget - 1}, {Visits: budget},
+		}}}},
+		Opts: pa.Options{MaxPatterns: budget},
+	}
+	row := BenchJSON(ev, []string{"edgar"}).Programs[0]
+	if row.TruncatedRounds != 2 || row.Visits != 3*budget-1 {
+		t.Errorf("row %+v: want 2 truncated rounds and %d visits", row, 3*budget-1)
+	}
+}

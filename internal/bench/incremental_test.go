@@ -13,9 +13,8 @@ import (
 // TestIncrementalCacheEffectiveness: on a multi-round benchmark, rounds
 // after the first must reuse every dependence graph of untouched
 // functions — RebuiltClean, the over-invalidation counter, stays zero —
-// and actually hit the caches (graphs reused, lattice subtrees
-// fast-forwarded). This is the quantitative half of the differential
-// test: identical output AND strictly less work.
+// and actually reuse dependence graphs. This is the quantitative half of
+// the differential test: identical output AND strictly less work.
 func TestIncrementalCacheEffectiveness(t *testing.T) {
 	w, err := Build("crc", DefaultCodegen())
 	if err != nil {
@@ -29,7 +28,7 @@ func TestIncrementalCacheEffectiveness(t *testing.T) {
 		// Fixpoint runs record every applying round plus the final probe.
 		t.Fatalf("expected %d round stats (rounds + probe), got %d", res.Rounds+1, len(res.RoundStats))
 	}
-	reused, hits := 0, 0
+	reused := 0
 	for _, rs := range res.RoundStats[1:] {
 		if rs.RebuiltClean != 0 {
 			t.Errorf("round %d: %d clean-block rebuilds (dirty-set over-invalidation)", rs.Round, rs.RebuiltClean)
@@ -38,13 +37,9 @@ func TestIncrementalCacheEffectiveness(t *testing.T) {
 			t.Errorf("round %d: no dependence graphs reused", rs.Round)
 		}
 		reused += rs.BlocksReused
-		hits += rs.MemoHits
 	}
 	if reused == 0 {
 		t.Error("no object-identical graph reuse across any round")
-	}
-	if hits == 0 {
-		t.Error("no lattice subtrees fast-forwarded across any round")
 	}
 	for _, rs := range res.RoundStats {
 		if rs.Blocks != rs.BlocksReused+rs.BlocksRebound+rs.BlocksRebuilt {

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -90,7 +91,8 @@ func assertSteps(t *testing.T, name string, code Code, got []*EmbSet) {
 		t.Fatalf("%s: %s has %d step sets, want %d", name, code, len(got), len(want))
 	}
 	for j := range want {
-		if !got[j].EqualData(want[j]) {
+		g, w := got[j], want[j]
+		if g.k != w.k || g.e != w.e || !slices.Equal(g.gids, w.gids) || !slices.Equal(g.tup, w.tup) {
 			t.Fatalf("%s: %s: step set %d has %d rows %v, the full test %d rows %v",
 				name, code, j, got[j].n, got[j].tup, want[j].n, want[j].tup)
 		}

@@ -2,7 +2,6 @@ package mining
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -231,35 +230,6 @@ func (c Code) String() string {
 		parts[i] = t.String()
 	}
 	return strings.Join(parts, " ")
-}
-
-// Key returns a map key identifying the code: an injective byte encoding
-// cheap enough for per-visit memo keys (String is the readable form).
-// Numbers are decimal with explicit separators; labels never contain the
-// 0x00/0x01 separator bytes, so distinct codes never collide.
-func (c Code) Key() string {
-	n := 0
-	for _, t := range c {
-		n += len(t.LI) + len(t.LE) + len(t.LJ) + 12
-	}
-	b := make([]byte, 0, n)
-	for _, t := range c {
-		b = strconv.AppendInt(b, int64(t.I), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(t.J), 10)
-		if t.Out {
-			b = append(b, '>')
-		} else {
-			b = append(b, '<')
-		}
-		b = append(b, t.LI...)
-		b = append(b, 0)
-		b = append(b, t.LE...)
-		b = append(b, 0)
-		b = append(b, t.LJ...)
-		b = append(b, 1)
-	}
-	return string(b)
 }
 
 // IsMinimal reports whether c is the canonical (lexicographically

@@ -32,6 +32,10 @@ type EmbSet struct {
 	// needs no locking.
 	w    int
 	bits []uint64
+
+	// closed marks the rows Config.RowClosed closed, by row; empty when
+	// the walk has no predicate.
+	closed []bool
 }
 
 // Len returns the number of embeddings.
@@ -97,6 +101,11 @@ func (s *EmbSet) ensureBits() {
 		}
 	}
 }
+
+// Closed reports whether embedding i is closed: Config.RowClosed holds
+// for its nodes or for an ancestor row's. Always false in a walk without
+// the predicate.
+func (s *EmbSet) Closed(i int) bool { return i < len(s.closed) && s.closed[i] }
 
 // nodeBits returns embedding i's node bitset (ensureBits must have run).
 func (s *EmbSet) nodeBits(i int) []uint64 { return s.bits[i*s.w : (i+1)*s.w] }
@@ -224,26 +233,6 @@ func (b *embBuilder) reset() {
 func (b *embBuilder) done() *EmbSet {
 	s := b.set
 	return &s
-}
-
-// EqualData reports whether two sets hold identical embeddings (shape,
-// graph IDs and tuples) — the cross-round footprint comparison of the
-// checkpoint protocol. Bitsets are derived state and not compared.
-func (s *EmbSet) EqualData(o *EmbSet) bool {
-	if s.k != o.k || s.e != o.e || s.n != o.n {
-		return false
-	}
-	for i, g := range s.gids {
-		if g != o.gids[i] {
-			return false
-		}
-	}
-	for i, v := range s.tup {
-		if v != o.tup[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Embedding is the boxed view of one EmbSet row: the pre-slab

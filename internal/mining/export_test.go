@@ -1,5 +1,7 @@
 package mining
 
+import "strconv"
+
 // Test-only hooks for the external mining_test suites, which reach the
 // benchmark programs through pa — an import cycle for in-package tests.
 
@@ -65,4 +67,33 @@ func (ct *ChildTester) Minimal(t Tuple) bool {
 	ct.kid, ok = ct.mn.childMinimal(ct.code, &t, ct.kid[:0])
 	ct.mn.stepFree = append(ct.mn.stepFree, ct.kid...)
 	return ok
+}
+
+// Key returns a map key identifying the code for the tests: an injective
+// byte encoding (String is the readable form).
+// Numbers are decimal with explicit separators; labels never contain the
+// 0x00/0x01 separator bytes, so distinct codes never collide.
+func (c Code) Key() string {
+	n := 0
+	for _, t := range c {
+		n += len(t.LI) + len(t.LE) + len(t.LJ) + 12
+	}
+	b := make([]byte, 0, n)
+	for _, t := range c {
+		b = strconv.AppendInt(b, int64(t.I), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(t.J), 10)
+		if t.Out {
+			b = append(b, '>')
+		} else {
+			b = append(b, '<')
+		}
+		b = append(b, t.LI...)
+		b = append(b, 0)
+		b = append(b, t.LE...)
+		b = append(b, 0)
+		b = append(b, t.LJ...)
+		b = append(b, 1)
+	}
+	return string(b)
 }

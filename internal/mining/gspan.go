@@ -70,18 +70,32 @@ type Config struct {
 	// The set is valid only during the call: the walk reuses the storage
 	// of children it does not descend into.
 	PruneChild func(set *EmbSet, bound int) bool
-	// Checkpoint, when non-nil, may fast-forward whole lattice subtrees
-	// recorded by an earlier equivalent walk (see Checkpointer).
-	Checkpoint Checkpointer
-	// NoteNonMinimal, when non-nil, receives once at the end of a walk
-	// the number of children the minimal-DFS-code test rejected. The
-	// test runs on every extension group that passes ViableCount,
-	// before the group is materialised, bounded or offered to
-	// PruneChild, so the count includes children a bound or the
-	// pattern budget would have cut. A checkpoint fast-forward charges
-	// its subtree's recorded count, so the count is identical with and
-	// without checkpointing.
-	NoteNonMinimal func(n int)
+	// RowClosed, when non-nil, reports whether an embedding row — graph
+	// gid, nodes by DFS index — is closed: no superset of its node set
+	// can ever be extracted. It must be monotone (a superset of a closed
+	// row's nodes is closed), so a row's descendants inherit its verdict
+	// and the walk asks it only for a forward extension's new row whose
+	// parent row is open. A root or child whose rows are all closed is
+	// skipped before it is visited, with its whole subtree. The nodes
+	// slice is valid only during the call.
+	RowClosed func(gid int, nodes []int32) bool
+	// NoteCounts, when non-nil, receives the walk's child counters once
+	// at its end.
+	NoteCounts func(WalkCounts)
+}
+
+// WalkCounts are the children a walk rejected, by reason.
+type WalkCounts struct {
+	// NonMinimal counts children the minimal-DFS-code test rejected. The
+	// test runs on every extension group that passes ViableCount, before
+	// the group is materialised, bounded or offered to PruneChild, so
+	// the count includes children a bound or the pattern budget would
+	// have cut.
+	NonMinimal int
+	// Unextractable counts roots and materialised children skipped
+	// because every row was closed (Config.RowClosed). The cut runs
+	// before bounds, so it too includes children a bound would have cut.
+	Unextractable int
 }
 
 func (c Config) exactLimit() int {
@@ -238,9 +252,7 @@ type miner struct {
 	pre      stepPrefix  // prefix state of the code being expanded
 	mini     *miner      // childMinimalFull's scratch, made on first use
 
-	// nonMinimal counts children the walk rejected as non-minimal codes
-	// (Config.NoteNonMinimal).
-	nonMinimal int
+	counts WalkCounts // Config.NoteCounts
 }
 
 // extendGroups computes all rightmost extensions of (code, set) grouped
@@ -472,11 +484,14 @@ func childShape(t Tuple, parent *EmbSet) (k, e int) {
 // materializeInto writes g's child embeddings into dst, reusing dst's
 // slabs, deduplicating automorphic rediscoveries by 64-bit row hash with
 // exact verification on collision. Each child row is the parent row
-// extended in place; rows keep candidate order, first of each kept.
+// extended in place; rows keep candidate order, first of each kept. With
+// a RowClosed predicate each row inherits its parent row's closed bit; a
+// forward extension's row whose parent row is open asks the predicate.
 func (mn *miner) materializeInto(g *rawGroup, parent, dst *EmbSet) {
 	fwd := g.t.Forward()
+	closedFn := mn.cfg.RowClosed
 	dst.k, dst.e = childShape(g.t, parent)
-	dst.n, dst.gids, dst.tup = 0, dst.gids[:0], dst.tup[:0]
+	dst.n, dst.gids, dst.tup, dst.closed = 0, dst.gids[:0], dst.tup[:0], dst.closed[:0]
 	dst.w = 0
 	rows := &mn.sc.rows
 	rows.reset(len(g.cands))
@@ -495,6 +510,13 @@ func (mn *miner) materializeInto(g *rawGroup, parent, dst *EmbSet) {
 		}) {
 			dst.tup = dst.tup[:base]
 			continue
+		}
+		if closedFn != nil {
+			closed := parent.closed[c.emb]
+			if !closed && fwd {
+				closed = closedFn(int(gid), row[:dst.k])
+			}
+			dst.closed = append(dst.closed, closed)
 		}
 		dst.gids = append(dst.gids, gid)
 		dst.n++
@@ -540,9 +562,7 @@ func (mn *miner) computeSupport(p *Pattern) int {
 }
 
 // dfs is one search step: build the pattern, check frequency, then
-// visit and descend — or fast-forward the whole subtree through the
-// checkpointer. A checkpointer's Begin/End bracket the subtree with its
-// visit and non-minimal counts.
+// visit and descend.
 func (mn *miner) dfs(code Code, set *EmbSet) {
 	if mn.aborted {
 		return
@@ -551,20 +571,8 @@ func (mn *miner) dfs(code Code, set *EmbSet) {
 	if p.Support < mn.cfg.MinSupport {
 		return
 	}
-	if mn.fastForward(p) {
-		return
-	}
-	ck := mn.cfg.Checkpoint
-	var tok any
-	v0, nm0 := mn.visited, mn.nonMinimal
-	if ck != nil {
-		tok = ck.Begin(p)
-	}
 	if mn.step(p) {
 		mn.expand(code, set)
-	}
-	if tok != nil {
-		ck.End(tok, mn.visited-v0, mn.nonMinimal-nm0, mn.aborted)
 	}
 }
 
@@ -624,11 +632,11 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 			childHook(mn, code, g.t, ok)
 		}
 		if !ok {
-			mn.nonMinimal++
+			mn.counts.NonMinimal++
 			continue
 		}
 		cset, ok := mn.materialize(g, set)
-		if !ok {
+		if !ok || mn.unextractable(cset) {
 			mn.free = append(mn.free, cset)
 			mn.stepFree = append(mn.stepFree, steps[s0:]...)
 			clear(steps[s0:])
@@ -677,24 +685,49 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 // visit for each (in canonical DFS-code growth order, benefit-directed
 // among siblings unless cfg.Lexicographic). The search is complete:
 // every frequent fragment is reported exactly once (via the
-// minimal-DFS-code test), except where a PruneChild policy cuts a
-// subtree. The walk is serial: the visit sequence (patterns, order,
-// truncation point) is a pure function of the graphs and the policies'
-// answers. The return value is the number of patterns visited, including visits
-// charged by checkpoint fast-forwards — a deterministic work metric.
+// minimal-DFS-code test), except where a PruneSubtree or PruneChild
+// policy or the RowClosed cut skips a subtree. The walk is serial: the
+// visit sequence (patterns, order, truncation point) is a pure function
+// of the graphs and the policies' answers. The return value is the
+// number of patterns visited — a deterministic work metric.
 func Mine(graphs []*Graph, cfg Config, visit func(*Pattern)) int {
 	gx := newGraphIndex(graphs)
 	roots := seedPatterns(graphs)
 
 	mn := &miner{cfg: cfg, gx: gx, visit: visit}
 	for _, s := range roots {
+		if mn.aborted {
+			break
+		}
+		if s.set.Len() < cfg.MinSupport {
+			continue // fewer rows than the support any notion needs
+		}
+		if mn.cfg.RowClosed != nil {
+			s.set.closed = make([]bool, s.set.Len())
+			for i := range s.set.closed {
+				s.set.closed[i] = mn.cfg.RowClosed(s.set.GID(i), s.set.Nodes(i))
+			}
+			if mn.unextractable(s.set) {
+				continue
+			}
+		}
 		mn.steps = append(mn.steps[:0], rootStep)
 		mn.dfs(Code{s.t}, s.set)
 	}
-	if mn.cfg.NoteNonMinimal != nil {
-		mn.cfg.NoteNonMinimal(mn.nonMinimal)
+	if mn.cfg.NoteCounts != nil {
+		mn.cfg.NoteCounts(mn.counts)
 	}
 	return mn.visited
+}
+
+// unextractable reports whether every row of set is closed, counting the
+// cut (Config.RowClosed). Without a predicate no row is closed.
+func (mn *miner) unextractable(set *EmbSet) bool {
+	if mn.cfg.RowClosed == nil || slices.Contains(set.closed, false) {
+		return false
+	}
+	mn.counts.Unextractable++
+	return true
 }
 
 // seedPatterns builds the 1-edge root patterns: one per distinct minimal

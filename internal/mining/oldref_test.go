@@ -258,8 +258,8 @@ func oldIsMinimal(c Code) bool {
 	return true
 }
 
-// OldMine is the boxed-layout serial search (Workers, Checkpoint and
-// PruneSubtree are ignored: the reference exists to compare layouts, not
+// OldMine is the boxed-layout serial search (PruneSubtree, PruneChild
+// and RowClosed are ignored: the reference exists to compare layouts, not
 // policies).
 func OldMine(graphs []*Graph, cfg Config, visit func(*OldPattern)) {
 	byID := map[int]*Graph{}

@@ -52,23 +52,18 @@ func totalVisits(t *testing.T, res *pa.Result, cap int) int {
 }
 
 // TestBenefitDirectedRijndaelAB pins the paper's worst-case workload on
-// its densest lattice: the first two rounds, walked to completion (the
-// second round alone is ~537k patterns, dominated by the unrolled crypto
-// rounds' textually identical fragments). The gates are Result identity
-// and bf never visiting more than lex.
-//
-// There is deliberately NO visit-reduction or wall-clock gate here:
-// rijndael's lattice is bound-immune. Its ~537k-pattern round has
-// hundreds of thousands of fragments whose MIS upper bound meets the
-// final incumbent (benefit 26 needs m>=5 at k=8; the unrolled rounds
-// supply them in bulk), and at maxK=8 the per-m pruning thresholds of
-// CallBenefit (7m-9) and the legacy fragUB (7m-7) coincide for every
-// incumbent not congruent to 0 or 1 mod 7 — including 26. Measured:
-// 536,445 benefit-directed vs 536,556 lexicographic visits on the
-// complete round-2 walk, and the late fixpoint rounds (incumbents <= 5)
-// admit no pruning at all since CallBenefit(8,2)=5. The structural win
-// lives on sha (see TestBenefitDirectedShaAB, ~46% fewer visits); this
-// test pins that rijndael pays no identity or visit cost for it.
+// its densest lattice: the first two rounds, walked to completion. The
+// lexicographic reference walks without the unextractable-fragment
+// prune, and its second round alone is ~536k patterns, dominated by the
+// unrolled crypto rounds' textually identical fragments. Its bounds
+// barely cut there: hundreds of thousands of fragments have a MIS upper
+// bound that meets the final incumbent (benefit 26 needs m>=5 at k=8),
+// so the lattice looked bound-immune. Nearly all of those fragments are
+// unextractable, though — every embedding row's dependence hull is
+// larger than MaxNodes or holds an instruction that cannot be outlined —
+// and the benefit-directed walk cuts them before visiting them: its
+// second round completes in a few hundred visits. The gates are Result
+// identity and a visit ratio of at most 1%.
 func TestBenefitDirectedRijndaelAB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("same-process A/B over the full rijndael workload; skipped with -short")
@@ -93,8 +88,8 @@ func TestBenefitDirectedRijndaelAB(t *testing.T) {
 	lexV, bfV := totalVisits(t, lex, budget), totalVisits(t, bf, budget)
 	t.Logf("rijndael A/B (2 rounds, complete): lex %v / %d visits, best-first %v / %d visits (%.1f%% of lex visits, %.1f%% of lex wall)",
 		lexDur, lexV, bfDur, bfV, 100*float64(bfV)/float64(lexV), 100*float64(bfDur)/float64(lexDur))
-	if bfV > lexV {
-		t.Errorf("best-first visited %d lattice nodes vs lex %d; must never be worse", bfV, lexV)
+	if bfV*100 > lexV {
+		t.Errorf("best-first visited %d lattice nodes vs lex %d; want <= 1%%", bfV, lexV)
 	}
 }
 

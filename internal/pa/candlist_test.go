@@ -44,7 +44,7 @@ func TestAdmitOrderInvariantTieSet(t *testing.T) {
 	}
 
 	// A candidate below the incumbent (possible only from a stale-threshold
-	// build or a checkpoint replay) is dropped, not kept as a runner-up.
+	// build) is dropped, not kept as a runner-up.
 	s := newSearch(8, false)
 	s.bestBen = 10
 	s.admit(a)

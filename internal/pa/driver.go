@@ -56,7 +56,8 @@ type Options struct {
 	// inc hands the round's incremental caches to the miner. Only the
 	// incremental driver sets it.
 	inc *incMining
-	// stat, when non-nil, receives per-round miner counters (Visits).
+	// stat, when non-nil, receives per-round miner counters (Visits,
+	// NonMinimal, Unextractable).
 	stat *RoundStat
 }
 
@@ -82,8 +83,8 @@ type reference struct {
 	lexicographic bool
 	// rebuild discards all cross-round state: every round reassembles
 	// the program, builds its view afresh with cfg.Build and starts a new
-	// incState, so dependence graphs, mining graphs and lattice records
-	// are all built from scratch.
+	// incState, so dependence graphs and mining graphs are all built
+	// from scratch.
 	rebuild bool
 }
 
@@ -142,9 +143,26 @@ const MaxNodesLimit = 64
 // Validate rejects options no run can honour: every count and bound is
 // non-negative, 0 selects its default, and MaxNodes is at most
 // MaxNodesLimit. OptimizeContext checks it first; the CLIs and the
-// compaction service call it themselves to refuse bad input before
-// doing any work.
+// compaction service call ValidateAs themselves to refuse bad input
+// before doing any work.
 func (o Options) Validate() error {
+	if err := o.ValidateAs(nil); err != nil {
+		return fmt.Errorf("pa: %w", err)
+	}
+	return nil
+}
+
+// ValidateAs is Validate with each rejected option called by the name
+// names maps its Options field name to — a command's flag, a request's
+// JSON field — so callers report errors in their users' terms. A field
+// names does not map keeps its own name.
+func (o Options) ValidateAs(names map[string]string) error {
+	name := func(field string) string {
+		if n, ok := names[field]; ok {
+			return n
+		}
+		return field
+	}
 	for _, f := range []struct {
 		name string
 		v    int
@@ -157,11 +175,11 @@ func (o Options) Validate() error {
 		{"Batch", o.Batch},
 	} {
 		if f.v < 0 {
-			return fmt.Errorf("pa: option %s must be non-negative, got %d", f.name, f.v)
+			return fmt.Errorf("option %s must be non-negative, got %d", name(f.name), f.v)
 		}
 	}
 	if o.MaxNodes > MaxNodesLimit {
-		return fmt.Errorf("pa: option MaxNodes must be at most %d, got %d", MaxNodesLimit, o.MaxNodes)
+		return fmt.Errorf("option %s must be at most %d, got %d", name("MaxNodes"), MaxNodesLimit, o.MaxNodes)
 	}
 	return nil
 }
@@ -200,14 +218,17 @@ type RoundStat struct {
 	// from the previous round's (every function in round 1).
 	SummariesChanged int
 
-	MemoHits    int // lattice subtrees fast-forwarded
-	VisitsSaved int // pattern visits those subtrees would have cost
+	// MemoHits and VisitsSaved are always 0: they counted the lattice
+	// checkpointer's fast-forwarded subtrees and their visits, and the
+	// checkpointer is gone (DESIGN.md §8). They stay only because
+	// perfbench still reads them for its pa.memo_hits and pa.ff_visits
+	// layers, and go when those layers do.
+	MemoHits    int
+	VisitsSaved int
 
-	// Visits counts frequent lattice nodes the miner actually visited this
-	// round (fast-forwarded checkpoint subtrees are charged as if walked,
-	// so the count is identical with and without cross-round reuse; it
-	// differs between the benefit-directed and lexicographic walks — that
-	// difference is the search-order win the benchmarks track).
+	// Visits counts frequent lattice nodes the miner visited this round.
+	// It differs between the benefit-directed and lexicographic walks —
+	// that difference is the search-order win the benchmarks track.
 	Visits int
 
 	// NonMinimal counts the children the minimal-DFS-code test rejected
@@ -215,10 +236,15 @@ type RoundStat struct {
 	// code. The test runs on every extension group that passes the
 	// raw-count viability filter, before its embeddings are built, so
 	// the count includes children the bounds or the visit budget would
-	// have cut. Fast-forwarded checkpoint subtrees charge their recorded
-	// count, so like Visits it is identical with and without cross-round
-	// reuse.
+	// have cut.
 	NonMinimal int
+
+	// Unextractable counts the roots and children the walk skipped
+	// because every embedding row was closed: no occurrence in their
+	// subtrees can be extracted (hull.go). Like NonMinimal it is taken
+	// before the bounds, and it is 0 in the lexicographic reference walk,
+	// which does not prune.
+	Unextractable int
 
 	// CoarseVisits is always 0: it counted the coarse mine of the
 	// multiresolution pass, which is gone (DESIGN.md §12). It stays only
@@ -283,11 +309,11 @@ func Optimize(prog *loader.Program, m Miner, opts Options) *Result {
 // Rounds after the first run incrementally: the program view is kept
 // alive across rounds, only functions the previous extraction rewrote
 // are re-split, dependence graphs are reused wherever block content and
-// consumed call summaries are unchanged, and the lattice search
-// fast-forwards recorded subtrees over untouched blocks. Call summaries
-// are solved from scratch every round. All reuse is equivalence-gated,
-// so the result is byte-identical to rebuilding everything every round
-// (the rebuild reference arm the differential tests run).
+// consumed call summaries are unchanged, and so are mining graphs. Call
+// summaries are solved from scratch every round. All reuse is
+// equivalence-gated, so the result is byte-identical to rebuilding
+// everything every round (the rebuild reference arm the differential
+// tests run).
 func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -335,7 +361,7 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 
 		t0 = time.Now()
 		graphs := st.buildGraphs(view, summaries, dirty, &stat)
-		st.beginMining(graphs, &stat)
+		st.beginMining(graphs)
 		opts.inc = &st.m
 		stat.DFGBuild = time.Since(t0)
 

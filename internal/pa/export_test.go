@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 
+	"graphpa/internal/cfg"
 	"graphpa/internal/dfg"
 )
 
@@ -20,6 +21,21 @@ var CandKey = candKey
 func Lexicographic(opts Options) Options {
 	opts.ref.lexicographic = true
 	return opts
+}
+
+// RowClosed returns the walk's closed-row predicate (hull.go) over one
+// round's graphs, indexed by block ID.
+func RowClosed(graphs []*dfg.Graph, maxNodes int) func(gid int, nodes []int32) bool {
+	return newHulls(graphs, callSafeCache{}, maxNodes).closed
+}
+
+// RowExtractable reports whether one embedding row of g, alone in its
+// block, passes buildCandidate's per-occurrence checks:
+// callExtractable and convexScratch.admit.
+func RowExtractable(g *dfg.Graph, nodes []int32) bool {
+	var conv convexScratch
+	occ := conv.scratchOcc(g, nodes)
+	return callExtractable(g, occ.Nodes, callSafeCache{}) && conv.admit(map[*cfg.Block][][]int{}, &occ)
 }
 
 // Rebuild returns opts with the rebuild-every-round reference driver

@@ -10,13 +10,13 @@ import (
 // This file holds the cross-round state of the incremental mine/extract
 // loop. Each extraction round rewrites a handful of blocks; everything
 // the analyses derived for the untouched rest — dependence graphs, node
-// labels, mining graphs, and (via checkpoint.go) whole lattice subtrees —
-// is carried forward instead of recomputed. Call summaries are not: the
-// driver solves them from scratch every round (DESIGN.md §8). All reuse
-// is gated by proofs of equivalence (content identity, summary equality,
-// footprint checks); whenever equivalence cannot be shown the affected
-// piece falls back to a full recomputation, so the incremental loop's
-// output is byte-identical to the from-scratch loop's.
+// labels and mining graphs — is carried forward instead of recomputed.
+// Call summaries are not: the driver solves them from scratch every
+// round (DESIGN.md §8). All reuse is gated by proofs of equivalence
+// (content identity, summary equality); whenever equivalence cannot be
+// shown the affected piece falls back to a full recomputation, so the
+// incremental loop's output is byte-identical to the from-scratch
+// loop's.
 
 // incState is the driver's cross-round cache bundle.
 type incState struct {
@@ -26,12 +26,9 @@ type incState struct {
 }
 
 // incMining is the slice of incState handed to the miner through
-// Options.inc: the lattice checkpoint store, the mining-graph cache and
-// the current round's stat sink.
+// Options.inc: the mining-graph cache.
 type incMining struct {
-	memo *latticeMemo
-	mg   map[*dfg.Graph]mgEntry
-	stat *RoundStat
+	mg map[*dfg.Graph]mgEntry
 }
 
 // mgEntry is one cached mining graph plus the call-safety flag baked
@@ -44,10 +41,7 @@ type mgEntry struct {
 }
 
 func newIncState() *incState {
-	st := &incState{graphs: newGraphCache()}
-	st.m.memo = newLatticeMemo()
-	st.m.mg = map[*dfg.Graph]mgEntry{}
-	return st
+	return &incState{graphs: newGraphCache(), m: incMining{mg: map[*dfg.Graph]mgEntry{}}}
 }
 
 // buildGraphs produces the per-block dependence graphs for this round,
@@ -89,22 +83,20 @@ func (st *incState) buildGraphs(view *cfg.Program, sums map[string]arm.Effects, 
 	return graphs
 }
 
-// beginMining prepares the miner-facing caches for a round: checkpoint
-// records and mining graphs whose dependence graphs are no longer live
-// can never validate again (a dead graph object never reappears in a
-// later round's graph set) and are dropped.
-func (st *incState) beginMining(graphs []*dfg.Graph, stat *RoundStat) {
+// beginMining prepares the miner-facing cache for a round: mining graphs
+// whose dependence graphs are no longer live can never be reused (a dead
+// graph object never reappears in a later round's graph set) and are
+// dropped.
+func (st *incState) beginMining(graphs []*dfg.Graph) {
 	live := make(map[*dfg.Graph]bool, len(graphs))
 	for _, g := range graphs {
 		live[g] = true
 	}
-	st.m.memo.sweep(live)
 	for g := range st.m.mg {
 		if !live[g] {
 			delete(st.m.mg, g)
 		}
 	}
-	st.m.stat = stat
 }
 
 // Graph-cache hit kinds.
@@ -143,8 +135,8 @@ type boundGraph struct {
 // graphCache caches dependence graphs across rounds. byBlock is the fast
 // path: a block object whose instr slice is identical (rewrites always
 // install fresh slices, so slice identity proves content identity) reuses
-// its previous graph object outright — which in turn keeps the lattice
-// checkpoints anchored to it alive. byHash is the content path: a fresh
+// its previous graph object outright — which in turn keeps its cached
+// mining graph alive. byHash is the content path: a fresh
 // block object (a dirty function's re-split) with byte-identical content
 // rebinds an existing template, paying a struct copy instead of a build.
 type graphCache struct {

@@ -61,9 +61,6 @@ const ubTabM = 2048
 type search struct {
 	bestBen int          // incumbent: highest known admissible benefit (seed floor at start)
 	ties    []*Candidate // mined candidates with Benefit == bestBen, admission order
-	// ck, when non-nil, records the walk for cross-round fast-forwarding
-	// (checkpoint.go).
-	ck *checkpointer
 
 	// ub is the walk-bound memo: ub[(k-2)*ubTabM+m] is the optimistic
 	// benefit of a k-node fragment with at most m occurrences, for k in
@@ -131,9 +128,6 @@ func (s *search) admit(c *Candidate) {
 	}
 	if c.Benefit == s.bestBen {
 		s.ties = append(s.ties, c)
-	}
-	if s.ck != nil {
-		s.ck.noteAdd()
 	}
 }
 
@@ -222,10 +216,8 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 	byID := map[int]*dfg.Graph{}
 	var mgs []*mining.Graph
 	var newMG map[*dfg.Graph]mgEntry
-	var safeByGraph map[*dfg.Graph]bool
 	if inc != nil {
 		newMG = make(map[*dfg.Graph]mgEntry, len(graphs))
-		safeByGraph = make(map[*dfg.Graph]bool, len(graphs))
 	}
 	// The call-safety cache is written lazily on miss; fill it completely
 	// in the loop below — every occurrence's function owns one of these
@@ -236,7 +228,6 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		callable := safe.get(g.Block.Fn)
 		var mg *mining.Graph
 		if inc != nil {
-			safeByGraph[g] = callable
 			if e, ok := inc.mg[g]; ok && e.callable == callable {
 				// The dependence graph object and the call-safety flag baked
 				// into the mining graph's edge pruning are both unchanged, so
@@ -277,17 +268,12 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 	}
 	ctx := opts.Context()
 	s := newSearch(maxK, opts.ref.lexicographic)
-	if inc != nil {
-		s.ck = &checkpointer{s: s, memo: inc.memo, byID: byID, safe: safeByGraph}
-	}
 	s.bestBen = baseFloor
 	// Benefit-bound pruning: a subtree is cut only when NO descendant can
 	// match the incumbent (strictly less — ties must survive, they are
-	// the mined output). Each bound comparison is recorded into the open
-	// checkpoint records (checkpoint.go). A cancelled run prunes
-	// everything without noting: the driver discards the candidate list
-	// and the run's whole incremental state, so collapsing the walk is
-	// the fastest sound exit.
+	// the mined output). A cancelled run prunes everything: the driver
+	// discards the candidate list and the run's whole incremental state,
+	// so collapsing the walk is the fastest sound exit.
 	bound := func(p *mining.Pattern) int {
 		if m.Embedding {
 			return p.Support // the exact independent-set size
@@ -303,15 +289,8 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		// disjoint embeddings restrict to distinct parent rows).
 		return p.Embeddings.Len()
 	}
-	// below reports whether u cannot reach the incumbent, noting the
-	// comparison.
-	below := func(u int) bool {
-		pruned := u < s.bestBen
-		if s.ck != nil {
-			s.ck.noteBest(u, pruned)
-		}
-		return pruned
-	}
+	// below reports whether u cannot reach the incumbent.
+	below := func(u int) bool { return u < s.bestBen }
 	prune := func(p *mining.Pattern) bool {
 		if ctx.Err() != nil {
 			return true
@@ -336,9 +315,9 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		Lexicographic:    opts.ref.lexicographic,
 		PruneSubtree:     prune,
 		ViableCount:      viable,
-		NoteNonMinimal: func(n int) {
+		NoteCounts: func(c mining.WalkCounts) {
 			if opts.stat != nil {
-				opts.stat.NonMinimal = n
+				opts.stat.NonMinimal, opts.stat.Unextractable = c.NonMinimal, c.Unextractable
 			}
 		},
 	}
@@ -350,19 +329,15 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		// pruning, sibling ordering) against the reference, not just the
 		// sibling permutation. Result identity holds regardless: both
 		// arms prune strictly below an admissible bound, which preserves
-		// the final incumbent tie set (see the search doc).
+		// the final incumbent tie set (see the search doc). It is also
+		// the unpruned oracle of the unextractable-fragment cut (hull.go):
+		// without the predicate every row is open.
 		cfgm.PruneChild = pruneChild
-	}
-	if s.ck != nil {
-		cfgm.Checkpoint = s.ck
+		cfgm.RowClosed = newHulls(graphs, safe, maxK).closed
 	}
 	visits := mining.Mine(mgs, cfgm, func(p *mining.Pattern) { m.visitPattern(s, byID, safe, opts, p) })
 	if opts.stat != nil {
 		opts.stat.Visits = visits
-	}
-	if s.ck != nil && inc.stat != nil {
-		inc.stat.MemoHits += s.ck.hits
-		inc.stat.VisitsSaved += s.ck.saved
 	}
 	return mergeCandidates(opts.batch(), s.ties, seeds)
 }
@@ -434,22 +409,8 @@ func mergeCandidates(limit int, mined, seeds []*Candidate) []*Candidate {
 
 // visitPattern is the per-pattern visitor: it gates by optimistic
 // benefit, resolves the extraction-ready embedding set, and admits
-// validated candidates into the incumbent list. Every visit computes
-// live: checkpoint replay skips whole subtrees (checkpoint.go) and
-// carries nothing into a pattern it does visit.
+// validated candidates into the incumbent list.
 func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callSafeCache, opts Options, p *mining.Pattern) {
-	// noteBest records comparisons against the incumbent benefit for the
-	// checkpoint records (no-op without one). EVERY threshold-dependent
-	// decision notes, including trivially-passing ones: a record's
-	// validity region must pin each comparison, or a later round with a
-	// different incumbent could replay a walk that would have decided
-	// differently. Everything else in this visitor is a pure function of
-	// the pattern. less reports v < best.
-	noteBest := func(v int, less bool) {
-		if s.ck != nil {
-			s.ck.noteBest(v, less)
-		}
-	}
 	k := p.Code.NumNodes()
 	if k < 2 {
 		return
@@ -458,15 +419,10 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 	// count bounds every support notion from above. Strict comparison:
 	// a candidate tying the incumbent is part of the mined output.
 	ubRaw := s.ubm(k, p.Embeddings.Len())
-	if ubRaw <= 0 {
-		return
-	}
 	best := s.bestBen
-	if ubRaw < best {
-		noteBest(ubRaw, true)
+	if ubRaw <= 0 || ubRaw < best {
 		return
 	}
-	noteBest(ubRaw, false)
 	sel := p.Disjoint
 	if !m.Embedding {
 		// DgSpan's frequency is graph-count (that is p.Support here),
@@ -483,15 +439,15 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 		s.lastSelFor, s.lastSelN = p, len(sel)
 	}
 	ub := s.ubm(k, len(sel))
-	if ub <= 0 {
+	if ub <= 0 || ub < best {
 		return
 	}
-	if ub < best {
-		noteBest(ub, true)
+	// A closed row fails callExtractable or admit (hull.go), so with no
+	// open row selected buildCandidate would return nil.
+	if !slices.ContainsFunc(sel, func(r int32) bool { return !p.Embeddings.Closed(int(r)) }) {
 		return
 	}
-	noteBest(ub, false)
-	cand := m.buildCandidate(byID, p.Embeddings, sel, k, safe, best-1, noteBest, &s.conv)
+	cand := m.buildCandidate(byID, p.Embeddings, sel, k, safe, best-1, &s.conv)
 	if cand == nil {
 		return
 	}
@@ -510,12 +466,8 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 // block's first occurrence takes the convexity walk over block nodes
 // below the fragment's last instruction, a later one the contraction
 // probe, a Kahn count over the block window spanned by that block's
-// occurrences — no trial schedule is built. note, when non-nil, receives
-// the terminal threshold comparison that decided the outcome (checkpoint
-// recording): occurrence filtering is threshold-independent, so the
-// result is cand exactly when its benefit beats minBen — one comparison
-// pins the outcome for a whole threshold region.
-func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet, sel []int32, k int, safe callSafeCache, minBen int, note func(v int, le bool), conv *convexScratch) *Candidate {
+// occurrences — no trial schedule is built.
+func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet, sel []int32, k int, safe callSafeCache, minBen int, conv *convexScratch) *Candidate {
 	if len(sel) == 0 {
 		return nil
 	}
@@ -535,13 +487,8 @@ func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet,
 	blFrags := map[*cfg.Block][][]int{}
 	for i, row := range sel {
 		// Bail as soon as even accepting every remaining embedding
-		// cannot beat minBen. (The bound only shrinks and stays >= the
-		// final benefit, so for any threshold at or above this value the
-		// outcome is nil too — the single note covers the whole bail.)
-		if v := CallBenefit(k, len(occs)+len(sel)-i); v <= minBen {
-			if note != nil {
-				note(v, true)
-			}
+		// cannot beat minBen.
+		if CallBenefit(k, len(occs)+len(sel)-i) <= minBen {
 			return nil
 		}
 		g := byID[set.GID(int(row))]
@@ -556,15 +503,7 @@ func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet,
 		occs = append(occs, occ)
 	}
 	b := CallBenefit(k, len(occs))
-	if len(occs) < 2 || b <= 0 {
-		// Threshold-independent rejection (minBen is never negative), so
-		// nothing to note.
-		return nil
-	}
-	if note != nil {
-		note(b, b <= minBen)
-	}
-	if b <= minBen {
+	if len(occs) < 2 || b <= 0 || b <= minBen {
 		return nil
 	}
 	return &Candidate{Size: k, Occs: slices.Clone(occs), Method: MethodCall, Benefit: b}

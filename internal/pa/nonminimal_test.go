@@ -10,8 +10,7 @@ import (
 // TestNonMinimalCountWidthInvariant pins RoundStat.NonMinimal to the
 // walk: the per-round count of children rejected by the
 // minimal-DFS-code test is nonzero, and the same with and without
-// cross-round reuse — fast-forwarded checkpoint subtrees charge their
-// recorded count, as they charge their visits.
+// cross-round reuse.
 func TestNonMinimalCountWidthInvariant(t *testing.T) {
 	for _, name := range []string{"crc", "sha"} {
 		var want string

@@ -311,7 +311,7 @@ func BenchmarkBuildCandidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range samples {
-			candSink = m.buildCandidate(byID, s.set, s.sel, s.k, safe, 0, nil, &conv)
+			candSink = m.buildCandidate(byID, s.set, s.sel, s.k, safe, 0, &conv)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/cand")

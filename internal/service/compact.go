@@ -6,7 +6,6 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -112,20 +111,20 @@ func (r *CompactRequest) validate() error {
 	if _, err := core.MinerByName(r.minerName()); err != nil {
 		return err
 	}
-	if err := r.paOptions().Validate(); err != nil {
-		return errors.New(requestFieldNames.Replace(err.Error()))
+	if err := r.paOptions().ValidateAs(requestFieldNames); err != nil {
+		return err
 	}
 	return nil
 }
 
-// requestFieldNames renders pa.Options.Validate's diagnostics in the
-// request's own JSON field names.
-var requestFieldNames = strings.NewReplacer(
-	"MinSupport", "min_support",
-	"MaxNodes", "max_fragment",
-	"MaxRounds", "max_rounds",
-	"MaxPatterns", "max_patterns",
-)
+// requestFieldNames names the request's JSON fields in
+// pa.Options.ValidateAs's diagnostics.
+var requestFieldNames = map[string]string{
+	"MinSupport":  "min_support",
+	"MaxNodes":    "max_fragment",
+	"MaxRounds":   "max_rounds",
+	"MaxPatterns": "max_patterns",
+}
 
 // Key returns the request's content address: the hex SHA-256 of the
 // input bytes and every option that can change the output. Zero-valued
