@@ -177,23 +177,28 @@ echo "ci.sh: tables.txt Table 1 matches the mined savings"
 # The lattice walk is deterministic, so each drift program's visit
 # count must equal the committed BENCH_edgar.json record exactly. The
 # baseline comparison above tolerates 5%, enough to hide a
-# minimality-test bug that moves visits by a few percent. A change that
-# moves visits on purpose regenerates BENCH_edgar.json with it.
-awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
-	/"visits":/ { gsub(/,/, "", $2); print name, $2 }' \
-	BENCH_edgar.json >"$TMP/visits.committed"
-awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
-	/"visits":/ { gsub(/,/, "", $2); print name, $2 }' \
-	"$TMP/bench.drift.json" >"$TMP/visits.drift"
-[ -s "$TMP/visits.drift" ] || { echo "ci.sh: no visit counts in the drift record" >&2; exit 1; }
-while read -r name visits; do
-	want=$(awk -v n="$name" '$1 == n { print $2 }' "$TMP/visits.committed")
-	if [ "$visits" != "$want" ]; then
-		echo "ci.sh: $name walks $visits lattice patterns but BENCH_edgar.json records ${want:-nothing}" >&2
-		exit 1
-	fi
-done <"$TMP/visits.drift"
-echo "ci.sh: BENCH_edgar.json visit counts match the mined walks exactly"
+# minimality-test bug that moves visits by a few percent. The key-cut
+# count (candidate builds stopped because their rewrite key cannot reach
+# the batch) is deterministic too and is held to the record the same
+# way. A change that moves either on purpose regenerates
+# BENCH_edgar.json with it.
+for field in visits key_cuts; do
+	awk -v f="\"$field\":" '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
+		$1 == f { gsub(/,/, "", $2); print name, $2 }' \
+		BENCH_edgar.json >"$TMP/$field.committed"
+	awk -v f="\"$field\":" '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
+		$1 == f { gsub(/,/, "", $2); print name, $2 }' \
+		"$TMP/bench.drift.json" >"$TMP/$field.drift"
+	[ -s "$TMP/$field.drift" ] || { echo "ci.sh: no $field counts in the drift record" >&2; exit 1; }
+	while read -r name count; do
+		want=$(awk -v n="$name" '$1 == n { print $2 }' "$TMP/$field.committed")
+		if [ "$count" != "$want" ]; then
+			echo "ci.sh: $name: $field is $count but BENCH_edgar.json records ${want:-nothing}" >&2
+			exit 1
+		fi
+	done <"$TMP/$field.drift"
+done
+echo "ci.sh: BENCH_edgar.json visit and key-cut counts match the mined walks exactly"
 
 # --- truncation gate ------------------------------------------------------
 # MaxPatterns is a safety valve, not part of the search: no edgar round

@@ -129,19 +129,24 @@ func main() {
 
 // printRoundStats renders the per-round breakdown recorded by the
 // driver: phase wall clocks, dependence-graph cache effectiveness, call
-// summaries changed since the previous round, lattice visits, and the
+// summaries changed since the previous round, lattice visits, the
 // children the walk cut as non-minimal codes or as unextractable
-// fragments. The last row is the fixpoint probe (the round that found
-// nothing left).
+// fragments, the candidate builds cut by rewrite key, and whether the
+// walk stopped at the pattern budget. The last row is the fixpoint probe
+// (the round that found nothing left).
 func printRoundStats(stats []pa.RoundStat) {
 	if len(stats) == 0 {
 		return
 	}
 	fmt.Printf("per-round breakdown (blocks reused/rebound/rebuilt; summaries changed)\n")
-	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %8s %8s\n",
-		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums chg", "visits", "non-min", "unextr", "extract")
+	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %8s %8s %5s %8s\n",
+		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums chg", "visits", "non-min", "unextr", "keycut", "trunc", "extract")
 	for _, st := range stats {
-		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11d %8d %8d %8d %8d\n",
+		trunc := "no"
+		if st.Truncated {
+			trunc = "yes"
+		}
+		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11d %8d %8d %8d %8d %5s %8d\n",
 			st.Round,
 			st.CFGBuild.Round(time.Microsecond),
 			st.Summaries.Round(time.Microsecond),
@@ -153,6 +158,8 @@ func printRoundStats(stats []pa.RoundStat) {
 			st.Visits,
 			st.NonMinimal,
 			st.Unextractable,
+			st.KeyCuts,
+			trunc,
 			st.Extractions)
 	}
 }

@@ -27,9 +27,14 @@ type BenchRow struct {
 	// records predating the field and for the SFX miner.
 	Visits int `json:"visits,omitempty"`
 	// TruncatedRounds counts the rounds whose walk reached the pattern
-	// budget (MaxPatterns) and stopped there. Zero in records predating
-	// the field.
+	// budget (MaxPatterns) and stopped there (RoundStat.Truncated). Zero
+	// in records predating the field.
 	TruncatedRounds int `json:"truncated_rounds"`
+	// KeyCuts counts, across all rounds, the candidate builds the walk
+	// stopped because their rewrite key could not reach the driver's
+	// batch (RoundStat.KeyCuts). Deterministic like Visits. Zero in
+	// records predating the field and for the SFX miner.
+	KeyCuts int `json:"key_cuts"`
 }
 
 // BenchFingerprint pins the optimizer configuration a benchmark record
@@ -87,17 +92,17 @@ func BenchJSON(ev *Evaluation, miners []string) *BenchDoc {
 			MaxPatterns: ev.Opts.MaxPatternsOrDefault(),
 		},
 	}
-	budget := ev.Opts.MaxPatternsOrDefault()
 	for _, mn := range miners {
 		for _, w := range ev.Workloads {
 			r, ok := ev.Results[w.Name][mn]
 			if !ok {
 				continue
 			}
-			visits, truncated := 0, 0
+			visits, truncated, keyCuts := 0, 0, 0
 			for _, rs := range r.RoundStats {
 				visits += rs.Visits
-				if rs.Visits >= budget {
+				keyCuts += rs.KeyCuts
+				if rs.Truncated {
 					truncated++
 				}
 			}
@@ -112,6 +117,7 @@ func BenchJSON(ev *Evaluation, miners []string) *BenchDoc {
 				WallMS:          float64(r.Duration.Microseconds()) / 1000,
 				Visits:          visits,
 				TruncatedRounds: truncated,
+				KeyCuts:         keyCuts,
 			})
 			d.TotalWallMS += float64(r.Duration.Microseconds()) / 1000
 			d.TotalVisits += visits

@@ -44,3 +44,18 @@ func TestMaxPatternsTruncationSound(t *testing.T) {
 		t.Error("truncated search broke the program")
 	}
 }
+
+// TestRoundStatTruncated: a round whose walk stops at the pattern budget
+// is flagged, and the same round walked to completion is not.
+func TestRoundStatTruncated(t *testing.T) {
+	m := &GraphMiner{Embedding: true}
+	full := Optimize(loadSrc(t, orderTestSrc), m, Options{MaxRounds: 1})
+	rs := full.RoundStats[0]
+	if rs.Truncated || rs.Visits < 2 {
+		t.Fatalf("complete round: %d visits, truncated %v", rs.Visits, rs.Truncated)
+	}
+	cut := Optimize(loadSrc(t, orderTestSrc), m, Options{MaxRounds: 1, MaxPatterns: rs.Visits - 1})
+	if got := cut.RoundStats[0]; !got.Truncated || got.Visits != rs.Visits-1 {
+		t.Errorf("round cut at %d patterns: %d visits, truncated %v", rs.Visits-1, got.Visits, got.Truncated)
+	}
+}

@@ -12,10 +12,10 @@ import (
 // must come out the same SET — only then can the benefit-directed and
 // lexicographic walks return identical merged lists.
 func TestAdmitOrderInvariantTieSet(t *testing.T) {
-	a := &Candidate{Benefit: 5}
-	b := &Candidate{Benefit: 7}
-	c := &Candidate{Benefit: 7}
-	d := &Candidate{Benefit: 3}
+	a := testCand(5, 2, MethodCall, [2]int{1, 0})
+	b := testCand(7, 2, MethodCall, [2]int{2, 0})
+	c := testCand(7, 2, MethodCall, [2]int{3, 0})
+	d := testCand(3, 2, MethodCall, [2]int{4, 0})
 
 	perms := [][]*Candidate{
 		{a, b, c, d},
@@ -24,9 +24,9 @@ func TestAdmitOrderInvariantTieSet(t *testing.T) {
 		{c, a, d, b},
 	}
 	for pi, perm := range perms {
-		s := newSearch(8, false)
+		s := newSearch(8, false, 16)
 		for _, x := range perm {
-			s.admit(x)
+			s.admit(x, candKey(x))
 		}
 		if s.bestBen != 7 {
 			t.Fatalf("perm %d: incumbent %d, want 7", pi, s.bestBen)
@@ -36,7 +36,7 @@ func TestAdmitOrderInvariantTieSet(t *testing.T) {
 		}
 		seen := map[*Candidate]bool{}
 		for _, x := range s.ties {
-			seen[x] = true
+			seen[x.cand] = true
 		}
 		if !seen[b] || !seen[c] {
 			t.Fatalf("perm %d: tie set lost a maximum candidate", pi)
@@ -45,9 +45,9 @@ func TestAdmitOrderInvariantTieSet(t *testing.T) {
 
 	// A candidate below the incumbent (possible only from a stale-threshold
 	// build) is dropped, not kept as a runner-up.
-	s := newSearch(8, false)
+	s := newSearch(8, false, 16)
 	s.bestBen = 10
-	s.admit(a)
+	s.admit(a, candKey(a))
 	if len(s.ties) != 0 {
 		t.Fatalf("sub-incumbent candidate admitted into the tie set")
 	}

@@ -57,7 +57,7 @@ type Options struct {
 	// incremental driver sets it.
 	inc *incMining
 	// stat, when non-nil, receives per-round miner counters (Visits,
-	// NonMinimal, Unextractable).
+	// NonMinimal, Unextractable, KeyCuts, Truncated).
 	stat *RoundStat
 }
 
@@ -245,6 +245,16 @@ type RoundStat struct {
 	// before the bounds, and it is 0 in the lexicographic reference walk,
 	// which does not prune.
 	Unextractable int
+
+	// KeyCuts counts the candidate builds the walk stopped early because
+	// the candidate could at most tie the incumbent and its rewrite key
+	// already sorted at or after the Batch-th smallest key kept at that
+	// benefit: it could not have reached the driver (DESIGN.md §10).
+	KeyCuts int
+
+	// Truncated reports that the walk reached the pattern budget
+	// (MaxPatterns) and stopped there.
+	Truncated bool
 
 	// CoarseVisits is always 0: it counted the coarse mine of the
 	// multiresolution pass, which is gone (DESIGN.md §12). It stays only

@@ -45,10 +45,11 @@ func fragUB(k, m int) int {
 const ubTabM = 2048
 
 // search is the state of one lattice walk: the scalar incumbent read by
-// the branch-and-bound policies and raised by the visitor.
+// the branch-and-bound policies and raised by the visitor, and the
+// ranking of its ties by rewrite key.
 //
 // The incumbent is deliberately a single scalar plus its tie set, not a
-// ranked list. With admissible bounds and strictly-less pruning
+// list ranked by benefit. With admissible bounds and strictly-less pruning
 // (UB < bestBen), every candidate whose benefit equals the final maximum
 // survives under ANY sibling visit order: each of its ancestors has an
 // upper bound at least that maximum, which never drops below the
@@ -58,9 +59,20 @@ const ubTabM = 2048
 // such invariance (which sub-maximum candidates get built depends on
 // when the bound rises), so runners-up come from the order-invariant
 // sequence seeds instead (see FindCandidates).
+//
+// Of the tie set only the first limit keys can reach the driver:
+// mergeCandidates orders by (benefit desc, key asc), dedups by key and
+// keeps limit entries. So ties holds just those — the smallest limit
+// distinct keys at bestBen, over the mined candidates and the sequence
+// seeds at the floor — and that set does not depend on admission order
+// either. Once the ranking is full its last key is the bar: a candidate
+// that can at most tie and whose key sorts at or after the bar is a
+// duplicate or outside the batch, and buildCandidate stops building it.
 type search struct {
-	bestBen int          // incumbent: highest known admissible benefit (seed floor at start)
-	ties    []*Candidate // mined candidates with Benefit == bestBen, admission order
+	bestBen int   // incumbent: highest known admissible benefit (seed floor at start)
+	ties    []tie // the smallest distinct keys at bestBen, ascending
+	limit   int   // the driver's batch: the most keys ties holds
+	keyCuts int   // builds the bar stopped (RoundStat.KeyCuts)
 
 	// ub is the walk-bound memo: ub[(k-2)*ubTabM+m] is the optimistic
 	// benefit of a k-node fragment with at most m occurrences, for k in
@@ -83,6 +95,14 @@ type search struct {
 	conv convexScratch
 }
 
+// tie is one ranked rewrite key at the incumbent benefit and the mined
+// candidate it names, nil for a sequence seed: the seeds reach
+// mergeCandidates on their own, and rank here only to set the bar.
+type tie struct {
+	key  string
+	cand *Candidate
+}
+
 // newSearch builds the run's bound table. The graph walk can only yield
 // call extractions: MiningGraph drops every edge touching an instruction
 // that cannot be outlined (terminators, lr traffic, barriers), patterns
@@ -95,9 +115,10 @@ type search struct {
 // exclusively from the ScanSequences seeds, which bypass the walk. The
 // lexicographic reference arm keeps the legacy fragUB bound — pruning
 // strictly below EITHER admissible bound preserves the final incumbent
-// tie set, so the two arms still return identical candidates.
-func newSearch(maxK int, lexicographic bool) *search {
-	s := &search{maxK: maxK, ub: make([]int, (maxK-1)*ubTabM), bound: CallBenefit}
+// tie set, so the two arms still return identical candidates. limit is
+// the driver's batch size, the most ties the search ranks.
+func newSearch(maxK int, lexicographic bool, limit int) *search {
+	s := &search{maxK: maxK, limit: limit, ub: make([]int, (maxK-1)*ubTabM), bound: CallBenefit}
 	if lexicographic {
 		s.bound = fragUB
 	}
@@ -118,17 +139,64 @@ func (s *search) ubm(k, m int) int {
 	return s.bound(k, m)
 }
 
-// admit offers a mined candidate to the incumbent: a strictly better
-// benefit resets the tie set, an equal one joins it, a worse one is
-// dropped. Duplicates are allowed — the merge dedupes by canonical key.
-func (s *search) admit(c *Candidate) {
+// seed ranks the sequence seeds at the incumbent (the floor they set)
+// as key-only ties.
+func (s *search) seed(seeds []*Candidate) {
+	for _, c := range seeds {
+		if c.Benefit == s.bestBen {
+			s.rank(candKey(c), nil)
+		}
+	}
+}
+
+// admit offers a mined candidate with rewrite key key to the incumbent:
+// a strictly better benefit resets the ranking, an equal one is ranked,
+// a worse one is dropped.
+func (s *search) admit(c *Candidate, key string) {
+	if c.Benefit < s.bestBen {
+		return
+	}
 	if c.Benefit > s.bestBen {
 		s.bestBen = c.Benefit
 		s.ties = s.ties[:0]
 	}
-	if c.Benefit == s.bestBen {
-		s.ties = append(s.ties, c)
+	s.rank(key, c)
+}
+
+// rank inserts key into the ranking unless it is already there or sorts
+// after limit smaller keys; a full ranking drops its last key to make
+// room.
+func (s *search) rank(key string, c *Candidate) {
+	i, found := slices.BinarySearchFunc(s.ties, key, func(t tie, k string) int {
+		return strings.Compare(t.key, k)
+	})
+	if found || i >= s.limit {
+		return
 	}
+	if len(s.ties) == s.limit {
+		s.ties = s.ties[:len(s.ties)-1]
+	}
+	s.ties = slices.Insert(s.ties, i, tie{key: key, cand: c})
+}
+
+// bar is the last ranked key once the ranking is full, and "" (no bar)
+// before: a tie whose key sorts at or after it cannot reach the batch.
+func (s *search) bar() string {
+	if len(s.ties) < s.limit {
+		return ""
+	}
+	return s.ties[len(s.ties)-1].key
+}
+
+// mined returns the ranked mined candidates in key order.
+func (s *search) mined() []*Candidate {
+	var out []*Candidate
+	for _, t := range s.ties {
+		if t.cand != nil {
+			out = append(out, t.cand)
+		}
+	}
+	return out
 }
 
 // GraphMiner is graph-based PA: DgSpan when Embedding is false (support =
@@ -212,6 +280,13 @@ func MiningGraph(g *dfg.Graph, canonical bool) *mining.Graph {
 
 // FindCandidates implements Miner.
 func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts Options) []*Candidate {
+	return m.findCandidates(graphs, opts, nil)
+}
+
+// findCandidates is FindCandidates with a tap the walk calls on every
+// visited pattern after the visitor, when tap is non-nil: the hook of the
+// tie-ranking differential test.
+func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(*mining.Pattern)) []*Candidate {
 	inc := opts.inc
 	byID := map[int]*dfg.Graph{}
 	var mgs []*mining.Graph
@@ -267,8 +342,9 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		}
 	}
 	ctx := opts.Context()
-	s := newSearch(maxK, opts.ref.lexicographic)
+	s := newSearch(maxK, opts.ref.lexicographic, opts.batch())
 	s.bestBen = baseFloor
+	s.seed(seeds)
 	// Benefit-bound pruning: a subtree is cut only when NO descendant can
 	// match the incumbent (strictly less — ties must survive, they are
 	// the mined output). A cancelled run prunes everything: the driver
@@ -335,11 +411,18 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 		cfgm.PruneChild = pruneChild
 		cfgm.RowClosed = newHulls(graphs, safe, maxK).closed
 	}
-	visits := mining.Mine(mgs, cfgm, func(p *mining.Pattern) { m.visitPattern(s, byID, safe, opts, p) })
+	visits := mining.Mine(mgs, cfgm, func(p *mining.Pattern) {
+		m.visitPattern(s, byID, safe, opts, p)
+		if tap != nil {
+			tap(p)
+		}
+	})
 	if opts.stat != nil {
 		opts.stat.Visits = visits
+		opts.stat.KeyCuts = s.keyCuts
+		opts.stat.Truncated = visits >= opts.maxPatterns()
 	}
-	return mergeCandidates(opts.batch(), s.ties, seeds)
+	return mergeCandidates(opts.batch(), s.mined(), seeds)
 }
 
 // candKey is a canonical identity for a candidate: extraction method,
@@ -351,23 +434,35 @@ func candKey(c *Candidate) string {
 	for i := range c.Occs {
 		n += 8 + 4*len(c.Occs[i].DFS)
 	}
-	b := make([]byte, 0, n)
-	b = append(b, c.Method.String()...)
-	b = append(b, '#')
-	b = strconv.AppendInt(b, int64(c.Size), 10)
+	b := appendKeyHead(make([]byte, 0, n), c.Method, c.Size)
 	for i := range c.Occs {
-		o := &c.Occs[i]
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(o.Block.ID), 10)
-		b = append(b, ':')
-		for j, d := range o.DFS {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(d), 10)
-		}
+		b = appendOccKey(b, &c.Occs[i])
 	}
 	return string(b)
+}
+
+// appendKeyHead appends the start of a candidate key, method and size,
+// to b. With appendOccKey it is the one key encoder: candKey and
+// buildCandidate's growing key prefix both use it, so a prefix is
+// always a prefix of the final key.
+func appendKeyHead(b []byte, m Method, size int) []byte {
+	b = append(b, m.String()...)
+	b = append(b, '#')
+	return strconv.AppendInt(b, int64(size), 10)
+}
+
+// appendOccKey appends one occurrence's part of a candidate key to b.
+func appendOccKey(b []byte, o *Occurrence) []byte {
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(o.Block.ID), 10)
+	b = append(b, ':')
+	for j, d := range o.DFS {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(d), 10)
+	}
+	return b
 }
 
 // mergeCandidates builds FindCandidates' return list from the mined tie
@@ -447,18 +542,33 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 	if !slices.ContainsFunc(sel, func(r int32) bool { return !p.Embeddings.Closed(int(r)) }) {
 		return
 	}
-	cand := m.buildCandidate(byID, p.Embeddings, sel, k, safe, best-1, &s.conv)
+	// A candidate that can at most tie the incumbent reaches the driver
+	// only if its key ranks in the batch, so its build stops at the bar.
+	// One that could raise the incumbent is always built in full.
+	bar := ""
+	if CallBenefit(k, len(sel)) <= best {
+		bar = s.bar()
+	}
+	cand, cut := m.buildCandidate(byID, p.Embeddings, sel, k, safe, best-1, bar, &s.conv)
+	if cut {
+		s.keyCuts++
+	}
 	if cand == nil {
 		return
 	}
-	s.admit(cand)
+	s.admit(cand, string(s.conv.key))
 }
 
 // buildCandidate turns raw disjoint embeddings into a verified call
-// candidate. The walk never yields a tail merge: no mined occurrence
-// holds a block terminator (see newSearch), so cross jumps come only
-// from the sequence seeds. minBen is the benefit the candidate must beat
-// to be useful; validation bails out as soon as that becomes impossible.
+// candidate, leaving its rewrite key in conv.key. The walk never yields
+// a tail merge: no mined occurrence holds a block terminator (see
+// newSearch), so cross jumps come only from the sequence seeds. minBen
+// is the benefit the candidate must beat to be useful; validation bails
+// out as soon as that becomes impossible. A non-empty bar is a key the
+// candidate's own must sort before to be of use: that key grows by one
+// occurrence's part per kept occurrence, and a prefix never sorts after
+// the key it extends, so once the prefix reaches the bar the build stops
+// and reports cut.
 // Per occurrence of a k-node fragment, validation costs one induced
 // signature — O(k²·d_in) over the fragment's in-edges, independent of
 // the block's edge count — plus the schedulability probe
@@ -467,9 +577,9 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 // below the fragment's last instruction, a later one the contraction
 // probe, a Kahn count over the block window spanned by that block's
 // occurrences — no trial schedule is built.
-func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet, sel []int32, k int, safe callSafeCache, minBen int, conv *convexScratch) *Candidate {
+func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet, sel []int32, k int, safe callSafeCache, minBen int, bar string, conv *convexScratch) (c *Candidate, cut bool) {
 	if len(sel) == 0 {
-		return nil
+		return nil, false
 	}
 	first := byID[set.GID(int(sel[0]))]
 	firstOcc := conv.scratchOcc(first, set.Nodes(int(sel[0])))
@@ -483,17 +593,19 @@ func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet,
 	// pass the extractability and signature checks; the kept ones
 	// collect in scratch too, and the candidate gets an exact-size copy.
 	occs := conv.occs[:0]
-	defer func() { clear(occs); conv.occs = occs[:0] }()
+	key := appendKeyHead(conv.key[:0], MethodCall, k)
+	defer func() { clear(occs); conv.occs, conv.key = occs[:0], key }()
 	blFrags := map[*cfg.Block][][]int{}
 	for i, row := range sel {
 		// Bail as soon as even accepting every remaining embedding
 		// cannot beat minBen.
 		if CallBenefit(k, len(occs)+len(sel)-i) <= minBen {
-			return nil
+			return nil, false
 		}
 		g := byID[set.GID(int(row))]
 		occ := conv.scratchOcc(g, set.Nodes(int(row)))
-		if !callExtractable(g, occ.Nodes, safe) || !conv.sameSignature(&occ) {
+		// Row sel[0] is the reference: its signature matches itself.
+		if !callExtractable(g, occ.Nodes, safe) || (i > 0 && !conv.sameSignature(&occ)) {
 			continue
 		}
 		occ = ownedOcc(occ)
@@ -501,10 +613,14 @@ func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet,
 			continue
 		}
 		occs = append(occs, occ)
+		key = appendOccKey(key, &occ)
+		if bar != "" && string(key) >= bar {
+			return nil, true
+		}
 	}
 	b := CallBenefit(k, len(occs))
 	if len(occs) < 2 || b <= 0 || b <= minBen {
-		return nil
+		return nil, false
 	}
-	return &Candidate{Size: k, Occs: slices.Clone(occs), Method: MethodCall, Benefit: b}
+	return &Candidate{Size: k, Occs: slices.Clone(occs), Method: MethodCall, Benefit: b}, false
 }

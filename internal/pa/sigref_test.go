@@ -114,6 +114,20 @@ var benchProgramNames = []string{"bitcnts", "crc", "dijkstra", "patricia", "qsor
 // labels memoised as the cross-round graph cache does.
 func benchRoundOneGraphs(tb testing.TB, name string) []*dfg.Graph {
 	tb.Helper()
+	view := cfg.Build(benchProgram(tb, name))
+	summaries := CallSummaries(view)
+	graphs := make([]*dfg.Graph, len(view.Blocks))
+	for i, b := range view.Blocks {
+		graphs[i] = dfg.Build(b, summaries)
+		graphs[i].MemoLabels()
+	}
+	return graphs
+}
+
+// benchProgram compiles and links a benchmark program with the default
+// benchmark code generator.
+func benchProgram(tb testing.TB, name string) *loader.Program {
+	tb.Helper()
 	src, err := os.ReadFile(filepath.Join("..", "bench", "programs", name+".mc"))
 	if err != nil {
 		tb.Fatal(err)
@@ -134,14 +148,7 @@ func benchRoundOneGraphs(tb testing.TB, name string) []*dfg.Graph {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	view := cfg.Build(prog)
-	summaries := CallSummaries(view)
-	graphs := make([]*dfg.Graph, len(view.Blocks))
-	for i, b := range view.Blocks {
-		graphs[i] = dfg.Build(b, summaries)
-		graphs[i].MemoLabels()
-	}
-	return graphs
+	return prog
 }
 
 // sigClasses checks that two signature functions partition occs
@@ -311,7 +318,7 @@ func BenchmarkBuildCandidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range samples {
-			candSink = m.buildCandidate(byID, s.set, s.sel, s.k, safe, 0, &conv)
+			candSink, _ = m.buildCandidate(byID, s.set, s.sel, s.k, safe, 0, "", &conv)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/cand")
