@@ -44,7 +44,7 @@ var evalOnce = struct {
 func evaluation(b *testing.B) *bench.Evaluation {
 	ws := workloads(b)
 	evalOnce.once.Do(func() {
-		evalOnce.ev, evalOnce.err = bench.Evaluate(ws, []string{"sfx", "dgspan", "edgar"}, pa.Options{MaxPatterns: 30000}, 0, false)
+		evalOnce.ev, evalOnce.err = bench.Evaluate(ws, []string{"sfx", "dgspan", "edgar"}, pa.Options{}, 0, false)
 	})
 	if evalOnce.err != nil {
 		b.Fatal(evalOnce.err)
@@ -66,9 +66,7 @@ func benchMiner(b *testing.B, miner string) {
 	for i := 0; i < b.N; i++ {
 		saved = 0
 		for _, w := range ws {
-			// A bounded per-round mining budget keeps one full-suite
-			// iteration to minutes on one core; see Options.MaxPatterns.
-			res, _, err := core.Optimize(w.Image, m, pa.Options{MaxPatterns: 30000})
+			res, _, err := core.Optimize(w.Image, m, pa.Options{})
 			if err != nil {
 				b.Fatalf("%s: %v", w.Name, err)
 			}

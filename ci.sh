@@ -55,6 +55,11 @@ go test ./internal/codegen -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s -fuzzmi
 # with the bodies the service tests send: no panic, and every accepted
 # request validates and has a content address.
 go test ./internal/service -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s -fuzzminimizetime 1s >/dev/null
+# The sequence scan's window layer, on random token sequences over a
+# four-letter alphabet: extending only the windows that still repeat
+# must find exactly the groups of a full per-length scan (crashers
+# under internal/pa/testdata/fuzz).
+go test ./internal/pa -run '^$' -fuzz '^FuzzScanGroups$' -fuzztime 10s -fuzzminimizetime 1s >/dev/null
 
 # --- compaction-service end-to-end check -------------------------------
 # The service deliberately omits the wall-clock suffix from its reports

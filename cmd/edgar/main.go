@@ -128,30 +128,32 @@ func main() {
 }
 
 // printRoundStats renders the per-round breakdown recorded by the
-// driver: phase wall clocks, dependence-graph cache effectiveness, call
-// summaries changed since the previous round, lattice visits, the
-// children the walk cut as non-minimal codes or as unextractable
-// fragments, the candidate builds cut by rewrite key, and whether the
-// walk stopped at the pattern budget. The last row is the fixpoint probe
-// (the round that found nothing left).
+// driver: phase wall clocks (the sequence scan's is part of mine's),
+// dependence-graph cache effectiveness, call summaries changed since the
+// previous round, lattice visits, the children the walk cut as
+// non-minimal codes or as unextractable fragments, the candidate builds
+// cut by rewrite key, whether the walk stopped at the pattern budget,
+// and the sequence scan's candidate builds. The last row is the fixpoint
+// probe (the round that found nothing left).
 func printRoundStats(stats []pa.RoundStat) {
 	if len(stats) == 0 {
 		return
 	}
 	fmt.Printf("per-round breakdown (blocks reused/rebound/rebuilt; summaries changed)\n")
-	fmt.Printf("%5s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %8s %8s %5s %8s\n",
-		"round", "cfg", "sums", "dfg", "mine", "apply", "blocks r/rb/b", "sums chg", "visits", "non-min", "unextr", "keycut", "trunc", "extract")
+	fmt.Printf("%5s %10s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %8s %8s %5s %5s %8s\n",
+		"round", "cfg", "sums", "dfg", "mine", "scan", "apply", "blocks r/rb/b", "sums chg", "visits", "non-min", "unextr", "keycut", "trunc", "seqb", "extract")
 	for _, st := range stats {
 		trunc := "no"
 		if st.Truncated {
 			trunc = "yes"
 		}
-		fmt.Printf("%5d %10s %10s %10s %10s %10s | %-16s %-11d %8d %8d %8d %8d %5s %8d\n",
+		fmt.Printf("%5d %10s %10s %10s %10s %10s %10s | %-16s %-11d %8d %8d %8d %8d %5s %5d %8d\n",
 			st.Round,
 			st.CFGBuild.Round(time.Microsecond),
 			st.Summaries.Round(time.Microsecond),
 			st.DFGBuild.Round(time.Microsecond),
 			st.Mine.Round(time.Millisecond),
+			st.Scan.Round(time.Microsecond),
 			st.Apply.Round(time.Microsecond),
 			fmt.Sprintf("%d/%d/%d", st.BlocksReused, st.BlocksRebound, st.BlocksRebuilt),
 			st.SummariesChanged,
@@ -160,6 +162,7 @@ func printRoundStats(stats []pa.RoundStat) {
 			st.Unextractable,
 			st.KeyCuts,
 			trunc,
+			st.SeqBuilds,
 			st.Extractions)
 	}
 }

@@ -20,7 +20,7 @@ func TestIncrementalCacheEffectiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := pa.Optimize(w.Prog, &pa.GraphMiner{Embedding: true}, pa.Options{MaxPatterns: 30000})
+	res := pa.Optimize(w.Prog, &pa.GraphMiner{Embedding: true}, pa.Options{})
 	if res.Rounds < 2 {
 		t.Fatalf("crc expected to take multiple rounds, got %d", res.Rounds)
 	}

@@ -16,10 +16,6 @@ import (
 	"graphpa/internal/par"
 )
 
-// parMaxPatterns matches the root-level benchmark budget: large enough
-// that rijndael's search is non-trivially truncated.
-const parMaxPatterns = 30000
-
 // parRunWidth is how many optimizations run at once.
 const parRunWidth = 2
 
@@ -44,7 +40,7 @@ func TestParallelOptimizedBinariesBehave(t *testing.T) {
 	}
 	err = par.OrderedMap(context.Background(), parRunWidth, len(ws),
 		func(_ context.Context, i int) (*link.Image, error) {
-			_, img, err := core.Optimize(ws[i].Image, m, pa.Options{MaxPatterns: parMaxPatterns})
+			_, img, err := core.Optimize(ws[i].Image, m, pa.Options{})
 			return img, err
 		},
 		func(i int, img *link.Image) error {

@@ -67,7 +67,7 @@ func compact(addr, name string) (string, error) {
 	}
 	body, err := json.Marshal(&service.CompactRequest{
 		Source:   src,
-		Optimize: service.OptimizeOptions{Miner: "edgar", MaxPatterns: maxPatterns},
+		Optimize: service.OptimizeOptions{Miner: "edgar"},
 	})
 	if err != nil {
 		return "", err
@@ -115,7 +115,7 @@ func TestShardCrossProcessAB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, img, err := core.Optimize(w.Image, m, pa.Options{MaxPatterns: maxPatterns})
+		_, img, err := core.Optimize(w.Image, m, pa.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestShardCrossProcessAB(t *testing.T) {
 		}
 	}
 
-	t.Logf("cross-process A/B, %v (maxpatterns=%d, %d cores):", corpus, maxPatterns, runtime.NumCPU())
+	t.Logf("cross-process A/B, %v (%d cores):", corpus, runtime.NumCPU())
 	t.Logf("  in-process serial : wall=%v", inProcWall.Round(time.Millisecond))
 	t.Logf("  one-job daemon    : wall=%v", oneWall.Round(time.Millisecond))
 	t.Logf("  default daemon    : wall=%v (all at once)", poolWall.Round(time.Millisecond))

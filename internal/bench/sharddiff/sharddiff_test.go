@@ -25,10 +25,6 @@ import (
 	"graphpa/internal/par"
 )
 
-// maxPatterns mirrors internal/bench's deterministic cap: large enough
-// that rijndael and sha truncate non-trivially, small enough for CI.
-const maxPatterns = 30000
-
 func sameImage(a, b *link.Image) bool {
 	if a.TextWords != b.TextWords || a.Entry != b.Entry || len(a.Words) != len(b.Words) {
 		return false
@@ -53,7 +49,7 @@ func optimize(w *bench.Workload, miner string) outcome {
 	if err != nil {
 		return outcome{err: err}
 	}
-	res, img, err := core.Optimize(w.Image, m, pa.Options{MaxPatterns: maxPatterns})
+	res, img, err := core.Optimize(w.Image, m, pa.Options{})
 	return outcome{res, img, err}
 }
 

@@ -15,7 +15,7 @@ func TestTimingProbe(t *testing.T) {
 	}
 	combos := map[string][]string{
 		"crc":      {"sfx", "dgspan", "edgar"},
-		"rijndael": {"sfx", "edgar"}, // dgspan on rijndael runs minutes; the root benches cover it
+		"rijndael": {"sfx", "dgspan", "edgar"},
 	}
 	for _, name := range []string{"crc", "rijndael"} {
 		w, err := Build(name, DefaultCodegen())
@@ -25,7 +25,7 @@ func TestTimingProbe(t *testing.T) {
 		for _, mn := range combos[name] {
 			t.Run(name+"/"+mn, func(t *testing.T) {
 				m, _ := core.MinerByName(mn)
-				res, img, err := core.Optimize(w.Image, m, pa.Options{MaxPatterns: 30000})
+				res, img, err := core.Optimize(w.Image, m, pa.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

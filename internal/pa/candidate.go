@@ -263,6 +263,17 @@ func (sc *convexScratch) scratchOcc(g *dfg.Graph, ns []int32) Occurrence {
 	return Occurrence{Block: g.Block, Graph: g, Nodes: sc.nodes, DFS: sc.dfs}
 }
 
+// seqOcc returns the occurrence of the length-k window at start in g,
+// with its node lists in sc's scratch, like scratchOcc's. A window's DFS
+// order is its instruction order, so both lists are one slice.
+func (sc *convexScratch) seqOcc(g *dfg.Graph, start, k int) Occurrence {
+	sc.nodes = sc.nodes[:0]
+	for i := start; i < start+k; i++ {
+		sc.nodes = append(sc.nodes, i)
+	}
+	return Occurrence{Block: g.Block, Graph: g, Nodes: sc.nodes, DFS: sc.nodes}
+}
+
 // ownedOcc returns occ with its node lists copied into one new array.
 func ownedOcc(occ Occurrence) Occurrence {
 	k := len(occ.DFS)

@@ -57,7 +57,8 @@ type Options struct {
 	// incremental driver sets it.
 	inc *incMining
 	// stat, when non-nil, receives per-round miner counters (Visits,
-	// NonMinimal, Unextractable, KeyCuts, Truncated).
+	// NonMinimal, Unextractable, KeyCuts, Truncated) and the sequence
+	// scan's Scan and SeqBuilds.
 	stat *RoundStat
 }
 
@@ -202,7 +203,8 @@ type RoundStat struct {
 	CFGBuild  time.Duration // block (re)splitting and renumbering
 	Summaries time.Duration // call-summary fixpoint
 	DFGBuild  time.Duration // dependence-graph construction
-	Mine      time.Duration // candidate mining
+	Mine      time.Duration // candidate mining, Scan included
+	Scan      time.Duration // the sequence scan (ScanSequences)
 	Apply     time.Duration // extraction rewrites
 
 	Blocks        int // blocks analysed this round
@@ -251,6 +253,11 @@ type RoundStat struct {
 	// already sorted at or after the Batch-th smallest key kept at that
 	// benefit: it could not have reached the driver (DESIGN.md §10).
 	KeyCuts int
+
+	// SeqBuilds counts the candidates the sequence scan built and
+	// validated this round (seqCandidate calls): the repeat groups that
+	// could still reach its top 64 (DESIGN.md §15). Deterministic.
+	SeqBuilds int
 
 	// Truncated reports that the walk reached the pattern budget
 	// (MaxPatterns) and stopped there.

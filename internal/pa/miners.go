@@ -70,9 +70,15 @@ const ubTabM = 2048
 // duplicate or outside the batch, and buildCandidate stops building it.
 type search struct {
 	bestBen int   // incumbent: highest known admissible benefit (seed floor at start)
-	ties    []tie // the smallest distinct keys at bestBen, ascending
+	ties    []tie // the smallest distinct keys at bestBen: ascending once limit are held
 	limit   int   // the driver's batch: the most keys ties holds
 	keyCuts int   // builds the bar stopped (RoundStat.KeyCuts)
+
+	// seen holds ties' keys while the ranking is not full. Until then
+	// every distinct key is kept, so ties is appended unsorted and
+	// sorted once, when it fills or when mined reads it: a Batch larger
+	// than the tie set costs no per-admission insertion.
+	seen map[string]struct{}
 
 	// ub is the walk-bound memo: ub[(k-2)*ubTabM+m] is the optimistic
 	// benefit of a k-node fragment with at most m occurrences, for k in
@@ -159,24 +165,41 @@ func (s *search) admit(c *Candidate, key string) {
 	if c.Benefit > s.bestBen {
 		s.bestBen = c.Benefit
 		s.ties = s.ties[:0]
+		clear(s.seen)
 	}
 	s.rank(key, c)
 }
 
-// rank inserts key into the ranking unless it is already there or sorts
+// rank adds key to the ranking unless it is already there or sorts
 // after limit smaller keys; a full ranking drops its last key to make
 // room.
 func (s *search) rank(key string, c *Candidate) {
+	if len(s.ties) < s.limit {
+		if s.seen == nil {
+			s.seen = map[string]struct{}{}
+		}
+		if _, dup := s.seen[key]; dup {
+			return
+		}
+		s.seen[key] = struct{}{}
+		s.ties = append(s.ties, tie{key: key, cand: c})
+		if len(s.ties) == s.limit {
+			s.sortTies()
+		}
+		return
+	}
 	i, found := slices.BinarySearchFunc(s.ties, key, func(t tie, k string) int {
 		return strings.Compare(t.key, k)
 	})
 	if found || i >= s.limit {
 		return
 	}
-	if len(s.ties) == s.limit {
-		s.ties = s.ties[:len(s.ties)-1]
-	}
-	s.ties = slices.Insert(s.ties, i, tie{key: key, cand: c})
+	s.ties = slices.Insert(s.ties[:len(s.ties)-1], i, tie{key: key, cand: c})
+}
+
+// sortTies puts the ranking in key order.
+func (s *search) sortTies() {
+	slices.SortFunc(s.ties, func(a, b tie) int { return strings.Compare(a.key, b.key) })
 }
 
 // bar is the last ranked key once the ranking is full, and "" (no bar)
@@ -190,6 +213,9 @@ func (s *search) bar() string {
 
 // mined returns the ranked mined candidates in key order.
 func (s *search) mined() []*Candidate {
+	if len(s.ties) < s.limit {
+		s.sortTies()
+	}
 	var out []*Candidate
 	for _, t := range s.ties {
 		if t.cand != nil {
@@ -284,9 +310,9 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 }
 
 // findCandidates is FindCandidates with a tap the walk calls on every
-// visited pattern after the visitor, when tap is non-nil: the hook of the
-// tie-ranking differential test.
-func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(*mining.Pattern)) []*Candidate {
+// visited pattern after the visitor, with the walk's search, when tap is
+// non-nil: the hook of the tie-ranking differential test.
+func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(*search, *mining.Pattern)) []*Candidate {
 	inc := opts.inc
 	byID := map[int]*dfg.Graph{}
 	var mgs []*mining.Graph
@@ -414,7 +440,7 @@ func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(
 	visits := mining.Mine(mgs, cfgm, func(p *mining.Pattern) {
 		m.visitPattern(s, byID, safe, opts, p)
 		if tap != nil {
-			tap(p)
+			tap(s, p)
 		}
 	})
 	if opts.stat != nil {

@@ -23,7 +23,7 @@ const rebuildMaxPatterns = 30000
 // TestIncrementalMatchesScratch: for every benchmark, the incremental
 // run must agree with the rebuild reference on the full report (rounds,
 // instruction counts, the exact extraction sequence), walk the same
-// per-round Visits, NonMinimal and Unextractable counts, and produce a
+// per-round Visits, NonMinimal and Unextractable counts and SeqBuilds, and produce a
 // byte-identical re-linked image that behaves like the unoptimized
 // original under the emulator. The reference must really start from
 // scratch every round: every block rebuilt.
@@ -77,9 +77,9 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		}
 		for i, rs := range a.RoundStats {
 			want := b.RoundStats[i]
-			if rs.Visits != want.Visits || rs.NonMinimal != want.NonMinimal || rs.Unextractable != want.Unextractable {
-				t.Errorf("%s: round %d walks %d visits, %d non-minimal, %d unextractable; scratch %d, %d, %d",
-					n, rs.Round, rs.Visits, rs.NonMinimal, rs.Unextractable, want.Visits, want.NonMinimal, want.Unextractable)
+			if rs.Visits != want.Visits || rs.NonMinimal != want.NonMinimal || rs.Unextractable != want.Unextractable || rs.SeqBuilds != want.SeqBuilds {
+				t.Errorf("%s: round %d walks %d visits, %d non-minimal, %d unextractable, %d sequence builds; scratch %d, %d, %d, %d",
+					n, rs.Round, rs.Visits, rs.NonMinimal, rs.Unextractable, rs.SeqBuilds, want.Visits, want.NonMinimal, want.Unextractable, want.SeqBuilds)
 			}
 			if want.BlocksRebuilt != want.Blocks || rs.Blocks != want.Blocks {
 				t.Errorf("%s: round %d: scratch rebuilt %d of %d blocks (incremental view: %d blocks)",

@@ -7,7 +7,6 @@ package pa
 import (
 	"math/rand"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -15,15 +14,6 @@ import (
 	"graphpa/internal/dfg"
 	"graphpa/internal/mining"
 )
-
-// renderCands renders a candidate list as benefit and key per entry.
-func renderCands(cands []*Candidate) []string {
-	out := make([]string, len(cands))
-	for i, c := range cands {
-		out[i] = strconv.Itoa(c.Benefit) + " " + candKey(c)
-	}
-	return out
-}
 
 // TestTieRankingOrderInvariant admits about 40 ties, duplicate keys among
 // them, over sequence seeds at the floor, with and without a raise in
@@ -215,7 +205,9 @@ func (o *tieOracle) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts 
 	}
 	var ties []*Candidate
 	var conv convexScratch
-	tap := func(p *mining.Pattern) {
+	var walk *search
+	tap := func(s *search, p *mining.Pattern) {
+		walk = s
 		k := p.Code.NumNodes()
 		if k < 2 {
 			return
@@ -240,6 +232,23 @@ func (o *tieOracle) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts 
 		o.t.Errorf("%s round %d: FindCandidates returned\n%s\nthe unbounded tie set merges to\n%s",
 			o.name, round, strings.Join(g, "\n"), strings.Join(w, "\n"))
 	}
+	if opts.Batch == 1<<30 && walk != nil {
+		// A batch no tie set fills: the ranking keeps every distinct
+		// mined key that no seed at the incumbent already holds, in key
+		// order.
+		seedKeys := map[string]bool{}
+		for _, c := range seeds {
+			if c.Benefit == best {
+				seedKeys[candKey(c)] = true
+			}
+		}
+		want := slices.DeleteFunc(slices.Clone(ties), func(c *Candidate) bool { return seedKeys[candKey(c)] })
+		g, w := renderCands(walk.mined()), renderCands(mergeCandidates(opts.batch(), want, nil))
+		if !slices.Equal(g, w) {
+			o.t.Errorf("%s round %d: the ranking holds\n%s\nthe unbounded tie set sorts to\n%s",
+				o.name, round, strings.Join(g, "\n"), strings.Join(w, "\n"))
+		}
+	}
 	o.rounds = append(o.rounds, oracleRound{ties: len(ties), keyCuts: opts.stat.KeyCuts})
 	return got
 }
@@ -247,9 +256,11 @@ func (o *tieOracle) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts 
 // TestTieRankingMatchesUnboundedTies is the key cut's oracle: on sha's
 // first three rounds and rijndael's first two, under edgar and dgspan, at
 // the default Batch and with SingleExtract, the ranked walk returns what
-// the unbounded tie set merges to. It also pins sha's round-2 tie set
-// under edgar, the suite's largest: 12,407 ties, 9,670 of whose builds
-// the bar stops. Short mode runs half of sha's cases.
+// the unbounded tie set merges to. Under edgar at a Batch no tie set
+// fills, the ranking itself must hold the whole tie set in key order.
+// It also pins sha's round-2 tie set under edgar, the suite's largest:
+// 12,407 ties, 9,670 of whose builds the bar stops. Short mode runs half
+// of sha's default and single cases.
 func TestTieRankingMatchesUnboundedTies(t *testing.T) {
 	for _, prog := range []struct {
 		name   string
@@ -257,18 +268,25 @@ func TestTieRankingMatchesUnboundedTies(t *testing.T) {
 	}{{"sha", 3}, {"rijndael", 2}} {
 		p := benchProgram(t, prog.name)
 		for _, m := range []*GraphMiner{{Embedding: true}, {}} {
-			for _, single := range []bool{false, true} {
-				name := prog.name + "/" + m.Name()
-				if single {
-					name += "/single"
+			for _, mode := range []struct {
+				suffix string
+				opts   Options
+			}{{"", Options{}}, {"/single", Options{SingleExtract: true}}, {"/unbounded", Options{Batch: 1 << 30}}} {
+				name := prog.name + "/" + m.Name() + mode.suffix
+				single := mode.opts.SingleExtract
+				if mode.opts.Batch != 0 && !m.Embedding {
+					continue
 				}
-				if testing.Short() && prog.name == "sha" && m.Embedding == single {
-					// Short mode walks sha's large round 2 twice, not four
-					// times: edgar at the default Batch, dgspan with one.
+				if testing.Short() && prog.name == "sha" && mode.opts.Batch == 0 && m.Embedding == single {
+					// Short mode walks sha's large round 2 three times, not
+					// five: edgar at the default and the unbounded Batch,
+					// dgspan with one.
 					continue
 				}
 				o := &tieOracle{GraphMiner: m, t: t, name: name}
-				Optimize(p, o, Options{MaxRounds: prog.rounds, SingleExtract: single})
+				opts := mode.opts
+				opts.MaxRounds = prog.rounds
+				Optimize(p, o, opts)
 				if len(o.rounds) != prog.rounds {
 					t.Fatalf("%s: mined %d rounds, want %d", name, len(o.rounds), prog.rounds)
 				}

@@ -19,11 +19,6 @@ import (
 	"graphpa/internal/link"
 )
 
-// e2eMaxPatterns matches the determinism suite's budget (see
-// internal/bench): big enough that rijndael's lattice is non-trivially
-// truncated, small enough for CI.
-const e2eMaxPatterns = 30000
-
 func e2ePrograms() []string {
 	if testing.Short() {
 		return []string{"crc", "search"}
@@ -72,7 +67,7 @@ func benchRequest(t *testing.T, name string) *CompactRequest {
 	}
 	return &CompactRequest{
 		Source:   src,
-		Optimize: OptimizeOptions{Miner: "edgar", MaxPatterns: e2eMaxPatterns},
+		Optimize: OptimizeOptions{Miner: "edgar"},
 	}
 }
 
