@@ -185,14 +185,15 @@ echo "ci.sh: tables.txt Table 1 matches the mined savings"
 # minimality-test bug that moves visits by a few percent. The key-cut
 # count (candidate builds stopped because their rewrite key cannot reach
 # the batch) is deterministic too and is held to the record the same
-# way. A change that moves either on purpose regenerates
-# BENCH_edgar.json with it.
-for field in visits key_cuts; do
+# way, and so is the optimized image's content hash: the output bytes
+# of all eight programs may not move unnoticed. A change that moves any
+# of them on purpose regenerates BENCH_edgar.json with it.
+for field in visits key_cuts image_hash; do
 	awk -v f="\"$field\":" '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
-		$1 == f { gsub(/,/, "", $2); print name, $2 }' \
+		$1 == f { gsub(/[",]/, "", $2); print name, $2 }' \
 		BENCH_edgar.json >"$TMP/$field.committed"
 	awk -v f="\"$field\":" '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
-		$1 == f { gsub(/,/, "", $2); print name, $2 }' \
+		$1 == f { gsub(/[",]/, "", $2); print name, $2 }' \
 		"$TMP/bench.drift.json" >"$TMP/$field.drift"
 	[ -s "$TMP/$field.drift" ] || { echo "ci.sh: no $field counts in the drift record" >&2; exit 1; }
 	while read -r name count; do
@@ -203,7 +204,7 @@ for field in visits key_cuts; do
 		fi
 	done <"$TMP/$field.drift"
 done
-echo "ci.sh: BENCH_edgar.json visit and key-cut counts match the mined walks exactly"
+echo "ci.sh: BENCH_edgar.json visit counts, key cuts and image hashes match the mined runs exactly"
 
 # --- truncation gate ------------------------------------------------------
 # MaxPatterns is a safety valve, not part of the search: no edgar round

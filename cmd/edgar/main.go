@@ -139,9 +139,9 @@ func printRoundStats(stats []pa.RoundStat) {
 	if len(stats) == 0 {
 		return
 	}
-	fmt.Printf("per-round breakdown (blocks reused/rebound/rebuilt; summaries changed)\n")
+	fmt.Printf("per-round breakdown (blocks reused/rebuilt; summaries changed)\n")
 	fmt.Printf("%5s %10s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %8s %8s %5s %5s %8s\n",
-		"round", "cfg", "sums", "dfg", "mine", "scan", "apply", "blocks r/rb/b", "sums chg", "visits", "non-min", "unextr", "keycut", "trunc", "seqb", "extract")
+		"round", "cfg", "sums", "dfg", "mine", "scan", "apply", "blocks r/b", "sums chg", "visits", "non-min", "unextr", "keycut", "trunc", "seqb", "extract")
 	for _, st := range stats {
 		trunc := "no"
 		if st.Truncated {
@@ -155,7 +155,7 @@ func printRoundStats(stats []pa.RoundStat) {
 			st.Mine.Round(time.Millisecond),
 			st.Scan.Round(time.Microsecond),
 			st.Apply.Round(time.Microsecond),
-			fmt.Sprintf("%d/%d/%d", st.BlocksReused, st.BlocksRebound, st.BlocksRebuilt),
+			fmt.Sprintf("%d/%d", st.BlocksReused, st.BlocksRebuilt),
 			st.SummariesChanged,
 			st.Visits,
 			st.NonMinimal,

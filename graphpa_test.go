@@ -99,9 +99,9 @@ func TestOptimizeDefaultsToEdgar(t *testing.T) {
 	}
 }
 
-// TestNegativeOptionsRejected: out-of-range options are an error from
-// the facade, never a panic inside the optimizer (a MaxFragment of
-// math.MaxInt used to panic sizing the walk's bound table).
+// TestNegativeOptionsRejected: out-of-range options, a MaxFragment above
+// pa.MaxNodesLimit included, are an error from the facade, never a panic
+// or an unbounded search inside the optimizer.
 func TestNegativeOptionsRejected(t *testing.T) {
 	bin, err := Compile(testProg, CompileOptions{})
 	if err != nil {

@@ -105,6 +105,9 @@ type Evaluation struct {
 	Miners    []string
 	// Results[program][miner]
 	Results map[string]map[string]*pa.Result
+	// Hashes[program][miner] is the content address of the optimized
+	// image (link.Image.Hash).
+	Hashes map[string]map[string]string
 	// Wall is the harness wall clock for the whole matrix; with Workers
 	// > 1 it undercuts the sum of per-cell Durations (the paper-tables
 	// timing output reports the ratio).
@@ -139,7 +142,8 @@ func Evaluate(ws []*Workload, miners []string, opts pa.Options, workers int, ver
 	start := time.Now()
 	workers = par.Workers(workers)
 	ev := &Evaluation{Workloads: ws, Miners: miners, Workers: workers,
-		Opts: opts, Results: map[string]map[string]*pa.Result{}}
+		Opts: opts, Results: map[string]map[string]*pa.Result{},
+		Hashes: map[string]map[string]string{}}
 	resolved := make([]pa.Miner, len(miners))
 	for i, mn := range miners {
 		m, err := core.MinerByName(mn)
@@ -150,10 +154,12 @@ func Evaluate(ws []*Workload, miners []string, opts pa.Options, workers int, ver
 	}
 	for _, w := range ws {
 		ev.Results[w.Name] = map[string]*pa.Result{}
+		ev.Hashes[w.Name] = map[string]string{}
 	}
 	type cellResult struct {
-		res *pa.Result
-		err error
+		res  *pa.Result
+		hash string
+		err  error
 	}
 	cells := len(ws) * len(miners)
 	err := par.OrderedMap(context.Background(), workers, cells,
@@ -168,7 +174,7 @@ func Evaluate(ws []*Workload, miners []string, opts pa.Options, workers int, ver
 					return cellResult{err: fmt.Errorf("bench: %s/%s: %w", w.Name, mn, err)}, nil
 				}
 			}
-			return cellResult{res: res}, nil
+			return cellResult{res: res, hash: img.Hash()}, nil
 		},
 		func(i int, c cellResult) error {
 			if c.err != nil {
@@ -176,6 +182,7 @@ func Evaluate(ws []*Workload, miners []string, opts pa.Options, workers int, ver
 			}
 			w, mn := ws[i/len(miners)], miners[i%len(miners)]
 			ev.Results[w.Name][mn] = c.res
+			ev.Hashes[w.Name][mn] = c.hash
 			progressf("%s/%s: saved %d in %v", w.Name, mn, c.res.Saved(), c.res.Duration)
 			return nil
 		})

@@ -35,6 +35,10 @@ type BenchRow struct {
 	// batch (RoundStat.KeyCuts). Deterministic like Visits. Zero in
 	// records predating the field and for the SFX miner.
 	KeyCuts int `json:"key_cuts"`
+	// ImageHash is the content address of the optimized image
+	// (link.Image.Hash), so a record pins the output bytes, not just
+	// their size. Empty in records predating the field.
+	ImageHash string `json:"image_hash,omitempty"`
 }
 
 // BenchFingerprint pins the optimizer configuration a benchmark record
@@ -118,6 +122,7 @@ func BenchJSON(ev *Evaluation, miners []string) *BenchDoc {
 				Visits:          visits,
 				TruncatedRounds: truncated,
 				KeyCuts:         keyCuts,
+				ImageHash:       ev.Hashes[w.Name][mn],
 			})
 			d.TotalWallMS += float64(r.Duration.Microseconds()) / 1000
 			d.TotalVisits += visits

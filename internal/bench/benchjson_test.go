@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"graphpa/internal/core"
 	"graphpa/internal/pa"
 )
 
@@ -52,5 +53,35 @@ func TestBenchRowTruncatedRounds(t *testing.T) {
 	row := BenchJSON(ev, []string{"edgar"}).Programs[0]
 	if row.TruncatedRounds != 2 || row.Visits != 3*budget-1 || row.KeyCuts != 7 {
 		t.Errorf("row %+v: want 2 truncated rounds, %d visits and 7 key cuts", row, 3*budget-1)
+	}
+}
+
+// TestBenchRowImageHash: each row records the content address of the
+// image its run produced, the value ci.sh holds to the committed record.
+func TestBenchRowImageHash(t *testing.T) {
+	w, err := Build("crc", DefaultCodegen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := Evaluate([]*Workload{w}, []string{"sfx", "edgar"}, pa.Options{}, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := BenchJSON(ev, []string{"sfx", "edgar"}).Programs
+	for _, row := range rows {
+		m, err := core.MinerByName(row.Miner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, img, err := core.Optimize(w.Image, m, pa.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := img.Hash(); row.ImageHash != want {
+			t.Errorf("%s/%s: image_hash %q, want %q", row.Name, row.Miner, row.ImageHash, want)
+		}
+	}
+	if rows[0].ImageHash == rows[1].ImageHash {
+		t.Errorf("sfx and edgar record the same image hash %q on crc", rows[0].ImageHash)
 	}
 }

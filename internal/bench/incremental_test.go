@@ -28,23 +28,18 @@ func TestIncrementalCacheEffectiveness(t *testing.T) {
 		// Fixpoint runs record every applying round plus the final probe.
 		t.Fatalf("expected %d round stats (rounds + probe), got %d", res.Rounds+1, len(res.RoundStats))
 	}
-	reused := 0
 	for _, rs := range res.RoundStats[1:] {
 		if rs.RebuiltClean != 0 {
 			t.Errorf("round %d: %d clean-block rebuilds (dirty-set over-invalidation)", rs.Round, rs.RebuiltClean)
 		}
-		if rs.BlocksReused+rs.BlocksRebound == 0 {
+		if rs.BlocksReused == 0 {
 			t.Errorf("round %d: no dependence graphs reused", rs.Round)
 		}
-		reused += rs.BlocksReused
-	}
-	if reused == 0 {
-		t.Error("no object-identical graph reuse across any round")
 	}
 	for _, rs := range res.RoundStats {
-		if rs.Blocks != rs.BlocksReused+rs.BlocksRebound+rs.BlocksRebuilt {
-			t.Errorf("round %d: block accounting inconsistent: %d != %d+%d+%d",
-				rs.Round, rs.Blocks, rs.BlocksReused, rs.BlocksRebound, rs.BlocksRebuilt)
+		if rs.Blocks != rs.BlocksReused+rs.BlocksRebuilt {
+			t.Errorf("round %d: block accounting inconsistent: %d != %d+%d",
+				rs.Round, rs.Blocks, rs.BlocksReused, rs.BlocksRebuilt)
 		}
 	}
 }

@@ -5,9 +5,6 @@
 package cfg
 
 import (
-	"fmt"
-	"hash/fnv"
-
 	"graphpa/internal/arm"
 	"graphpa/internal/loader"
 )
@@ -265,19 +262,6 @@ func (b *Block) Terminator() *arm.Instr {
 		}
 	}
 	return nil
-}
-
-// Fingerprint computes the Debray-style block fingerprint the paper's SFX
-// baseline uses for quick duplicate filtering: a hash over the opcode and
-// operand-shape sequence (register names excluded, so blocks that differ
-// only in register naming collide, as intended).
-func (b *Block) Fingerprint() uint64 {
-	h := fnv.New64a()
-	for i := range b.Instrs {
-		in := &b.Instrs[i]
-		fmt.Fprintf(h, "%s~%d~%s|", in.CanonicalKey(), in.Imm, in.Target)
-	}
-	return h.Sum64()
 }
 
 // CountInstrs returns the number of executable instructions in the

@@ -113,38 +113,6 @@ func TestReassembleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFingerprintRegisterInsensitive(t *testing.T) {
-	a := &Block{Instrs: []arm.Instr{
-		ins("add r0, r1, r2"), ins("sub r3, r0, #4"),
-	}}
-	b := &Block{Instrs: []arm.Instr{
-		ins("add r5, r6, r7"), ins("sub r8, r5, #4"),
-	}}
-	c := &Block{Instrs: []arm.Instr{
-		ins("add r5, r6, r7"), ins("sub r8, r5, r9"),
-	}}
-	d := &Block{Instrs: []arm.Instr{
-		ins("add r5, r6, r7"), ins("sub r8, r5, #9"),
-	}}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("register renaming must not change the fingerprint")
-	}
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("operand shape change must change the fingerprint")
-	}
-	if a.Fingerprint() == d.Fingerprint() {
-		t.Error("immediate value change must change the fingerprint")
-	}
-}
-
-func ins(s string) arm.Instr {
-	u, err := asm.Parse(s)
-	if err != nil || len(u.Text) != 1 {
-		panic("bad test instruction: " + s)
-	}
-	return u.Text[0]
-}
-
 func TestResplitPreservesBlockIdentity(t *testing.T) {
 	p := Build(loadProgram(t, blockSrc))
 	main := p.Funcs[1]

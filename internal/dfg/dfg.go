@@ -203,9 +203,8 @@ func (g *Graph) NodeLabel(i int) string {
 }
 
 // MemoLabels renders and stores every node label once. The cross-round
-// graph cache calls it at insert time — before the graph is shared with
-// concurrent mining phases — turning every later NodeLabel into a
-// race-free array read instead of a fresh render per round.
+// cache calls it when it builds a block's graph, turning every later
+// round's NodeLabel into an array read instead of a fresh render.
 func (g *Graph) MemoLabels() {
 	if g.labels != nil {
 		return
@@ -215,18 +214,6 @@ func (g *Graph) MemoLabels() {
 		ls[i] = g.Block.Instrs[i].String()
 	}
 	g.labels = ls
-}
-
-// Rebind returns a copy of g attached to block b, sharing the edge,
-// adjacency, in-edge index and label structure. b must carry exactly the
-// instructions g was built from, under call summaries matching those
-// consumed by the build; the cross-round graph cache uses it when a
-// function re-split left a block's content intact but allocated a fresh
-// *cfg.Block.
-func (g *Graph) Rebind(b *cfg.Block) *Graph {
-	ng := *g
-	ng.Block = b
-	return &ng
 }
 
 // Succs returns the direct successors of node i (shared slice; do not
@@ -243,24 +230,6 @@ func (g *Graph) Preds(i int) []int { return g.pred[i] }
 // InDegree and OutDegree report dependence degrees (Table 3).
 func (g *Graph) InDegree(i int) int  { return len(g.pred[i]) }
 func (g *Graph) OutDegree(i int) int { return len(g.succ[i]) }
-
-// ReachableFrom reports, as a bitset, every node reachable from start
-// while only stepping through nodes outside `inside`. Used by the
-// extraction convexity check.
-func (g *Graph) ReachableFrom(start int, skip func(int) bool, visit []bool) {
-	stack := []int{start}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.succ[v] {
-			if visit[w] || skip(w) {
-				continue
-			}
-			visit[w] = true
-			stack = append(stack, w)
-		}
-	}
-}
 
 // DegreeStats aggregates Table 2 of the paper: how many instructions have
 // (in ∨ out) degree greater than one.

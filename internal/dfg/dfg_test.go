@@ -236,19 +236,6 @@ func TestAdjacency(t *testing.T) {
 	if g.OutDegree(0) != 2 || g.InDegree(2) != 2 {
 		t.Errorf("degrees wrong: out0=%d in2=%d", g.OutDegree(0), g.InDegree(2))
 	}
-	visit := make([]bool, g.N())
-	g.ReachableFrom(0, func(int) bool { return false }, visit)
-	if !visit[1] || !visit[2] {
-		t.Error("reachability broken")
-	}
-	visit = make([]bool, g.N())
-	g.ReachableFrom(0, func(n int) bool { return n == 1 }, visit)
-	if visit[1] {
-		t.Error("skip not honoured")
-	}
-	if !visit[2] {
-		t.Error("direct edge 0->2 must still be found")
-	}
 }
 
 // TestInEdges checks the in-edge index against the edge list: InEdges(i)
@@ -285,10 +272,5 @@ func TestInEdges(t *testing.T) {
 	}
 	if len(seen) != len(g.Edges) {
 		t.Errorf("InEdges lists %d distinct edges, graph has %d", len(seen), len(g.Edges))
-	}
-	// A rebound graph shares the index.
-	rb := g.Rebind(&cfg.Block{Instrs: b.Instrs})
-	if got, want := len(rb.InEdges(6)), len(g.InEdges(6)); got != want {
-		t.Errorf("rebound InEdges(6) has %d edges, want %d", got, want)
 	}
 }

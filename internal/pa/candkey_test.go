@@ -48,7 +48,7 @@ func TestCandKeyMatchesFmtReference(t *testing.T) {
 			graphs[i] = dfg.Build(b, sums)
 		}
 		for _, m := range []*pa.GraphMiner{{Embedding: true}, {}} {
-			cands := m.FindCandidates(view, graphs, pa.Options{Batch: math.MaxInt})
+			cands := m.FindCandidates(view, graphs, pa.WithBatch(pa.Options{}, math.MaxInt))
 			if len(cands) == 0 {
 				t.Fatalf("%s/%s: no round-1 candidates", name, m.Name())
 			}

@@ -24,7 +24,7 @@ func TestAdmitOrderInvariantTieSet(t *testing.T) {
 		{c, a, d, b},
 	}
 	for pi, perm := range perms {
-		s := newSearch(8, false, 16)
+		s := newSearch(false, 16)
 		for _, x := range perm {
 			s.admit(x, candKey(x))
 		}
@@ -45,7 +45,7 @@ func TestAdmitOrderInvariantTieSet(t *testing.T) {
 
 	// A candidate below the incumbent (possible only from a stale-threshold
 	// build) is dropped, not kept as a runner-up.
-	s := newSearch(8, false, 16)
+	s := newSearch(false, 16)
 	s.bestBen = 10
 	s.admit(a, candKey(a))
 	if len(s.ties) != 0 {

@@ -37,9 +37,6 @@ type Options struct {
 	// plus every runner-up touching disjoint blocks — the same greedy
 	// order at a fraction of the mining restarts.
 	SingleExtract bool
-	// Batch is the number of runner-up candidates kept per round
-	// (default 16; ignored with SingleExtract).
-	Batch int
 	// Workers is ignored: every run is one serial pipeline, and the
 	// parallelism that pays is across runs (the compaction service's
 	// concurrent jobs, the benchmark harness's program×miner cells). It
@@ -53,9 +50,9 @@ type Options struct {
 	// ctx carries the cancellation context of an OptimizeContext run.
 	// Only the driver sets it; miners read it through Context.
 	ctx context.Context
-	// inc hands the round's incremental caches to the miner. Only the
-	// incremental driver sets it.
-	inc *incMining
+	// inc hands the cross-round per-block cache to the miner, which
+	// keeps its mining graphs there. Only the driver sets it.
+	inc *incState
 	// stat, when non-nil, receives per-round miner counters (Visits,
 	// NonMinimal, Unextractable, KeyCuts, Truncated) and the sequence
 	// scan's Scan and SeqBuilds.
@@ -87,16 +84,24 @@ type reference struct {
 	// incState, so dependence graphs and mining graphs are all built
 	// from scratch.
 	rebuild bool
+	// batch, when positive, replaces defaultBatch, so the tie-ranking
+	// and candidate-key tests can see every tie. Unlike the arms above it
+	// can change which runners-up the driver applies.
+	batch int
 }
+
+// defaultBatch is the number of runner-up candidates kept per round
+// (ignored with SingleExtract).
+const defaultBatch = 16
 
 func (o Options) batch() int {
 	if o.SingleExtract {
 		return 1
 	}
-	if o.Batch == 0 {
-		return 16
+	if o.ref.batch > 0 {
+		return o.ref.batch
 	}
-	return o.Batch
+	return defaultBatch
 }
 
 func (o Options) minSupport() int {
@@ -134,11 +139,10 @@ func (o Options) maxPatterns() int {
 // spelled out.
 func (o Options) MaxPatternsOrDefault() int { return o.maxPatterns() }
 
-// MaxNodesLimit is the largest MaxNodes Validate accepts. The graph
-// miners allocate a bound table of (MaxNodes−1)·2048 ints per round, so
-// an unchecked value is a memory bomb (or, near math.MaxInt, a panic
-// sizing the table); the largest fragment size any benchmark or test
-// uses is 12.
+// MaxNodesLimit is the largest MaxNodes Validate accepts. Each lattice
+// visit's embedding and validation work grows with the pattern size, so
+// the cap keeps one request from buying a search no workload needs: the
+// largest fragment size any benchmark or test uses is 12.
 const MaxNodesLimit = 64
 
 // Validate rejects options no run can honour: every count and bound is
@@ -173,7 +177,6 @@ func (o Options) ValidateAs(names map[string]string) error {
 		{"MaxSeqLen", o.MaxSeqLen},
 		{"MaxRounds", o.MaxRounds},
 		{"MaxPatterns", o.MaxPatterns},
-		{"Batch", o.Batch},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("option %s must be non-negative, got %d", name(f.name), f.v)
@@ -208,9 +211,13 @@ type RoundStat struct {
 	Apply     time.Duration // extraction rewrites
 
 	Blocks        int // blocks analysed this round
-	BlocksReused  int // dependence graphs reused object-identically
-	BlocksRebound int // reused by content under a fresh block object
+	BlocksReused  int // dependence graphs reused from the block's entry
 	BlocksRebuilt int // built from scratch
+	// BlocksRebound is always 0: it counted graphs reused by content
+	// under a fresh block object, and that path is gone (DESIGN.md §8).
+	// It stays only because perfbench still reads it for its
+	// dfg.blocks_reused layer, and goes when that layer does.
+	BlocksRebound int
 	// RebuiltClean counts rebuilds of blocks in untouched functions with
 	// no summary drift — over-invalidation; stays 0 when the dirty-set
 	// rules are exact.
@@ -250,7 +257,7 @@ type RoundStat struct {
 
 	// KeyCuts counts the candidate builds the walk stopped early because
 	// the candidate could at most tie the incumbent and its rewrite key
-	// already sorted at or after the Batch-th smallest key kept at that
+	// already sorted at or after the batch-th smallest key kept at that
 	// benefit: it could not have reached the driver (DESIGN.md §10).
 	KeyCuts int
 
@@ -378,8 +385,7 @@ func OptimizeContext(ctx context.Context, prog *loader.Program, m Miner, opts Op
 
 		t0 = time.Now()
 		graphs := st.buildGraphs(view, summaries, dirty, &stat)
-		st.beginMining(graphs)
-		opts.inc = &st.m
+		opts.inc = st
 		stat.DFGBuild = time.Since(t0)
 
 		t0 = time.Now()

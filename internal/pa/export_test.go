@@ -39,6 +39,13 @@ func RowExtractable(g *dfg.Graph, nodes []int32) bool {
 	return callExtractable(g, occ.Nodes, callSafeCache{}) && conv.admit(map[*cfg.Block][][]int{}, &occ)
 }
 
+// WithBatch returns opts with the driver's batch (Options.ref) set to
+// n.
+func WithBatch(opts Options, n int) Options {
+	opts.ref.batch = n
+	return opts
+}
+
 // Rebuild returns opts with the rebuild-every-round reference driver
 // selected (Options.ref).
 func Rebuild(opts Options) Options {

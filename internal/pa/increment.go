@@ -13,98 +13,97 @@ import (
 // labels and mining graphs — is carried forward instead of recomputed.
 // Call summaries are not: the driver solves them from scratch every
 // round (DESIGN.md §8). All reuse is gated by proofs of equivalence
-// (content identity, summary equality); whenever equivalence cannot be
+// (slice identity, summary equality); whenever equivalence cannot be
 // shown the affected piece falls back to a full recomputation, so the
 // incremental loop's output is byte-identical to the from-scratch
 // loop's.
 
-// incState is the driver's cross-round cache bundle.
+// incState is the driver's cross-round cache: one entry per block of the
+// program view. cfg.Resplit keeps the *cfg.Block object of every
+// content-identical block, so the block pointer is the key.
 type incState struct {
-	graphs *graphCache
-	m      incMining
-	primed bool // at least one round has populated the caches
+	blocks map[*cfg.Block]*blockEntry
+	primed bool // at least one round has populated the cache
 }
 
-// incMining is the slice of incState handed to the miner through
-// Options.inc: the mining-graph cache.
-type incMining struct {
-	mg map[*dfg.Graph]mgEntry
-}
-
-// mgEntry is one cached mining graph plus the call-safety flag baked
-// into it: MiningGraph prunes edges of non-call-safe functions, and
-// CallSafe is a whole-function property that can drift while a block
-// (and hence its dependence graph object) stays untouched.
-type mgEntry struct {
+// blockEntry is what one block carries across rounds: the instruction
+// slice and call summaries its dependence graph was built from, the
+// graph, and the mining graph a graph miner derived from it.
+type blockEntry struct {
+	instrs  []arm.Instr
+	targets []targetEffect
+	graph   *dfg.Graph
+	// mg is nil until a graph miner builds it. callable is the CallSafe
+	// flag baked into its edge pruning: a whole-function property that
+	// can drift while the block stays untouched (an extraction can remove
+	// the only pop {lr}).
 	mg       *mining.Graph
 	callable bool
 }
 
 func newIncState() *incState {
-	return &incState{graphs: newGraphCache(), m: incMining{mg: map[*dfg.Graph]mgEntry{}}}
+	return &incState{blocks: map[*cfg.Block]*blockEntry{}}
 }
 
-// buildGraphs produces the per-block dependence graphs for this round,
-// reusing cached graphs wherever block content and the consumed call
-// summaries are unchanged and building only the rest. Every lookup runs
-// before any insert, so a block never reuses a template built earlier in
-// the same round.
+// buildGraphs produces the per-block dependence graphs for this round. A
+// block keeps its entry while its instruction slice and every call
+// summary its graph consumed are unchanged; every other block gets a
+// fresh entry and a fresh graph. Entries of blocks that left the view
+// are dropped.
 func (st *incState) buildGraphs(view *cfg.Program, sums map[string]arm.Effects, dirty map[*cfg.Func]bool, stat *RoundStat) []*dfg.Graph {
-	c := st.graphs
-	c.gen++
 	graphs := make([]*dfg.Graph, len(view.Blocks))
-	var missIdx []int
+	next := make(map[*cfg.Block]*blockEntry, len(view.Blocks))
 	for i, b := range view.Blocks {
-		g, kind, mismatch := c.lookup(b, sums)
-		switch kind {
-		case hitSame:
+		e := st.blocks[b]
+		same := e != nil && sameSlice(b.Instrs, e.instrs)
+		if same && targetsValid(e.targets, sums) {
 			stat.BlocksReused++
-		case hitRebound:
-			stat.BlocksRebound++
-		default:
+		} else {
 			stat.BlocksRebuilt++
-			if st.primed && !dirty[b.Fn] && !mismatch {
+			if st.primed && !dirty[b.Fn] && !same {
 				// A rebuild with no dirty function and no summary drift
 				// means the invalidation rules over-fired; the
 				// differential tests assert this stays zero.
 				stat.RebuiltClean++
 			}
-			missIdx = append(missIdx, i)
+			g := dfg.Build(b, sums)
+			// Labels are memoised once here, so every later round's
+			// NodeLabel on a cached graph is an array read instead of a
+			// fresh render.
+			g.MemoLabels()
+			e = &blockEntry{instrs: b.Instrs, targets: targetsOf(b, sums), graph: g}
 		}
-		graphs[i] = g
+		next[b] = e
+		graphs[i] = e.graph
 	}
-	for _, i := range missIdx {
-		graphs[i] = dfg.Build(view.Blocks[i], sums)
-		c.insert(view.Blocks[i], graphs[i], sums)
-	}
-	c.sweepBlocks(view.Blocks)
-	c.evict()
+	st.blocks = next
 	st.primed = true
 	return graphs
 }
 
-// beginMining prepares the miner-facing cache for a round: mining graphs
-// whose dependence graphs are no longer live can never be reused (a dead
-// graph object never reappears in a later round's graph set) and are
-// dropped.
-func (st *incState) beginMining(graphs []*dfg.Graph) {
-	live := make(map[*dfg.Graph]bool, len(graphs))
-	for _, g := range graphs {
-		live[g] = true
+// miningGraph returns the mining graph of g, a graph of this round's
+// buildGraphs, under the call-safety flag callable. The graph cached in
+// g's block entry is served while the entry still holds g and the flag
+// still matches; only the block ID may have shifted under renumbering,
+// so the frozen graph is copied and the ID restamped. st may be nil: a
+// miner run outside the driver keeps nothing.
+func (st *incState) miningGraph(g *dfg.Graph, callable, canonical bool) *mining.Graph {
+	var e *blockEntry
+	if st != nil {
+		e = st.blocks[g.Block]
 	}
-	for g := range st.m.mg {
-		if !live[g] {
-			delete(st.m.mg, g)
-		}
+	if e == nil || e.graph != g {
+		return MiningGraph(g, canonical)
 	}
+	if e.mg != nil && e.callable == callable {
+		cp := *e.mg
+		cp.ID = g.Block.ID
+		e.mg = &cp
+	} else {
+		e.mg, e.callable = MiningGraph(g, canonical), callable
+	}
+	return e.mg
 }
-
-// Graph-cache hit kinds.
-const (
-	hitSame    = iota // same block object, same content, same summaries
-	hitRebound        // identical content under a fresh block object
-	missBuild         // no reusable template
-)
 
 // targetEffect records one call summary a graph consumed when it was
 // built. A cached graph is only valid while every recorded summary still
@@ -113,111 +112,6 @@ type targetEffect struct {
 	name string
 	eff  arm.Effects
 	ok   bool
-}
-
-// graphTemplate is a dependence graph keyed by block content: the instr
-// slice it was built from, the summaries it consumed, and the graph.
-// Identical content under a different block object reuses the template
-// through a cheap Rebind instead of a rebuild.
-type graphTemplate struct {
-	instrs  []arm.Instr
-	graph   *dfg.Graph
-	targets []targetEffect
-	gen     int
-}
-
-// boundGraph binds a template to one concrete block.
-type boundGraph struct {
-	tmpl  *graphTemplate
-	graph *dfg.Graph // tmpl.graph or its Rebind onto the block
-}
-
-// graphCache caches dependence graphs across rounds. byBlock is the fast
-// path: a block object whose instr slice is identical (rewrites always
-// install fresh slices, so slice identity proves content identity) reuses
-// its previous graph object outright — which in turn keeps its cached
-// mining graph alive. byHash is the content path: a fresh
-// block object (a dirty function's re-split) with byte-identical content
-// rebinds an existing template, paying a struct copy instead of a build.
-type graphCache struct {
-	byBlock map[*cfg.Block]*boundGraph
-	byHash  map[uint64][]*graphTemplate
-	gen     int
-}
-
-func newGraphCache() *graphCache {
-	return &graphCache{
-		byBlock: map[*cfg.Block]*boundGraph{},
-		byHash:  map[uint64][]*graphTemplate{},
-	}
-}
-
-func (c *graphCache) lookup(b *cfg.Block, sums map[string]arm.Effects) (*dfg.Graph, int, bool) {
-	mismatch := false
-	if bg := c.byBlock[b]; bg != nil && sameSlice(b.Instrs, bg.tmpl.instrs) {
-		if targetsValid(bg.tmpl, sums) {
-			bg.tmpl.gen = c.gen
-			return bg.graph, hitSame, false
-		}
-		mismatch = true
-	}
-	h := hashInstrs(b.Instrs)
-	for _, tmpl := range c.byHash[h] {
-		if !instrsEqual(tmpl.instrs, b.Instrs) {
-			continue
-		}
-		if !targetsValid(tmpl, sums) {
-			mismatch = true
-			continue
-		}
-		g := tmpl.graph.Rebind(b)
-		c.byBlock[b] = &boundGraph{tmpl: tmpl, graph: g}
-		tmpl.gen = c.gen
-		return g, hitRebound, mismatch
-	}
-	return nil, missBuild, mismatch
-}
-
-func (c *graphCache) insert(b *cfg.Block, g *dfg.Graph, sums map[string]arm.Effects) {
-	// Labels are memoised once here, so every later round's NodeLabel
-	// on a cached graph is an array read instead of a fresh render.
-	g.MemoLabels()
-	tmpl := &graphTemplate{instrs: b.Instrs, graph: g, targets: targetsOf(b, sums), gen: c.gen}
-	h := hashInstrs(b.Instrs)
-	c.byHash[h] = append(c.byHash[h], tmpl)
-	c.byBlock[b] = &boundGraph{tmpl: tmpl, graph: g}
-}
-
-// sweepBlocks drops bindings of blocks no longer in the program view.
-func (c *graphCache) sweepBlocks(blocks []*cfg.Block) {
-	live := make(map[*cfg.Block]bool, len(blocks))
-	for _, b := range blocks {
-		live[b] = true
-	}
-	for b := range c.byBlock {
-		if !live[b] {
-			delete(c.byBlock, b)
-		}
-	}
-}
-
-// evict drops content templates that went unused for a full round. Every
-// live block refreshes its template's gen each round, so this only sheds
-// content that vanished from the program.
-func (c *graphCache) evict() {
-	for h, tmpls := range c.byHash {
-		kept := tmpls[:0]
-		for _, t := range tmpls {
-			if t.gen >= c.gen-1 {
-				kept = append(kept, t)
-			}
-		}
-		if len(kept) == 0 {
-			delete(c.byHash, h)
-		} else {
-			c.byHash[h] = kept
-		}
-	}
 }
 
 func targetsOf(b *cfg.Block, sums map[string]arm.Effects) []targetEffect {
@@ -232,8 +126,8 @@ func targetsOf(b *cfg.Block, sums map[string]arm.Effects) []targetEffect {
 	return out
 }
 
-func targetsValid(tmpl *graphTemplate, sums map[string]arm.Effects) bool {
-	for _, te := range tmpl.targets {
+func targetsValid(targets []targetEffect, sums map[string]arm.Effects) bool {
+	for _, te := range targets {
 		cur, ok := sums[te.name]
 		if ok != te.ok || (ok && cur != te.eff) {
 			return false
@@ -250,58 +144,4 @@ func sameSlice(a, b []arm.Instr) bool {
 		return false
 	}
 	return len(a) == 0 || &a[0] == &b[0]
-}
-
-func instrsEqual(a, b []arm.Instr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// hashInstrs is an FNV-1a content hash over every instruction field.
-func hashInstrs(instrs []arm.Instr) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime
-	}
-	mixs := func(s string) {
-		for i := 0; i < len(s); i++ {
-			mix(uint64(s[i]))
-		}
-		mix(0xff) // terminator: "ab","c" hashes differently from "a","bc"
-	}
-	mix(uint64(len(instrs)))
-	for i := range instrs {
-		in := &instrs[i]
-		mix(uint64(in.Op))
-		mix(uint64(in.Cond))
-		if in.SetS {
-			mix(1)
-		} else {
-			mix(0)
-		}
-		mix(uint64(uint32(in.Rd)))
-		mix(uint64(uint32(in.Rn)))
-		mix(uint64(uint32(in.Rm)))
-		mix(uint64(uint32(in.Ra)))
-		mix(uint64(in.Shift))
-		mix(uint64(uint32(in.ShAmt)))
-		mix(uint64(uint32(in.Imm)))
-		if in.HasImm {
-			mix(1)
-		} else {
-			mix(0)
-		}
-		mix(uint64(in.Reglist))
-		mixs(in.Target)
-	}
-	return h
 }

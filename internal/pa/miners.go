@@ -38,12 +38,6 @@ func fragUB(k, m int) int {
 	return ub
 }
 
-// ubTabM is the embedding-count range covered by the search's
-// precomputed fragUB table (satellite of the benefit-directed walk:
-// fragUB is pure, so the hot policies index a flat table instead of
-// recomputing the two benefit polynomials per comparison).
-const ubTabM = 2048
-
 // search is the state of one lattice walk: the scalar incumbent read by
 // the branch-and-bound policies and raised by the visitor, and the
 // ranking of its ties by rewrite key.
@@ -76,18 +70,13 @@ type search struct {
 
 	// seen holds ties' keys while the ranking is not full. Until then
 	// every distinct key is kept, so ties is appended unsorted and
-	// sorted once, when it fills or when mined reads it: a Batch larger
+	// sorted once, when it fills or when mined reads it: a batch larger
 	// than the tie set costs no per-admission insertion.
 	seen map[string]struct{}
 
-	// ub is the walk-bound memo: ub[(k-2)*ubTabM+m] is the optimistic
-	// benefit of a k-node fragment with at most m occurrences, for k in
-	// [2, maxK], m in [0, ubTabM). Built once per run (CallBenefit for
-	// the benefit-directed walk, legacy fragUB for the lexicographic
-	// reference — see newSearch), then read-only.
-	ub    []int
-	bound func(k, m int) int // the table's generator, for out-of-range m
-	maxK  int
+	// lexicographic selects the legacy fragUB walk bound of the
+	// lexicographic reference arm (see newSearch).
+	lexicographic bool
 
 	// lastSelFor/lastSelN stash the exact independent-set size computed
 	// by the most recent visit (DgSpan mode only), so the subtree prune
@@ -109,40 +98,31 @@ type tie struct {
 	cand *Candidate
 }
 
-// newSearch builds the run's bound table. The graph walk can only yield
-// call extractions: MiningGraph drops every edge touching an instruction
-// that cannot be outlined (terminators, lr traffic, barriers), patterns
-// grow along edges, and k >= 2 — so no mined occurrence ever includes a
-// block terminator and buildCandidate always lands on MethodCall. The
-// benefit-directed walk therefore bounds with CallBenefit alone, which
-// is strictly tighter than fragUB (CrossJumpBenefit exceeds CallBenefit
-// by k+1-m, so support-2 and -3 subtrees that only a tail merge could
-// redeem are cut). Cross-jump candidates are untouched: they come
-// exclusively from the ScanSequences seeds, which bypass the walk. The
-// lexicographic reference arm keeps the legacy fragUB bound — pruning
-// strictly below EITHER admissible bound preserves the final incumbent
-// tie set, so the two arms still return identical candidates. limit is
-// the driver's batch size, the most ties the search ranks.
-func newSearch(maxK int, lexicographic bool, limit int) *search {
-	s := &search{maxK: maxK, limit: limit, ub: make([]int, (maxK-1)*ubTabM), bound: CallBenefit}
-	if lexicographic {
-		s.bound = fragUB
-	}
-	for k := 2; k <= maxK; k++ {
-		row := s.ub[(k-2)*ubTabM:]
-		for m := 0; m < ubTabM; m++ {
-			row[m] = s.bound(k, m)
-		}
-	}
-	return s
+// newSearch starts a walk. Its bound is CallBenefit: the graph walk can
+// only yield call extractions. MiningGraph drops every edge touching an
+// instruction that cannot be outlined (terminators, lr traffic,
+// barriers), patterns grow along edges, and k >= 2 — so no mined
+// occurrence ever includes a block terminator and buildCandidate always
+// lands on MethodCall. CallBenefit is strictly tighter than fragUB
+// (CrossJumpBenefit exceeds CallBenefit by k+1-m, so support-2 and -3
+// subtrees that only a tail merge could redeem are cut). Cross-jump
+// candidates are untouched: they come exclusively from the ScanSequences
+// seeds, which bypass the walk. The lexicographic reference arm keeps
+// the legacy fragUB bound — pruning strictly below EITHER admissible
+// bound preserves the final incumbent tie set, so the two arms still
+// return identical candidates. limit is the driver's batch size, the
+// most ties the search ranks.
+func newSearch(lexicographic bool, limit int) *search {
+	return &search{lexicographic: lexicographic, limit: limit}
 }
 
-// ubm is the memoised walk bound.
+// ubm is the walk bound: the optimistic benefit of a k-node fragment
+// with at most m occurrences.
 func (s *search) ubm(k, m int) int {
-	if k >= 2 && k <= s.maxK && m >= 0 && m < ubTabM {
-		return s.ub[(k-2)*ubTabM+m]
+	if s.lexicographic {
+		return fragUB(k, m)
 	}
-	return s.bound(k, m)
+	return CallBenefit(k, m)
 }
 
 // seed ranks the sequence seeds at the incumbent (the floor they set)
@@ -313,43 +293,15 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 // visited pattern after the visitor, with the walk's search, when tap is
 // non-nil: the hook of the tie-ranking differential test.
 func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(*search, *mining.Pattern)) []*Candidate {
-	inc := opts.inc
 	byID := map[int]*dfg.Graph{}
 	var mgs []*mining.Graph
-	var newMG map[*dfg.Graph]mgEntry
-	if inc != nil {
-		newMG = make(map[*dfg.Graph]mgEntry, len(graphs))
-	}
 	// The call-safety cache is written lazily on miss; fill it completely
 	// in the loop below — every occurrence's function owns one of these
 	// graphs' blocks — and it stays read-only for the rest of the round.
 	safe := callSafeCache{}
 	for _, g := range graphs {
 		byID[g.Block.ID] = g
-		callable := safe.get(g.Block.Fn)
-		var mg *mining.Graph
-		if inc != nil {
-			if e, ok := inc.mg[g]; ok && e.callable == callable {
-				// The dependence graph object and the call-safety flag baked
-				// into the mining graph's edge pruning are both unchanged, so
-				// the mining graph is too — only the block ID may have
-				// shifted under renumbering. Copy the frozen graph and
-				// restamp the ID.
-				cp := *e.mg
-				cp.ID = g.Block.ID
-				mg = &cp
-			}
-		}
-		if mg == nil {
-			mg = MiningGraph(g, m.CanonicalMatch)
-		}
-		if inc != nil {
-			newMG[g] = mgEntry{mg: mg, callable: callable}
-		}
-		mgs = append(mgs, mg)
-	}
-	if inc != nil {
-		inc.mg = newMG
+		mgs = append(mgs, opts.inc.miningGraph(g, safe.get(g.Block.Fn), m.CanonicalMatch))
 	}
 	maxK := opts.maxNodes()
 	// Warm-start the incumbent — branch-and-bound with an initial
@@ -368,7 +320,7 @@ func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(
 		}
 	}
 	ctx := opts.Context()
-	s := newSearch(maxK, opts.ref.lexicographic, opts.batch())
+	s := newSearch(opts.ref.lexicographic, opts.batch())
 	s.bestBen = baseFloor
 	s.seed(seeds)
 	// Benefit-bound pruning: a subtree is cut only when NO descendant can

@@ -9,8 +9,7 @@ import (
 
 // TestValidateRejectsNegativeOptions: every count and bound must be
 // non-negative, MaxNodes at most MaxNodesLimit, and OptimizeContext
-// reports the violation as an error before any work (a negative or huge
-// MaxNodes used to panic sizing the walk's bound table).
+// reports the violation as an error before any work.
 func TestValidateRejectsNegativeOptions(t *testing.T) {
 	if err := (Options{}).Validate(); err != nil {
 		t.Fatalf("zero options (all defaults) rejected: %v", err)
@@ -24,7 +23,6 @@ func TestValidateRejectsNegativeOptions(t *testing.T) {
 		{"MaxSeqLen", Options{MaxSeqLen: -1}},
 		{"MaxRounds", Options{MaxRounds: -1}},
 		{"MaxPatterns", Options{MaxPatterns: -1}},
-		{"Batch", Options{Batch: -1}},
 		{"MaxNodes", Options{MaxNodes: MaxNodesLimit + 1}},
 		{"MaxNodes", Options{MaxNodes: math.MaxInt}},
 	} {

@@ -1,6 +1,6 @@
 package pa
 
-// Tests of the search's tie ranking: it keeps the first Batch rewrite
+// Tests of the search's tie ranking: it keeps the first batch rewrite
 // keys of the incumbent's tie set, and buildCandidate stops a build
 // whose key cannot reach them.
 
@@ -66,7 +66,7 @@ func TestTieRankingOrderInvariant(t *testing.T) {
 			for perm := 0; perm < 200; perm++ {
 				order := slices.Clone(all)
 				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-				s := newSearch(8, false, batch)
+				s := newSearch(false, batch)
 				s.bestBen = floor
 				s.seed(seeds)
 				for _, c := range order {
@@ -153,7 +153,7 @@ func TestKeyCutSparesARaise(t *testing.T) {
 	// A ranking of one, full with a size-2 key: every size-3 key sorts
 	// after it.
 	small := testCand(ben-1, 2, MethodCall, [2]int{0, 0}, [2]int{0, 2}, [2]int{0, 4}, [2]int{0, 6}, [2]int{0, 8}, [2]int{0, 10})
-	s := newSearch(8, false, 1)
+	s := newSearch(false, 1)
 	s.bestBen = ben - 1
 	s.admit(small, candKey(small))
 	bar := s.bar()
@@ -168,7 +168,7 @@ func TestKeyCutSparesARaise(t *testing.T) {
 
 	// The same pattern at an incumbent it can only tie is cut.
 	tie := testCand(ben, 2, MethodCall, [2]int{0, 0}, [2]int{0, 2}, [2]int{0, 4}, [2]int{0, 6}, [2]int{0, 8}, [2]int{0, 10}, [2]int{0, 12})
-	s = newSearch(8, false, 1)
+	s = newSearch(false, 1)
 	s.bestBen = ben
 	s.admit(tie, candKey(tie))
 	m.visitPattern(s, byID, safe, Options{}, best)
@@ -232,7 +232,7 @@ func (o *tieOracle) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts 
 		o.t.Errorf("%s round %d: FindCandidates returned\n%s\nthe unbounded tie set merges to\n%s",
 			o.name, round, strings.Join(g, "\n"), strings.Join(w, "\n"))
 	}
-	if opts.Batch == 1<<30 && walk != nil {
+	if opts.ref.batch == 1<<30 && walk != nil {
 		// A batch no tie set fills: the ranking keeps every distinct
 		// mined key that no seed at the incumbent already holds, in key
 		// order.
@@ -255,8 +255,8 @@ func (o *tieOracle) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts 
 
 // TestTieRankingMatchesUnboundedTies is the key cut's oracle: on sha's
 // first three rounds and rijndael's first two, under edgar and dgspan, at
-// the default Batch and with SingleExtract, the ranked walk returns what
-// the unbounded tie set merges to. Under edgar at a Batch no tie set
+// the default batch and with SingleExtract, the ranked walk returns what
+// the unbounded tie set merges to. Under edgar at a batch no tie set
 // fills, the ranking itself must hold the whole tie set in key order.
 // It also pins sha's round-2 tie set under edgar, the suite's largest:
 // 12,407 ties, 9,670 of whose builds the bar stops. Short mode runs half
@@ -271,15 +271,15 @@ func TestTieRankingMatchesUnboundedTies(t *testing.T) {
 			for _, mode := range []struct {
 				suffix string
 				opts   Options
-			}{{"", Options{}}, {"/single", Options{SingleExtract: true}}, {"/unbounded", Options{Batch: 1 << 30}}} {
+			}{{"", Options{}}, {"/single", Options{SingleExtract: true}}, {"/unbounded", Options{ref: reference{batch: 1 << 30}}}} {
 				name := prog.name + "/" + m.Name() + mode.suffix
 				single := mode.opts.SingleExtract
-				if mode.opts.Batch != 0 && !m.Embedding {
+				if mode.opts.ref.batch != 0 && !m.Embedding {
 					continue
 				}
-				if testing.Short() && prog.name == "sha" && mode.opts.Batch == 0 && m.Embedding == single {
+				if testing.Short() && prog.name == "sha" && mode.opts.ref.batch == 0 && m.Embedding == single {
 					// Short mode walks sha's large round 2 three times, not
-					// five: edgar at the default and the unbounded Batch,
+					// five: edgar at the default and the unbounded batch,
 					// dgspan with one.
 					continue
 				}

@@ -15,7 +15,7 @@ import (
 // Miner implements pa.Miner using repeated-sequence detection. It keeps
 // no mining state of its own, so it needs nothing from pa.Options' private
 // incremental hooks: the driver-level incremental loop (dirty-function
-// re-splitting, pinned call summaries, cached dependence graphs) already
+// re-splitting, cached dependence graphs) already
 // covers everything this miner consumes, and the sequence scan itself is
 // cheap enough to rerun in full every round.
 type Miner struct{}
