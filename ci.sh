@@ -207,17 +207,26 @@ done
 echo "ci.sh: BENCH_edgar.json visit counts, key cuts and image hashes match the mined runs exactly"
 
 # --- truncation gate ------------------------------------------------------
-# MaxPatterns is a safety valve, not part of the search: no edgar round
-# on the suite may stop at it. A round that does is no longer
-# order-invariant (DESIGN.md §10), and its savings depend on the budget.
-awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
-	/"truncated_rounds":/ { gsub(/,/, "", $2); print name, $2 }' \
-	"$TMP/bench.drift.json" >"$TMP/truncated.drift"
-[ "$(wc -l <"$TMP/truncated.drift")" -eq 8 ] || { echo "ci.sh: the drift record lacks truncated_rounds for the 8 programs" >&2; exit 1; }
-while read -r name truncated; do
-	if [ "$truncated" != 0 ]; then
-		echo "ci.sh: $name: $truncated edgar rounds stopped at the pattern budget" >&2
-		exit 1
-	fi
-done <"$TMP/truncated.drift"
-echo "ci.sh: no edgar round reached the pattern budget"
+# MaxPatterns is a safety valve, not part of the search: no edgar or
+# edgar-canon round on the suite may stop at it. A round that does is no
+# longer order-invariant (DESIGN.md §10), and its savings depend on the
+# budget. edgar's rounds come from the drift record above; edgar-canon's
+# fixpoints (the canonical-label lattice, under half a second on the
+# whole suite) are mined here.
+"$TMP/paper-tables" -only timings -programs "$DRIFT_PROGRAMS" -miners edgar-canon \
+	-noverify -bench-json "$TMP/bench.canon.json" >/dev/null
+for miner in edgar edgar-canon; do
+	record="$TMP/bench.drift.json"
+	[ "$miner" = edgar ] || record="$TMP/bench.canon.json"
+	awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
+		/"truncated_rounds":/ { gsub(/,/, "", $2); print name, $2 }' \
+		"$record" >"$TMP/truncated.$miner"
+	[ "$(wc -l <"$TMP/truncated.$miner")" -eq 8 ] || { echo "ci.sh: the $miner record lacks truncated_rounds for the 8 programs" >&2; exit 1; }
+	while read -r name truncated; do
+		if [ "$truncated" != 0 ]; then
+			echo "ci.sh: $name: $truncated $miner rounds stopped at the pattern budget" >&2
+			exit 1
+		fi
+	done <"$TMP/truncated.$miner"
+done
+echo "ci.sh: no edgar or edgar-canon round reached the pattern budget"

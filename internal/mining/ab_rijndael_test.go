@@ -41,8 +41,10 @@ func TestFlatLayoutRijndaelAB(t *testing.T) {
 	}
 	graphs := rijndaelGraphs(t)
 	// Lexicographic pins the boxed reference's sibling order: this A/B
-	// isolates the embedding layout, not the search order.
-	cfg := mining.Config{MinSupport: 2, MaxNodes: 8, EmbeddingSupport: true, MaxPatterns: 20000, Lexicographic: true}
+	// isolates the embedding layout, not the search order. The boxed
+	// reference grows edges, as the graph-count walk does; the
+	// embedding-support walk grows induced node sets.
+	cfg := mining.Config{MinSupport: 2, MaxNodes: 8, MaxPatterns: 20000, Lexicographic: true}
 
 	runtime.GC()
 	var oldD digest

@@ -15,7 +15,7 @@ func allocFixture(t testing.TB) (*miner, rawGroup, *EmbSet) {
 		cfg: Config{MinSupport: 2, EmbeddingSupport: true},
 		gx:  newGraphIndex(graphs),
 	}
-	roots := seedPatterns(graphs)
+	roots := seedPatterns(mn.gx, graphs, 2)
 	if len(roots) == 0 {
 		t.Fatal("no seed patterns in fixture")
 	}

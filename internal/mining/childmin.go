@@ -1,13 +1,15 @@
 package mining
 
-// The walk's minimal-code test is incremental. isMinimal replays a code
-// c step by step in its own pattern graph p, and step j's set S_j holds
-// the partial isomorphisms of c[:j+1] into p that read exactly
-// c[:j+1]. The walk keeps those sets for the code it is expanding, one
-// per tuple (miner.steps). A child c' = c+t has the pattern graph p plus
-// one edge e (and, for a forward t, its new node), and c is minimal, so
-// every extension that does not use e was already checked when c was
-// tested. childMinimal therefore checks only e:
+// The edge walk's minimal-code test (graph-count support) is
+// incremental; the induced walk's node steps take the full test
+// (nodeMinimal). isMinimal replays a code c step by step in its own
+// pattern graph p, and step j's set S_j holds the partial isomorphisms
+// of c[:j+1] into p that read exactly c[:j+1]. The walk keeps those
+// sets for the code it is expanding, one per tuple (miner.steps). A
+// child c' = c+t has the pattern graph p plus one edge e (and, for a
+// forward t, its new node), and c is minimal, so every extension that
+// does not use e was already checked when c was tested. childMinimal
+// therefore checks only e:
 //
 //   - at step 0, read from either end, against c[0];
 //   - at each step j, as a rightmost extension of each row of S_{j-1},
@@ -126,7 +128,7 @@ func (mn *miner) childMinimal(code Code, t *Tuple, dst []*EmbSet) ([]*EmbSet, bo
 			}
 			if last == nil {
 				last = mn.takeStep()
-				last.k, last.e = childShape(*t, prev)
+				last.k, last.e = childShape(t, 0, prev)
 			}
 			last.gids = append(last.gids, 0)
 			last.tup = append(last.tup, nodes...)
@@ -159,6 +161,19 @@ func (mn *miner) childMinimalFull(code Code, t *Tuple, dst []*EmbSet) ([]*EmbSet
 		return dst[:s0], false
 	}
 	return dst, true
+}
+
+// nodeMinimal reports whether code extended by g's node step is a
+// minimal code: the full test of the child, on the walk's own
+// minimal-code miner. The induced walk keeps no step sets, and a node
+// step adds a node and several edges, which the incremental test of
+// childMinimal does not cover.
+func (mn *miner) nodeMinimal(code Code, g *rawGroup) bool {
+	if mn.mini == nil {
+		mn.mini = new(miner)
+	}
+	mn.sc.kid = append(append(append(mn.sc.kid[:0], code...), g.t), g.bws...)
+	return mn.mini.isMinimal(mn.sc.kid, nil)
 }
 
 // takeStep returns an empty step set, reusing a released one.

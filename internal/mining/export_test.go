@@ -34,14 +34,15 @@ func (p *GroupProbe) Children(code Code, set *EmbSet) []Code {
 }
 
 // SetChildHook makes check see every minimality verdict the lattice walk
-// reaches: the parent code, the child's tuple and the verdict (nil
+// reaches: the parent code, the tuples the child appends (one edge step,
+// or a node step's forward and backward tuples) and the verdict (nil
 // removes it). No walk may run while it changes.
-func SetChildHook(check func(code Code, t Tuple, minimal bool)) {
+func SetChildHook(check func(code Code, step []Tuple, minimal bool)) {
 	if check == nil {
 		childHook = nil
 		return
 	}
-	childHook = func(_ *miner, code Code, t Tuple, minimal bool) { check(code, t, minimal) }
+	childHook = func(_ *miner, code Code, step []Tuple, minimal bool) { check(code, step, minimal) }
 }
 
 // RandomDAGSets is randomDAGSets (property_test.go).

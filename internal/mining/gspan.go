@@ -2,6 +2,7 @@ package mining
 
 import (
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -26,7 +27,11 @@ type Config struct {
 	// MaxNodes caps pattern size (0 = unlimited).
 	MaxNodes int
 	// EmbeddingSupport selects Edgar's frequency (non-overlapping
-	// embeddings) over DgSpan's graph count.
+	// embeddings) over DgSpan's graph count, and with it the induced walk:
+	// a child grows its parent by one node and every edge between that
+	// node and the parent's (see collectNodeGroups), so each connected
+	// node set is visited once, with its induced graph as the pattern.
+	// Without it the walk is gSpan's, one edge per child.
 	EmbeddingSupport bool
 	// GreedyMIS replaces the exact maximum-independent-set computation
 	// with the greedy heuristic everywhere (ablation knob).
@@ -112,24 +117,41 @@ func (c Config) needBounds() bool {
 	return !c.Lexicographic || c.PruneChild != nil
 }
 
-// ext is one grouped rightmost extension. bound is the child's
-// misUpperBound, filled only when Config.needBounds. In expand, the
-// child's step sets (see childMinimal) are steps[s0:s1] of its level.
+// ext is one grouped rightmost extension: tuple t, then for a node step
+// its backward tuples bws. bound is the child's misUpperBound, filled
+// only when Config.needBounds. In expand, the child's step sets (see
+// childMinimal) are steps[s0:s1] of its level.
 type ext struct {
 	t      Tuple
+	bws    []Tuple
 	set    *EmbSet
 	bound  int
 	s0, s1 int32
 }
 
 // cmpExt is the benefit-directed sibling order: descending bound, then
-// canonical tuple order. Tuples are unique within a sibling group, so
-// the order is total and independent of sort stability.
+// canonical step order. Steps are unique within a sibling group, so the
+// order is total and independent of sort stability.
 func cmpExt(a, b ext) int {
 	if a.bound != b.bound {
 		return b.bound - a.bound
 	}
-	return compareTuples(&a.t, &b.t)
+	return compareSteps(&a.t, a.bws, &b.t, b.bws)
+}
+
+// compareSteps orders the steps (a, abws) and (b, bbws) as the child
+// codes they append: by first tuple, then by backward tuples, a run
+// before its own extensions.
+func compareSteps(a *Tuple, abws []Tuple, b *Tuple, bbws []Tuple) int {
+	if c := compareTuples(a, b); c != 0 {
+		return c
+	}
+	for i := range min(len(abws), len(bbws)) {
+		if c := compareTuples(&abws[i], &bbws[i]); c != 0 {
+			return c
+		}
+	}
+	return sign(len(abws) - len(bbws))
 }
 
 // marks is per-graph scratch state for embedding traversal, versioned so
@@ -166,22 +188,31 @@ func (m *marks) useEdge(e int) { m.edgeVer[e] = m.ver }
 func (m *marks) edgeUsed(e int) bool { return m.edgeVer[e] == m.ver }
 
 // cand is one not-yet-materialised extension candidate (pass 1): the
-// parent embedding's row, the realising graph edge, and the newly mapped
-// node (-1 for backward extensions). Three int32s — no pointers.
+// parent embedding's row, the realising graph edge, the newly mapped
+// node (-1 for backward extensions) and, for a node step, the offset of
+// its backward edges' ids in scratch.bwe. Four int32s — no pointers.
 type cand struct {
 	emb     int32
 	eid     int32
 	newNode int32
+	bw      int32
 }
 
-// rawGroup is one tuple-grouped set of extension candidates before
-// materialisation. Its contents are independent of any incumbent state:
-// only which groups get materialised is a policy decision.
+// rawGroup is one step-grouped set of extension candidates before
+// materialisation: an edge step's tuple t, or a node step's forward
+// tuple t and backward tuples bws. Its contents are independent of any
+// incumbent state: only which groups get materialised is a policy
+// decision.
 type rawGroup struct {
 	t     Tuple
-	key   uint64 // groupKey of t
+	bws   []Tuple
+	key   uint64   // groupKey of t, or the probed hash of sig
+	sig   []uint64 // a node step's identity (collectNodeGroups)
 	cands []cand
 }
+
+// step returns the tuples the group's child code appends to its parent's.
+func (g *rawGroup) step() []Tuple { return append([]Tuple{g.t}, g.bws...) }
 
 // groupKey identifies a tuple within one extendGroups call. There a
 // tuple's LI is fixed by I, a forward tuple's J is the next DFS index,
@@ -216,6 +247,17 @@ type scratch struct {
 	out    []rawGroup       // filtered, sorted extendGroups result
 
 	rows rowIndex // materialize's child-row dedupe index
+
+	// collectNodeGroups' state: rightmost-path positions by DFS index,
+	// one step's backward edges and identity, and the arenas its groups'
+	// signatures, backward tuples and candidates' backward edge ids
+	// live in until the next call.
+	pathPos []int32
+	back    []backHalf
+	sig     []uint64
+	sigs    []uint64
+	bwt     []Tuple
+	bwe     []int32
 
 	gseen map[int32]struct{} // distinct-graph counting (graph support)
 
@@ -256,7 +298,7 @@ type miner struct {
 }
 
 // extendGroups computes all rightmost extensions of (code, set) grouped
-// by tuple, sorted by tuple order, without materialising child
+// by step, sorted by step order, without materialising child
 // embeddings. Groups whose raw candidate count cannot reach MinSupport
 // are dropped (a config constant, so this is state-independent). The
 // returned slice and its cand buffers alias the miner's scratch: they
@@ -272,7 +314,9 @@ func (mn *miner) extendGroups(code Code, set *EmbSet) []rawGroup {
 		}
 	}
 	// Sort slots, not the wide groups themselves.
-	slices.SortFunc(sc.order, func(a, b int32) int { return compareTuples(&gl[a].t, &gl[b].t) })
+	slices.SortFunc(sc.order, func(a, b int32) int {
+		return compareSteps(&gl[a].t, gl[a].bws, &gl[b].t, gl[b].bws)
+	})
 	sc.out = sc.out[:0]
 	for _, i := range sc.order {
 		sc.out = append(sc.out, gl[i])
@@ -287,6 +331,9 @@ func (mn *miner) extendGroups(code Code, set *EmbSet) []rawGroup {
 // seen; candidates within a group stay in discovery order. The result
 // aliases the miner's scratch like extendGroups'.
 func (mn *miner) collectGroups(code Code, set *EmbSet) []rawGroup {
+	if mn.cfg.EmbeddingSupport {
+		return mn.collectNodeGroups(code, set)
+	}
 	sc := &mn.sc
 	rmpath, labels := sc.setPrefix(code)
 	if len(rmpath) == 0 {
@@ -294,15 +341,7 @@ func (mn *miner) collectGroups(code Code, set *EmbSet) []rawGroup {
 	}
 	rm := rmpath[len(rmpath)-1]
 	numNodes := len(labels)
-	// Empty the group index by deleting the previous call's keys: O(keys
-	// inserted), where clear would cost the map's high-water capacity.
-	if sc.groups == nil {
-		sc.groups = make(map[uint64]int32, 32)
-	}
-	for _, g := range sc.gl {
-		delete(sc.groups, g.key)
-	}
-	sc.gl = sc.gl[:0]
+	sc.resetGroups()
 
 	mk := &mn.mk
 	for i := 0; i < set.Len(); i++ {
@@ -352,7 +391,161 @@ func (mn *miner) collectGroups(code Code, set *EmbSet) []rawGroup {
 		}
 	}
 
-	// Retain grown cand buffers for the next call.
+	return sc.keepSpare()
+}
+
+// backHalf is one edge between a node step's new node and a mapped
+// node: the far node's DFS index j, the edge seen from the new node, and
+// that half's id.
+type backHalf struct {
+	j   int
+	h   half
+	hid uint32
+}
+
+// cmpBack orders backward halves as their tuples sort: all start at the
+// new node, so by far index, direction and edge label. The edge id
+// orders equal tuples, which only parallel edges share.
+func cmpBack(a, b *backHalf) int {
+	if a.j != b.j {
+		return a.j - b.j
+	}
+	if d := dirRank(a.h.out) - dirRank(b.h.out); d != 0 {
+		return d
+	}
+	if c := strings.Compare(a.h.label, b.h.label); c != 0 {
+		return c
+	}
+	return a.h.eid - b.h.eid
+}
+
+// collectNodeGroups is collectGroups for the induced walk: every node
+// step of (code, set), grouped by step. A node step is a forward
+// extension from a rightmost-path vertex w to an unmapped node v,
+// together with every other edge between v and the row's mapped nodes,
+// as backward tuples from v's DFS index in ascending order. A parent row
+// holds every edge among its nodes, so the child row does too: rows are
+// induced subgraphs, and a node set's rows all share one pattern.
+//
+// A DFS code lists a node's backward edges right after the forward edge
+// that discovers it, and they reach only the new rightmost path: the
+// path up to w. A step whose v has an edge to any other mapped node is
+// therefore no code of the induced graph, and it is dropped. Removing
+// the last-discovered node of a minimal code's graph leaves it connected,
+// with the code's prefix as its code, and a prefix of a minimal code is
+// minimal, so every connected node set is still reached, exactly once.
+func (mn *miner) collectNodeGroups(code Code, set *EmbSet) []rawGroup {
+	sc := &mn.sc
+	rmpath, labels := sc.setPrefix(code)
+	if len(rmpath) == 0 {
+		return nil
+	}
+	numNodes := len(labels)
+	sc.pathPos = resize(sc.pathPos, numNodes)
+	for d := range sc.pathPos {
+		sc.pathPos[d] = -1
+	}
+	for p, d := range rmpath {
+		sc.pathPos[d] = int32(p)
+	}
+	sc.resetGroups()
+	sc.sigs, sc.bwt, sc.bwe = sc.sigs[:0], sc.bwt[:0], sc.bwe[:0]
+
+	mk := &mn.mk
+	for i := 0; i < set.Len(); i++ {
+		g := mn.gx.get(set.GID(i))
+		mk.reset(g.Graph)
+		nodes := set.Nodes(i)
+		for di, n := range nodes {
+			mk.mapNode(int(n), di)
+		}
+		for p, w := range rmpath {
+			for _, h := range g.adj[nodes[w]] {
+				v := h.other
+				if _, ok := mk.nodeDFS(v); ok {
+					continue
+				}
+				back, ok := sc.backHalves(g, mk, v, h.eid, p)
+				if !ok {
+					continue
+				}
+				sig := append(sc.sig[:0], groupKey(true, w, g.hid[halfSlot(h.eid, h.out)]))
+				for _, b := range back {
+					sig = append(sig, uint64(b.j)<<32|uint64(b.hid))
+				}
+				sc.sig = sig
+				// The map keys on the signature's hash, probing past
+				// slots whose group has another signature.
+				key := hashWords(sig)
+				s, found := int32(0), false
+				for ; ; key++ {
+					if s, found = sc.groups[key]; !found || slices.Equal(sc.gl[s].sig, sig) {
+						break
+					}
+				}
+				if !found {
+					s = sc.openGroup(key, Tuple{I: w, J: numNodes, LI: labels[w], LJ: g.Labels[v], Out: h.out, LE: h.label})
+					b0, s0 := len(sc.bwt), len(sc.sigs)
+					for _, b := range back {
+						sc.bwt = append(sc.bwt, Tuple{I: numNodes, J: b.j, LI: g.Labels[v], LJ: labels[b.j], Out: b.h.out, LE: b.h.label})
+					}
+					sc.sigs = append(sc.sigs, sig...)
+					sc.gl[s].bws = sc.bwt[b0:len(sc.bwt):len(sc.bwt)]
+					sc.gl[s].sig = sc.sigs[s0:len(sc.sigs):len(sc.sigs)]
+				}
+				bw := int32(len(sc.bwe))
+				for _, b := range back {
+					sc.bwe = append(sc.bwe, int32(b.h.eid))
+				}
+				sc.gl[s].cands = append(sc.gl[s].cands, cand{emb: int32(i), eid: int32(h.eid), newNode: int32(v), bw: bw})
+			}
+		}
+	}
+	return sc.keepSpare()
+}
+
+// backHalves returns the edges between v and the row's mapped nodes,
+// other than the step's forward edge fe, in cmpBack order. ok is false
+// when one reaches a mapped node off the new rightmost path, the first
+// p+1 vertices of the current one.
+func (sc *scratch) backHalves(g *lgraph, mk *marks, v, fe, p int) (back []backHalf, ok bool) {
+	back = sc.back[:0]
+	for _, h := range g.adj[v] {
+		if h.eid == fe {
+			continue
+		}
+		du, mapped := mk.nodeDFS(h.other)
+		if !mapped {
+			continue
+		}
+		if pp := sc.pathPos[du]; pp < 0 || int(pp) > p {
+			return back, false
+		}
+		back = append(back, backHalf{j: du, h: h, hid: g.hid[halfSlot(h.eid, h.out)]})
+		for k := len(back) - 1; k > 0 && cmpBack(&back[k], &back[k-1]) < 0; k-- {
+			back[k], back[k-1] = back[k-1], back[k]
+		}
+	}
+	sc.back = back
+	return back, true
+}
+
+// resetGroups empties the group index by deleting the previous call's
+// keys: O(keys inserted), where clear would cost the map's high-water
+// capacity.
+func (sc *scratch) resetGroups() {
+	if sc.groups == nil {
+		sc.groups = make(map[uint64]int32, 32)
+	}
+	for _, g := range sc.gl {
+		delete(sc.groups, g.key)
+	}
+	sc.gl = sc.gl[:0]
+}
+
+// keepSpare retains the groups' grown cand buffers for the next call and
+// returns the groups.
+func (sc *scratch) keepSpare() []rawGroup {
 	for i := range sc.gl {
 		if i < len(sc.spare) {
 			sc.spare[i] = sc.gl[i].cands
@@ -454,7 +647,7 @@ func int32sEqual(a, b []int32) bool {
 // drops the group below MinSupport. Deterministic: the result depends
 // only on the group.
 func (mn *miner) materialize(g rawGroup, parent *EmbSet) (set *EmbSet, ok bool) {
-	k, e := childShape(g.t, parent)
+	k, e := childShape(&g.t, len(g.bws), parent)
 	var child *EmbSet
 	if n := len(mn.free); n > 0 {
 		child, mn.free = mn.free[n-1], mn.free[:n-1]
@@ -472,9 +665,9 @@ func (mn *miner) materialize(g rawGroup, parent *EmbSet) (set *EmbSet, ok bool) 
 }
 
 // childShape returns the node and edge counts per embedding of parent's
-// extension by t.
-func childShape(t Tuple, parent *EmbSet) (k, e int) {
-	k, e = parent.k, parent.e+1
+// extension by t and, for a node step, bws backward tuples.
+func childShape(t *Tuple, bws int, parent *EmbSet) (k, e int) {
+	k, e = parent.k, parent.e+1+bws
 	if t.Forward() {
 		k++
 	}
@@ -484,13 +677,16 @@ func childShape(t Tuple, parent *EmbSet) (k, e int) {
 // materializeInto writes g's child embeddings into dst, reusing dst's
 // slabs, deduplicating automorphic rediscoveries by 64-bit row hash with
 // exact verification on collision. Each child row is the parent row
-// extended in place; rows keep candidate order, first of each kept. With
-// a RowClosed predicate each row inherits its parent row's closed bit; a
-// forward extension's row whose parent row is open asks the predicate.
+// extended in place: the new node, then the step's edge and a node
+// step's backward edges. Rows keep candidate order, first of each kept.
+// With a RowClosed predicate each row inherits its parent row's closed
+// bit; a forward extension's row whose parent row is open asks the
+// predicate.
 func (mn *miner) materializeInto(g *rawGroup, parent, dst *EmbSet) {
 	fwd := g.t.Forward()
+	nb := int32(len(g.bws))
 	closedFn := mn.cfg.RowClosed
-	dst.k, dst.e = childShape(g.t, parent)
+	dst.k, dst.e = childShape(&g.t, len(g.bws), parent)
 	dst.n, dst.gids, dst.tup, dst.closed = 0, dst.gids[:0], dst.tup[:0], dst.closed[:0]
 	dst.w = 0
 	rows := &mn.sc.rows
@@ -504,6 +700,7 @@ func (mn *miner) materializeInto(g *rawGroup, parent, dst *EmbSet) {
 		}
 		dst.tup = append(dst.tup, parent.Edges(int(c.emb))...)
 		dst.tup = append(dst.tup, c.eid)
+		dst.tup = append(dst.tup, mn.sc.bwe[c.bw:c.bw+nb]...)
 		row := dst.tup[base:]
 		if rows.add(hashRow(gid, row), int32(dst.n), func(j int32) bool {
 			return dst.gids[j] == gid && int32sEqual(dst.row(int(j)), row)
@@ -524,9 +721,10 @@ func (mn *miner) materializeInto(g *rawGroup, parent, dst *EmbSet) {
 }
 
 // childHook, when non-nil, sees every minimality verdict of every walk:
-// the miner, the parent code, the child's tuple and the verdict. Only
-// tests set it (export_test.go), and never while a walk runs.
-var childHook func(mn *miner, code Code, t Tuple, minimal bool)
+// the miner, the parent code, the tuples the child appends (one for an
+// edge step, a node step's forward and backward tuples) and the verdict.
+// Only tests set it (export_test.go), and never while a walk runs.
+var childHook func(mn *miner, code Code, step []Tuple, minimal bool)
 
 // minimalPool holds minimal-code miners for Code.IsMinimal, so callers
 // outside a walk do not reallocate the scratch (pattern graph, marks,
@@ -596,12 +794,13 @@ func (mn *miner) step(p *Pattern) bool {
 
 // expand enumerates, filters, tests and materialises the extensions of
 // (code, set), then recurses into each child. A group is first filtered
-// by ViableCount, then tested for a minimal code, and only then
-// materialised, so a non-minimal child costs no embeddings and no
-// bound. Group viability and materialisation happen before any child is
-// visited — the incumbent state a child visit mutates must not
-// influence its siblings' group filtering, exactly as in a monolithic
-// extend-then-loop. Materialising every kid first also releases the
+// by ViableCount, then tested for a minimal code (incrementally for an
+// edge step, see childMinimal; in full for a node step, see
+// nodeMinimal), and only then materialised, so a non-minimal child costs
+// no embeddings and no bound. Group viability and materialisation happen
+// before any child is visited — the incumbent state a child visit
+// mutates must not influence its siblings' group filtering, exactly as
+// in a monolithic extend-then-loop. Materialising every kid first also releases the
 // group scratch before the recursion reuses it. Only two things happen
 // between sibling descents, and both are deliberate: the
 // benefit-directed order (bounds are pure functions of the child sets)
@@ -612,7 +811,10 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 	if len(groups) == 0 {
 		return
 	}
-	mn.pre.load(&mn.sc, code)
+	induced := mn.cfg.EmbeddingSupport
+	if !induced {
+		mn.pre.load(&mn.sc, code)
+	}
 	// The kids of one level and their step sets stay live while the
 	// level's children are walked, so each depth keeps its own buffers.
 	depth := len(code)
@@ -627,9 +829,13 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 		}
 		s0 := len(steps)
 		var ok bool
-		steps, ok = mn.childMinimal(code, &g.t, steps)
+		if induced {
+			ok = mn.nodeMinimal(code, &g)
+		} else {
+			steps, ok = mn.childMinimal(code, &g.t, steps)
+		}
 		if childHook != nil {
-			childHook(mn, code, g.t, ok)
+			childHook(mn, code, g.step(), ok)
 		}
 		if !ok {
 			mn.counts.NonMinimal++
@@ -643,7 +849,9 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 			steps = steps[:s0]
 			continue
 		}
-		kids = append(kids, ext{t: g.t, set: cset, s0: int32(s0), s1: int32(len(steps))})
+		// The group's backward tuples die with the next extendGroups
+		// call, so the kid keeps a copy.
+		kids = append(kids, ext{t: g.t, bws: slices.Clone(g.bws), set: cset, s0: int32(s0), s1: int32(len(steps))})
 	}
 	if mn.cfg.needBounds() {
 		for i := range kids {
@@ -661,11 +869,16 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 		if mn.cfg.PruneChild != nil && mn.cfg.PruneChild(k.set, k.bound) {
 			continue
 		}
-		mn.steps = append(mn.steps[:depth], nil)
-		mn.swapSteps(steps[k.s0:k.s1])
-		mn.dfs(append(append(make(Code, 0, len(code)+1), code...), k.t), k.set)
-		mn.swapSteps(steps[k.s0:k.s1])
-		mn.steps = mn.steps[:depth]
+		kid := append(append(append(make(Code, 0, len(code)+1+len(k.bws)), code...), k.t), k.bws...)
+		if induced {
+			mn.dfs(kid, k.set)
+		} else {
+			mn.steps = append(mn.steps[:depth], nil)
+			mn.swapSteps(steps[k.s0:k.s1])
+			mn.dfs(kid, k.set)
+			mn.swapSteps(steps[k.s0:k.s1])
+			mn.steps = mn.steps[:depth]
+		}
 		k.set = nil // the visited pattern holds it, and callers may keep it
 	}
 	// Sets no pattern was built on are reused by later materialize
@@ -685,22 +898,22 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 // visit for each (in canonical DFS-code growth order, benefit-directed
 // among siblings unless cfg.Lexicographic). The search is complete:
 // every frequent fragment is reported exactly once (via the
-// minimal-DFS-code test), except where a PruneSubtree or PruneChild
-// policy or the RowClosed cut skips a subtree. The walk is serial: the
-// visit sequence (patterns, order, truncation point) is a pure function
-// of the graphs and the policies' answers. The return value is the
-// number of patterns visited — a deterministic work metric.
+// minimal-DFS-code test) — every frequent induced fragment in embedding
+// mode, whose rows are induced subgraphs — except where a PruneSubtree
+// or PruneChild policy or the RowClosed cut skips a subtree. The walk is
+// serial: the visit sequence (patterns, order, truncation point) is a
+// pure function of the graphs and the policies' answers. The return
+// value is the number of patterns visited — a deterministic work metric.
 func Mine(graphs []*Graph, cfg Config, visit func(*Pattern)) int {
 	gx := newGraphIndex(graphs)
-	roots := seedPatterns(graphs)
+	// A root with fewer rows than MinSupport has less support under
+	// either notion.
+	roots := seedPatterns(gx, graphs, cfg.MinSupport)
 
 	mn := &miner{cfg: cfg, gx: gx, visit: visit}
 	for _, s := range roots {
 		if mn.aborted {
 			break
-		}
-		if s.set.Len() < cfg.MinSupport {
-			continue // fewer rows than the support any notion needs
 		}
 		if mn.cfg.RowClosed != nil {
 			s.set.closed = make([]bool, s.set.Len())
@@ -730,49 +943,77 @@ func (mn *miner) unextractable(set *EmbSet) bool {
 	return true
 }
 
-// seedPatterns builds the 1-edge root patterns: one per distinct minimal
-// single-edge tuple, in canonical tuple order. Embedding rows are packed
-// straight into per-seed slabs.
-func seedPatterns(graphs []*Graph) []*ext {
-	// rows accumulates (gid, src-node, dst-node, eid) quads per tuple.
-	seeds := map[Tuple]*[]int32{}
+// seedPatterns builds the 1-edge root patterns with at least minRows
+// rows: one per distinct minimal single-edge tuple, in canonical tuple
+// order. Edges are grouped by their two half ids, which fix the source
+// label, the edge label and the target label, so each group is one root
+// tuple and no string is hashed. A first pass counts each group's rows,
+// and a second packs the rows of the groups kept straight into slabs of
+// their final size.
+func seedPatterns(gx *graphIndex, graphs []*Graph, minRows int) []*ext {
+	type seed struct {
+		t    Tuple
+		flip bool // the tuple reads the edge from its target
+		n    int  // rows
+		set  *EmbSet
+	}
+	slot := map[uint64]int32{}
+	var seeds []seed
+	var bySlot []int32 // each edge's seed, in visiting order
+	// Visit each edge once, from its source.
+	for _, g := range graphs {
+		lg := gx.get(g.ID)
+		for v := range g.Labels {
+			for _, h := range g.adj[v] {
+				if !h.out {
+					continue
+				}
+				key := uint64(lg.hid[halfSlot(h.eid, true)])<<32 | uint64(lg.hid[halfSlot(h.eid, false)])
+				i, ok := slot[key]
+				if !ok {
+					i = int32(len(seeds))
+					slot[key] = i
+					a := Tuple{I: 0, J: 1, LI: g.Labels[v], LJ: g.Labels[h.other], Out: true, LE: h.label}
+					b := Tuple{I: 0, J: 1, LI: g.Labels[h.other], LJ: g.Labels[v], Out: false, LE: h.label}
+					if compareTuples(&b, &a) < 0 {
+						seeds = append(seeds, seed{t: b, flip: true})
+					} else {
+						seeds = append(seeds, seed{t: a})
+					}
+				}
+				seeds[i].n++
+				bySlot = append(bySlot, i)
+			}
+		}
+	}
+	var out []*ext
+	for i := range seeds {
+		if sd := &seeds[i]; sd.n >= minRows {
+			sd.set = &EmbSet{k: 2, e: 1, gids: make([]int32, 0, sd.n), tup: make([]int32, 0, 3*sd.n)}
+			out = append(out, &ext{t: sd.t, set: sd.set})
+		}
+	}
+	e := 0
 	for _, g := range graphs {
 		for v := range g.Labels {
 			for _, h := range g.adj[v] {
 				if !h.out {
-					continue // visit each edge once, from its source
+					continue
 				}
-				a := Tuple{I: 0, J: 1, LI: g.Labels[v], LJ: g.Labels[h.other], Out: true, LE: h.label}
-				b := Tuple{I: 0, J: 1, LI: g.Labels[h.other], LJ: g.Labels[v], Out: false, LE: h.label}
-				t := a
+				sd := &seeds[bySlot[e]]
+				e++
+				if sd.set == nil {
+					continue
+				}
 				n0, n1 := v, h.other
-				if compareTuples(&b, &a) < 0 {
-					t = b
-					n0, n1 = h.other, v
+				if sd.flip {
+					n0, n1 = n1, n0
 				}
-				rows, ok := seeds[t]
-				if !ok {
-					rows = new([]int32)
-					seeds[t] = rows
-				}
-				*rows = append(*rows, int32(g.ID), int32(n0), int32(n1), int32(h.eid))
+				sd.set.gids = append(sd.set.gids, int32(g.ID))
+				sd.set.tup = append(sd.set.tup, int32(n0), int32(n1), int32(h.eid))
+				sd.set.n++
 			}
 		}
-	}
-	out := make([]*ext, 0, len(seeds))
-	for t, rows := range seeds {
-		set := &EmbSet{
-			k:    2,
-			e:    1,
-			n:    len(*rows) / 4,
-			gids: make([]int32, 0, len(*rows)/4),
-			tup:  make([]int32, 0, len(*rows)/4*3),
-		}
-		for i := 0; i < len(*rows); i += 4 {
-			set.gids = append(set.gids, (*rows)[i])
-			set.tup = append(set.tup, (*rows)[i+1], (*rows)[i+2], (*rows)[i+3])
-		}
-		out = append(out, &ext{t: t, set: set})
 	}
 	slices.SortFunc(out, func(a, b *ext) int { return compareTuples(&a.t, &b.t) })
 	return out

@@ -62,29 +62,32 @@ func TestIsMinimalMatchesBoxedBench(t *testing.T) {
 	}
 }
 
-// TestChildMinimalMatchesFull holds the walk's incremental minimality
-// test to the full test and the boxed reference. All three give the same
-// verdict on every viable group of each benchmark's round-1 edgar walk
-// (rijndael's cut short under -short); on every group of unpruned walks
-// over the same round-1 graphs, which reach the deep lattices the bounds
-// cut; and on every group of walks over 30 random DAG sets.
+// TestChildMinimalMatchesFull holds the walk's minimality tests to the
+// full test and the boxed reference: the incremental test of the edge
+// walk (graph-count support, dgspan) and the node-step test of the
+// induced walk (embedding support, edgar). All three give the same
+// verdict on every viable group of each benchmark's round-1 walk under
+// both miners (rijndael's cut short under -short); on every group of
+// unpruned walks over the same round-1 graphs, which reach the deep
+// lattices the bounds cut; and on every group of walks over 30 random
+// DAG sets.
 func TestChildMinimalMatchesFull(t *testing.T) {
 	visits := 20000
 	if testing.Short() {
 		visits = 2000
 	}
 	var where string
-	verdicts := map[bool]int{}
-	mining.SetChildHook(func(code mining.Code, tp mining.Tuple, minimal bool) {
-		child := append(code[:len(code):len(code)], tp)
+	var induced bool
+	verdicts := map[bool]map[bool]int{false: {}, true: {}} // by induced, then verdict
+	mining.SetChildHook(func(code mining.Code, step []mining.Tuple, minimal bool) {
+		child := append(code[:len(code):len(code)], step...)
 		if full, ref := child.IsMinimal(), mining.OldIsMinimal(child); minimal != full || minimal != ref {
 			t.Fatalf("%s: %s: walk verdict %v, IsMinimal %v, reference %v", where, child, minimal, full, ref)
 		}
-		verdicts[minimal]++
+		verdicts[induced][minimal]++
 	})
 	defer mining.SetChildHook(nil)
 	for _, name := range bench.Names {
-		where = name
 		w, err := bench.Build(name, bench.DefaultCodegen())
 		if err != nil {
 			t.Fatal(err)
@@ -93,18 +96,28 @@ func TestChildMinimalMatchesFull(t *testing.T) {
 		if testing.Short() && name == "rijndael" {
 			opts.MaxPatterns = 5000
 		}
-		pa.Optimize(w.Prog, &pa.GraphMiner{Embedding: true}, opts)
-		where = name + "/unpruned"
-		mining.Mine(benchGraphs(t, name, 0), walkConfig(visits), func(*mining.Pattern) {})
-		t.Logf("%s: verdicts %v", name, verdicts)
+		for _, induced = range []bool{false, true} {
+			m := &pa.GraphMiner{Embedding: induced}
+			where = name + "/" + m.Name()
+			pa.Optimize(w.Prog, m, opts)
+			where += "/unpruned"
+			cfg := walkConfig(visits)
+			cfg.EmbeddingSupport = induced
+			mining.Mine(benchGraphs(t, name, 0), cfg, func(*mining.Pattern) {})
+		}
+		t.Logf("%s: edge-step verdicts %v, node-step verdicts %v", name, verdicts[false], verdicts[true])
 	}
 	for i, graphs := range mining.RandomDAGSets(42, 30) {
-		where = fmt.Sprintf("random%02d", i)
-		mining.Mine(graphs, mining.Config{MinSupport: 1, MaxNodes: 5, EmbeddingSupport: true, MaxPatterns: 1000}, func(*mining.Pattern) {})
+		for _, induced = range []bool{false, true} {
+			where = fmt.Sprintf("random%02d/induced=%v", i, induced)
+			mining.Mine(graphs, mining.Config{MinSupport: 1, MaxNodes: 5, EmbeddingSupport: induced, MaxPatterns: 1000}, func(*mining.Pattern) {})
+		}
 	}
-	t.Logf("all: verdicts %v", verdicts)
-	if verdicts[true] == 0 || verdicts[false] == 0 {
-		t.Errorf("verdicts %v: both outcomes must be exercised", verdicts)
+	t.Logf("all: edge-step verdicts %v, node-step verdicts %v", verdicts[false], verdicts[true])
+	for _, induced := range []bool{false, true} {
+		if v := verdicts[induced]; v[true] == 0 || v[false] == 0 {
+			t.Errorf("induced=%v: verdicts %v: both outcomes must be exercised", induced, v)
+		}
 	}
 }
 

@@ -33,23 +33,24 @@ func oldMineTrace(graphs []*Graph, cfg Config) []string {
 	return out
 }
 
-// TestFlatMatchesBoxedReference: the flat EmbSet walk must reproduce the
-// boxed reference implementation's visit sequence byte for byte — same
-// patterns, same order, same supports, same embedding rows, same
-// disjoint-set indices — across support modes, size caps, MIS variants
-// and budget truncation.
+// TestFlatMatchesBoxedReference: the flat EmbSet edge walk (graph-count
+// support) must reproduce the boxed reference implementation's visit
+// sequence byte for byte — same patterns, same order, same supports, same
+// embedding rows — across support thresholds, size caps and budget
+// truncation. The boxed reference grows edges; the embedding-support
+// walk grows induced node sets, and its oracle is
+// TestInducedWalkMatchesBruteForce, which also holds its disjoint rows to
+// the boxed independent-set solver.
 func TestFlatMatchesBoxedReference(t *testing.T) {
 	// The boxed reference predates the benefit-directed sibling order, so
 	// the flat walk is pinned against it in Lexicographic mode; the
 	// benefit-directed order is differenced against the lexicographic one
 	// at the result level in bestfirst_test.go.
 	configs := map[string]Config{
-		"graph-support":     {MinSupport: 2, Lexicographic: true},
-		"embedding-support": {MinSupport: 2, EmbeddingSupport: true, Lexicographic: true},
-		"capped":            {MinSupport: 2, EmbeddingSupport: true, MaxNodes: 3, Lexicographic: true},
-		"greedy-mis":        {MinSupport: 2, EmbeddingSupport: true, GreedyMIS: true, Lexicographic: true},
-		"tiny-exact-limit":  {MinSupport: 2, EmbeddingSupport: true, MISExactLimit: 2, Lexicographic: true},
-		"budget":            {MinSupport: 2, EmbeddingSupport: true, MaxPatterns: 9, Lexicographic: true},
+		"graph-support": {MinSupport: 2, Lexicographic: true},
+		"support-1":     {MinSupport: 1, Lexicographic: true},
+		"capped":        {MinSupport: 2, MaxNodes: 3, Lexicographic: true},
+		"budget":        {MinSupport: 2, MaxPatterns: 9, Lexicographic: true},
 	}
 	for gname, graphs := range testGraphSets() {
 		for cname, cfg := range configs {
@@ -66,12 +67,12 @@ func TestFlatMatchesBoxedReference(t *testing.T) {
 func TestFlatMatchesBoxedRandom(t *testing.T) {
 	for trial, graphs := range randomDAGSets(42, 30) {
 		for _, cfg := range []Config{
-			{MinSupport: 2, MaxNodes: 5, EmbeddingSupport: true, MaxPatterns: 3000, Lexicographic: true},
+			{MinSupport: 1, MaxNodes: 5, MaxPatterns: 3000, Lexicographic: true},
 			{MinSupport: 2, MaxNodes: 4, MaxPatterns: 3000, Lexicographic: true},
 		} {
 			want := oldMineTrace(graphs, cfg)
 			got := mineTrace(graphs, cfg)
-			assertSameTrace(t, fmt.Sprintf("trial%d/emb=%v", trial, cfg.EmbeddingSupport), want, got)
+			assertSameTrace(t, fmt.Sprintf("trial%d/minsup=%d", trial, cfg.MinSupport), want, got)
 		}
 	}
 }
@@ -79,7 +80,8 @@ func TestFlatMatchesBoxedRandom(t *testing.T) {
 // TestIsMinimalMatchesBoxed compares IsMinimal with the boxed reference
 // code by code: every child code, minimal or not, that the visits of
 // walks over the handwritten sets and over random DAGs (dense in
-// automorphisms) generate, at support 1 (every subgraph) and 2.
+// automorphisms) generate, edge steps and node steps, at support 1
+// (every subgraph) and 2.
 func TestIsMinimalMatchesBoxed(t *testing.T) {
 	sets := testGraphSets()
 	for trial, graphs := range randomDAGSets(42, 30) {
@@ -93,18 +95,20 @@ func TestIsMinimalMatchesBoxed(t *testing.T) {
 	verdicts := map[bool]int{}
 	for _, name := range names {
 		for _, minSup := range []int{1, 2} {
-			cfg := Config{MinSupport: minSup, MaxNodes: 5, EmbeddingSupport: true, MaxPatterns: 1000}
-			probe := &miner{cfg: cfg, gx: newGraphIndex(sets[name])}
-			Mine(sets[name], cfg, func(p *Pattern) {
-				for _, g := range probe.extendGroups(p.Code, p.Embeddings) {
-					child := append(p.Code[:len(p.Code):len(p.Code)], g.t)
-					got, want := child.IsMinimal(), oldIsMinimal(child)
-					if got != want {
-						t.Fatalf("%s/minsup=%d: IsMinimal(%s) = %v, reference %v", name, minSup, child, got, want)
+			for _, emb := range []bool{false, true} {
+				cfg := Config{MinSupport: minSup, MaxNodes: 5, EmbeddingSupport: emb, MaxPatterns: 1000}
+				probe := &miner{cfg: cfg, gx: newGraphIndex(sets[name])}
+				Mine(sets[name], cfg, func(p *Pattern) {
+					for _, g := range probe.extendGroups(p.Code, p.Embeddings) {
+						child := append(p.Code[:len(p.Code):len(p.Code)], g.step()...)
+						got, want := child.IsMinimal(), oldIsMinimal(child)
+						if got != want {
+							t.Fatalf("%s/minsup=%d/emb=%v: IsMinimal(%s) = %v, reference %v", name, minSup, emb, child, got, want)
+						}
+						verdicts[got]++
 					}
-					verdicts[got]++
-				}
-			})
+				})
+			}
 		}
 	}
 	t.Logf("verdicts: %v", verdicts)

@@ -60,6 +60,13 @@ func Rebuild(opts Options) Options {
 // count filters is built, and the candidates are stably sorted by
 // benefit and cut to maxSeqCandidates.
 
+// window is one length-k token window with its rolling hash, as a full
+// per-length scan sees it.
+type window struct {
+	h uint64
+	p pos
+}
+
 // hashWindows returns every length-k window with its rolling hash, in
 // (g, start) order.
 func hashWindows(seqs [][]uint64, k int) []window {
@@ -203,15 +210,36 @@ type Window2 struct {
 }
 
 // GroupHashed2 renders the length-2 groups that the scan's grouping and
-// the oracle's each find among wins, sorted by hash as their callers
-// sort them: with hand-set hashes a test can force collisions.
+// the oracle's each find among wins, in the order each puts them: with
+// hand-set hashes a test can force collisions. The scan splits the
+// windows' positions by token and gives each group its first window's
+// hash before ordering the groups; the oracle runs each equal-hash run
+// of the windows, sorted by hash, through its token compare.
 func GroupHashed2(seqs [][]uint64, wins []Window2) (got, want []string) {
 	ws := make([]window, len(wins))
+	mem := make([]pos, len(wins))
+	hash := map[pos]uint64{}
 	for i, w := range wins {
-		ws[i] = window{h: w.H, p: pos{w.G, w.Start}, grp: seqs[w.G][w.Start]}
+		ws[i] = window{h: w.H, p: pos{w.G, w.Start}}
+		mem[i] = ws[i].p
+		hash[ws[i].p] = w.H
 	}
-	sortWindows(ws)
+	slices.SortFunc(ws, func(a, b window) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
+		}
+		return comparePos(a.p, b.p)
+	})
 	tokenGroups(seqs, ws, 2, func(k int, members []pos) { want = append(want, renderGroup(k, members)) })
-	groupLevel(seqs, ws, 2, nil, nil, func(k int, members []pos) { got = append(got, renderGroup(k, members)) })
+	slices.SortFunc(mem, comparePos)
+	groups, mem, buf := splitGroups(seqs, []tokGroup{{n: len(mem)}}, mem, 1, nil, nil, nil)
+	groups, mem, _ = splitGroups(seqs, groups, mem, 2, nil, nil, buf)
+	for i := range groups {
+		groups[i].h = hash[mem[groups[i].at]]
+	}
+	sortGroups(groups, mem)
+	for _, g := range groups {
+		got = append(got, renderGroup(2, mem[g.at:g.at+g.n]))
+	}
 	return got, want
 }

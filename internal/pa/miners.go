@@ -238,7 +238,11 @@ func (m *GraphMiner) Name() string {
 // lattice a simple-digraph lattice — far smaller than the multigraph one —
 // and loses nothing: embeddings whose extra internal dependences differ
 // would be rejected by the extraction-time induced-signature check anyway,
-// so bundling just applies that filter during matching.
+// so bundling just applies that filter during matching. It also makes
+// every one-edge root an induced subgraph, which the embedding-support
+// walk needs: that walk grows induced node sets (mining.Config's
+// EmbeddingSupport), so each pattern it visits is one node set's whole
+// dependence structure, the structure buildCandidate checks.
 func MiningGraph(g *dfg.Graph, canonical bool) *mining.Graph {
 	mg := &mining.Graph{ID: g.Block.ID, Labels: make([]string, g.N())}
 	for i := 0; i < g.N(); i++ {

@@ -123,15 +123,19 @@ func TestOrderInvariantResult(t *testing.T) {
 			miner := &GraphMiner{Embedding: embedding}
 			// Reference arm: lexicographic walk, rebuilt every round.
 			ref := Optimize(loadSrc(t, src), miner,
-				Options{MaxPatterns: 10_000_000, ref: reference{lexicographic: true, rebuild: true}})
+				Options{ref: reference{lexicographic: true, rebuild: true}})
+			for _, rs := range ref.RoundStats {
+				if rs.Truncated {
+					t.Fatalf("%s/%s: the reference's round %d stopped at the default pattern budget", sname, miner.Name(), rs.Round)
+				}
+			}
 			want := fingerprint(ref)
 			armVisits := make([][]int, len(searchArms))
 			for ai, arm := range searchArms {
 				for _, rebuild := range []bool{true, false} {
 					name := fmt.Sprintf("%s/%s/%s/rebuild=%v", sname, miner.Name(), arm.name, rebuild)
 					res := Optimize(loadSrc(t, src), miner, Options{
-						MaxPatterns: 10_000_000,
-						ref:         reference{lexicographic: arm.lex, rebuild: rebuild},
+						ref: reference{lexicographic: arm.lex, rebuild: rebuild},
 					})
 					if got := fingerprint(res); got != want {
 						t.Fatalf("%s: Result differs from lexicographic reference\ngot:\n%s\nwant:\n%s", name, got, want)
@@ -162,7 +166,7 @@ func TestOrderInvariantCandidateList(t *testing.T) {
 			for _, arm := range searchArms {
 				prog := loadSrc(t, src)
 				view, graphs := buildForMining(t, prog)
-				opts := Options{MaxPatterns: 10_000_000, ref: reference{lexicographic: arm.lex}}
+				opts := Options{ref: reference{lexicographic: arm.lex}}
 				cands := miner.FindCandidates(view, graphs, opts)
 				var got []string
 				for _, c := range cands {

@@ -72,106 +72,113 @@ func tokenSeqs(graphs []*dfg.Graph) [][]uint64 {
 	return seqs
 }
 
-// window is one length-k token window with its rolling hash
-// h = Σ seq[start+j]·hashBase^(k−1−j) mod 2⁶⁴. grp names its token-equal
-// class at length k−1: the first token at k = 2, a per-length group
-// number after.
-type window struct {
-	h   uint64
-	p   pos
-	grp uint64
+// tokGroup is one token-equal group of length-k windows: the rolling
+// hash h = Σ tok_j·hashBase^(k−1−j) mod 2⁶⁴ of its k tokens, and its
+// members, mem[at:at+n] of its level's member arena, in scan order,
+// (graph, start) ascending.
+type tokGroup struct {
+	h     uint64
+	at, n int
 }
 
-// noGroup marks a window groupLevel has already placed in a subgroup;
-// no token or group number reaches it.
-const noGroup = ^uint64(0)
+// tokPos is one member of a group being split, with its next token.
+type tokPos struct {
+	tok uint64
+	p   pos
+}
 
 // scanGroups calls visit for every token-equal group of at least two
 // length-k windows, for k from 2 to maxLen, in generation order: k
 // ascending, then window hash ascending, then first member in scan
-// order; each group's members are in scan order, (graph, start)
-// ascending. members is reused after visit returns.
+// order; each group's members are in scan order. members is reused
+// after visit returns.
 //
-// Only windows that still repeat are hashed. A length-k window repeats
-// only if its length-(k−1) prefix does, so the length-(k+1) windows are
-// the one-token extensions of the members of length-k groups, with hash
-// h·hashBase + token: the rolling hash mod 2⁶⁴. A group at k+1 keeps
-// every window with its tokens, so each hash run loses only windows that
-// share no tokens with another, and the groups come out in the order a
-// full per-length scan finds them. The scan stops when no window is left.
+// Only windows that still repeat are looked at. A length-k window
+// repeats only if its length-(k−1) prefix does, so the length-k groups
+// are the length-(k−1) groups split by their members' k-th token (see
+// splitGroups), starting from one group of every position at length 0.
+// Groups are split by token, never by hash, so a 64-bit hash collision
+// only orders two groups, by first member, as a full per-length scan
+// does. The scan stops when no group is left.
 func scanGroups(seqs [][]uint64, maxLen int, visit func(k int, members []pos)) {
-	var wins, next []window
+	var mem, nextMem []pos
 	for gi, seq := range seqs {
-		for i := 0; i+2 <= len(seq); i++ {
-			wins = append(wins, window{h: seq[i]*hashBase + seq[i+1], p: pos{gi, i}, grp: seq[i]})
+		for i := range seq {
+			mem = append(mem, pos{gi, i})
 		}
 	}
-	var members []pos
-	for k := 2; k <= maxLen && len(wins) > 0; k++ {
-		sortWindows(wins)
-		next, members = groupLevel(seqs, wins, k, next[:0], members, visit)
-		wins, next = next, wins
+	groups, next := []tokGroup{{n: len(mem)}}, []tokGroup(nil)
+	var buf []tokPos
+	for k := 1; k <= maxLen && len(groups) > 0; k++ {
+		next, nextMem, buf = splitGroups(seqs, groups, mem, k, next[:0], nextMem[:0], buf)
+		groups, next, mem, nextMem = next, groups, nextMem, mem
+		if k < 2 {
+			continue
+		}
+		for _, g := range groups {
+			visit(k, mem[g.at:g.at+g.n:g.at+g.n])
+		}
 	}
 }
 
-// sortWindows sorts windows by hash, so that equal-hash runs come in
-// ascending hash order, each in scan order: sorting by (h, g, start)
-// gives the stable sort by hash of windows in (g, start) order without
-// its merge passes.
-func sortWindows(wins []window) {
-	slices.SortFunc(wins, func(a, b window) int {
+// splitGroups extends the length-(k−1) groups to length k, appending
+// them to out and their members to outMem: each group's members are
+// split by their k-th token, and every token-equal part of at least two
+// members becomes a group with hash h·hashBase + token, its members in
+// scan order. A member whose window would run past its sequence drops
+// out. The new groups are sorted by hash, then first member (sortGroups).
+// buf is scratch, returned for reuse.
+func splitGroups(seqs [][]uint64, groups []tokGroup, mem []pos, k int, out []tokGroup, outMem []pos, buf []tokPos) ([]tokGroup, []pos, []tokPos) {
+	for _, g := range groups {
+		buf = buf[:0]
+		for _, p := range mem[g.at : g.at+g.n] {
+			if seq := seqs[p.g]; p.start+k <= len(seq) {
+				buf = append(buf, tokPos{seq[p.start+k-1], p})
+			}
+		}
+		// Sorting by (token, graph, start) leaves each token's members
+		// in scan order.
+		slices.SortFunc(buf, func(a, b tokPos) int {
+			if c := cmp.Compare(a.tok, b.tok); c != 0 {
+				return c
+			}
+			return comparePos(a.p, b.p)
+		})
+		for lo, hi := 0, 0; lo < len(buf); lo = hi {
+			for hi = lo + 1; hi < len(buf) && buf[hi].tok == buf[lo].tok; hi++ {
+			}
+			if hi-lo < 2 {
+				continue
+			}
+			out = append(out, tokGroup{h: g.h*hashBase + buf[lo].tok, at: len(outMem), n: hi - lo})
+			for _, x := range buf[lo:hi] {
+				outMem = append(outMem, x.p)
+			}
+		}
+	}
+	sortGroups(out, outMem)
+	return out, outMem, buf
+}
+
+// sortGroups orders one level's groups by hash, then first member.
+// Distinct groups differ in tokens, so only a hash collision reaches the
+// member compare, and distinct groups have distinct first members: the
+// order is total.
+func sortGroups(groups []tokGroup, mem []pos) {
+	slices.SortFunc(groups, func(a, b tokGroup) int {
 		if c := cmp.Compare(a.h, b.h); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(a.p.g, b.p.g); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.p.start, b.p.start)
+		return comparePos(mem[a.at], mem[b.at])
 	})
 }
 
-// groupLevel visits the groups of the sorted length-k windows and
-// appends their members' length-(k+1) extensions to next. A hash run can
-// hold windows with different tokens (a 64-bit collision), so each run
-// is split into token-equal subgroups in order of first member. Two
-// windows are token-equal exactly when their (k−1)-prefix classes and
-// last tokens are, which needs no token compare. groupLevel marks the
-// windows it places; wins is scratch to the caller afterwards.
-func groupLevel(seqs [][]uint64, wins []window, k int, next []window, members []pos, visit func(int, []pos)) ([]window, []pos) {
-	last := func(w *window) uint64 { return seqs[w.p.g][w.p.start+k-1] }
-	id := uint64(0)
-	for lo, hi := 0, 0; lo < len(wins); lo = hi {
-		for hi = lo + 1; hi < len(wins) && wins[hi].h == wins[lo].h; hi++ {
-		}
-		if hi-lo < 2 {
-			continue
-		}
-		for i := lo; i < hi; i++ {
-			if wins[i].grp == noGroup {
-				continue
-			}
-			grp, tok := wins[i].grp, last(&wins[i])
-			members = members[:0]
-			for j := i; j < hi; j++ {
-				if w := &wins[j]; w.grp == grp && last(w) == tok {
-					members = append(members, w.p)
-					w.grp = noGroup
-				}
-			}
-			if len(members) < 2 {
-				continue
-			}
-			visit(k, members)
-			for _, p := range members {
-				if seq := seqs[p.g]; p.start+k < len(seq) {
-					h := wins[i].h*hashBase + seq[p.start+k]
-					next = append(next, window{h: h, p: p, grp: id})
-				}
-			}
-			id++
-		}
+// comparePos orders positions in scan order: graph, then start.
+func comparePos(a, b pos) int {
+	if c := cmp.Compare(a.g, b.g); c != 0 {
+		return c
 	}
-	return next, members
+	return cmp.Compare(a.start, b.start)
 }
 
 // seqScan is one ScanSequences call's state: the groups scanGroups

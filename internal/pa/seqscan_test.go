@@ -47,9 +47,10 @@ func TestScanSequencesMatchesFullScan(t *testing.T) {
 // TestScanGroupsSplitCollisions forces 64-bit collisions with hand-set
 // window hashes. A run of equal hashes whose first window has other
 // tokens must still yield the genuine repeat behind it, and a run
-// holding two repeats yields both, in order of first member.
+// holding two repeats yields both, in order of first member, also when
+// that is not their token order.
 func TestScanGroupsSplitCollisions(t *testing.T) {
-	seqs := [][]uint64{{1, 2}, {3, 4}, {3, 4}, {1, 2}, {5, 6}}
+	seqs := [][]uint64{{1, 2}, {3, 4}, {3, 4}, {1, 2}, {5, 6}, {1, 2}}
 	for _, tc := range []struct {
 		name string
 		wins []pa.Window2
@@ -58,6 +59,8 @@ func TestScanGroupsSplitCollisions(t *testing.T) {
 		{"first window collides", []pa.Window2{{G: 0, H: 7}, {G: 1, H: 7}, {G: 2, H: 7}}, []string{"2:1.0,2.0"}},
 		{"two repeats in one run", []pa.Window2{{G: 1, H: 7}, {G: 0, H: 7}, {G: 2, H: 7}, {G: 3, H: 7}, {G: 4, H: 7}},
 			[]string{"2:0.0,3.0", "2:1.0,2.0"}},
+		{"first member against token order", []pa.Window2{{G: 3, H: 7}, {G: 1, H: 7}, {G: 5, H: 7}, {G: 2, H: 7}},
+			[]string{"2:1.0,2.0", "2:3.0,5.0"}},
 		{"no repeat", []pa.Window2{{G: 0, H: 7}, {G: 1, H: 7}, {G: 4, H: 7}}, nil},
 	} {
 		got, oracle := pa.GroupHashed2(seqs, tc.wins)
