@@ -207,17 +207,19 @@ done
 echo "ci.sh: BENCH_edgar.json visit counts, key cuts and image hashes match the mined runs exactly"
 
 # --- truncation gate ------------------------------------------------------
-# MaxPatterns is a safety valve, not part of the search: no edgar or
-# edgar-canon round on the suite may stop at it. A round that does is no
-# longer order-invariant (DESIGN.md §10), and its savings depend on the
-# budget. edgar's rounds come from the drift record above; edgar-canon's
-# fixpoints (the canonical-label lattice, under half a second on the
-# whole suite) are mined here.
-"$TMP/paper-tables" -only timings -programs "$DRIFT_PROGRAMS" -miners edgar-canon \
-	-noverify -bench-json "$TMP/bench.canon.json" >/dev/null
-for miner in edgar edgar-canon; do
+# MaxPatterns is a safety valve, not part of the search: no edgar,
+# edgar-canon or dgspan round on the suite may stop at it. A round that
+# does is no longer order-invariant (DESIGN.md §10), and its savings
+# depend on the budget. edgar's rounds come from the drift record above;
+# edgar-canon's and dgspan's fixpoints (the same induced walk, under half
+# a second each on the whole suite) are mined here.
+for miner in edgar-canon dgspan; do
+	"$TMP/paper-tables" -only timings -programs "$DRIFT_PROGRAMS" -miners "$miner" \
+		-noverify -bench-json "$TMP/bench.$miner.json" >/dev/null
+done
+for miner in edgar edgar-canon dgspan; do
 	record="$TMP/bench.drift.json"
-	[ "$miner" = edgar ] || record="$TMP/bench.canon.json"
+	[ "$miner" = edgar ] || record="$TMP/bench.$miner.json"
 	awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
 		/"truncated_rounds":/ { gsub(/,/, "", $2); print name, $2 }' \
 		"$record" >"$TMP/truncated.$miner"
@@ -229,4 +231,4 @@ for miner in edgar edgar-canon; do
 		fi
 	done <"$TMP/truncated.$miner"
 done
-echo "ci.sh: no edgar or edgar-canon round reached the pattern budget"
+echo "ci.sh: no edgar, edgar-canon or dgspan round reached the pattern budget"

@@ -13,6 +13,7 @@ package dfg
 
 import (
 	"fmt"
+	"slices"
 
 	"graphpa/internal/arm"
 	"graphpa/internal/cfg"
@@ -90,22 +91,21 @@ func Build(b *cfg.Block, calls map[string]arm.Effects) *Graph {
 	lastStore := -1
 	var loadsSince []int
 
-	type edgeKey struct {
-		from, to int
-		kind     DepKind
-		reg      arm.Reg
-	}
-	seen := map[edgeKey]bool{}
+	// Edges are drawn in nondecreasing To order (see below), so a
+	// duplicate can only sit in the current To run, g.Edges[run:].
+	run := 0
 	addEdge := func(from, to int, kind DepKind, reg arm.Reg) {
 		if from == to || from < 0 {
 			return
 		}
-		k := edgeKey{from, to, kind, reg}
-		if seen[k] {
+		if n := len(g.Edges); n > 0 && g.Edges[n-1].To != to {
+			run = n
+		}
+		e := Edge{From: from, To: to, Kind: kind, Reg: reg}
+		if slices.Contains(g.Edges[run:], e) {
 			return
 		}
-		seen[k] = true
-		g.Edges = append(g.Edges, Edge{From: from, To: to, Kind: kind, Reg: reg})
+		g.Edges = append(g.Edges, e)
 	}
 
 	for i := 0; i < n; i++ {

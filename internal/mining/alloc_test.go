@@ -2,6 +2,7 @@ package mining
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -102,49 +103,48 @@ func TestAllocsIsMinimal(t *testing.T) {
 	}
 }
 
-// TestAllocsChildMinimalAcrossGC pins the walk's minimality test to zero
-// allocations once warm, even when garbage collections run between
-// calls: a walking miner keeps its minimal-code scratch and its free
-// step sets itself, where a sync.Pool would be emptied by each
-// collection and refilled on the next call. Both paths are measured:
-// the incremental test, on the largest pattern of the replicated running
-// example, and the fallback to the full test, on a→a→a.
+// TestAllocsChildMinimalAcrossGC pins the walk's minimality test
+// (nodeMinimal) to zero allocations once warm, even when garbage
+// collections run between calls: a walking miner keeps its minimal-code
+// scratch itself, where a sync.Pool would be emptied by each collection
+// and refilled on the next call. Both verdicts are measured, on node
+// steps the walk over the replicated running example tests: the longest
+// minimal child and the first non-minimal one.
 func TestAllocsChildMinimalAcrossGC(t *testing.T) {
-	var code Code
-	Mine(testGraphSets()["replicated"], Config{MinSupport: 2, EmbeddingSupport: true}, func(p *Pattern) {
-		if len(p.Code) > len(code) {
-			code = p.Code
-		}
-	})
-	if len(code) < 3 {
-		t.Fatalf("fixture code %s: want >= 3 edges", code)
-	}
-	aa := Tuple{I: 0, J: 1, LI: "a", LJ: "a", Out: true, LE: "x"}
-	for _, tc := range []struct {
-		name   string
+	type child struct {
 		parent Code
-		t      Tuple
-	}{
-		{"incremental", code[:len(code)-1], code[len(code)-1]},
-		{"fallback", Code{aa}, Tuple{I: 1, J: 2, LI: "a", LJ: "a", Out: true, LE: "x"}},
-	} {
-		mn := parentMiner(tc.parent)
-		kid, ok := mn.childMinimal(tc.parent, &tc.t, nil)
-		if !ok {
-			t.Fatalf("%s: fixture child of %s is not minimal", tc.name, tc.parent)
+		g      rawGroup
+	}
+	var found [2]*child // by verdict
+	childHook = func(_ *miner, code Code, step []Tuple, minimal bool) {
+		v := 0
+		if minimal {
+			v = 1
 		}
-		mn.stepFree = append(mn.stepFree, kid...)
+		if c := found[v]; c == nil || minimal && len(code)+len(step) > len(c.parent)+1+len(c.g.bws) {
+			found[v] = &child{parent: code, g: rawGroup{t: step[0], bws: slices.Clone(step[1:])}}
+		}
+	}
+	Mine(testGraphSets()["replicated"], Config{MinSupport: 2, EmbeddingSupport: true}, func(*Pattern) {})
+	childHook = nil
+	for v, c := range found {
+		if c == nil {
+			t.Fatalf("the walk tested no child with verdict %v", v == 1)
+		}
+		mn := &miner{}
+		if got := mn.nodeMinimal(c.parent, &c.g); got != (v == 1) {
+			t.Fatalf("nodeMinimal(%s + %s) = %v, the walk's verdict %v", c.parent, Code(c.g.step()), got, v == 1)
+		}
 		avg := testing.AllocsPerRun(20, func() {
 			runtime.GC()
 			runtime.GC()
-			kid, _ = mn.childMinimal(tc.parent, &tc.t, kid[:0])
-			mn.stepFree = append(mn.stepFree, kid...)
+			mn.nodeMinimal(c.parent, &c.g)
 		})
 		if avg != 0 {
-			t.Fatalf("%s: childMinimal allocated %.2f objects per run across collections; want 0", tc.name, avg)
+			t.Fatalf("nodeMinimal(%s + %s) allocated %.2f objects per run across collections; want 0", c.parent, Code(c.g.step()), avg)
 		}
-		if tc.name == "fallback" && mn.mini == nil {
-			t.Fatalf("fallback: the test did not fall back to the full test")
-		}
+	}
+	if n := len(found[1].parent) + 1 + len(found[1].g.bws); n < 3 {
+		t.Fatalf("longest minimal fixture child has %d edges; want >= 3", n)
 	}
 }

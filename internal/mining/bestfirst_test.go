@@ -27,21 +27,18 @@ type bbHarness struct {
 func (h *bbHarness) ub(m int) int { return (m - 1) * (h.maxK - 1) }
 
 func (h *bbHarness) config(lex bool) Config {
-	cfg := Config{
+	return Config{
 		MinSupport:       2,
 		MaxNodes:         h.maxK,
 		EmbeddingSupport: true,
 		Lexicographic:    lex,
 		// Admissible: a descendant's disjoint-set size never exceeds the
 		// ancestor's MIS (restriction of disjoint embeddings), and
-		// misUpperBound dominates the child subtree's MIS.
+		// misUpperBound, which the benefit-directed walk hands ViableCount
+		// before each descent, dominates the child subtree's MIS.
 		PruneSubtree: func(p *Pattern) bool { return h.ub(p.Support) < h.best },
 		ViableCount:  func(count int) bool { return h.ub(count) >= h.best },
 	}
-	if !lex {
-		cfg.PruneChild = func(set *EmbSet, bound int) bool { return h.ub(bound) < h.best }
-	}
-	return cfg
 }
 
 func (h *bbHarness) run(t *testing.T, graphs []*Graph, lex bool) {

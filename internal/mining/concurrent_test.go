@@ -108,8 +108,8 @@ func (s *incumbent) raise(v int) {
 }
 
 // TestParallelStatefulIncumbent mimics the PA search: the visitor moves
-// an incumbent bound that PruneSubtree, ViableCount and PruneChild
-// consult, so the output depends on visit order. Each policy gives its
+// an incumbent bound that PruneSubtree and ViableCount consult, so the
+// output depends on visit order. Each policy gives its
 // walk its own incumbent; side by side with the others, every walk
 // must still match its serial run bit for bit. The child-pruning
 // policies also drive the walk's reuse of rejected children's storage.
@@ -120,15 +120,15 @@ func TestParallelStatefulIncumbent(t *testing.T) {
 			cfg.ViableCount = func(c int) bool { return s.b <= 4*c }
 		},
 		"child-bound": func(s *incumbent, cfg *Config) {
-			cfg.PruneChild = func(_ *EmbSet, bound int) bool { return 2*bound < s.b }
+			cfg.ViableCount = func(c int) bool { return 2*c >= s.b }
 		},
-		"child-set": func(s *incumbent, cfg *Config) {
-			cfg.PruneChild = func(set *EmbSet, _ int) bool { return set.Len()+s.b%3 < 4 }
+		"child-offset": func(s *incumbent, cfg *Config) {
+			cfg.ViableCount = func(c int) bool { return c+s.b%3 >= 4 }
 		},
 		"all-lexicographic": func(s *incumbent, cfg *Config) {
 			cfg.Lexicographic = true
 			cfg.PruneSubtree = func(p *Pattern) bool { return s.b > 3*p.Support }
-			cfg.PruneChild = func(_ *EmbSet, bound int) bool { return 2*bound < s.b }
+			cfg.ViableCount = func(c int) bool { return 2*c >= s.b }
 		},
 	}
 	run := func(policy func(*incumbent, *Config)) []string {
@@ -179,7 +179,7 @@ func TestSpeculatorVisitObservesPatterns(t *testing.T) {
 		cfg := Config{
 			MinSupport:       2,
 			EmbeddingSupport: true,
-			PruneChild:       func(_ *EmbSet, bound int) bool { return 2*bound < best },
+			ViableCount:      func(c int) bool { return 2*c >= best },
 		}
 		Mine(testGraphSets()["replicated"], cfg, func(p *Pattern) {
 			kept = append(kept, p)

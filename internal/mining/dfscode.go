@@ -245,20 +245,17 @@ func (c Code) String() string {
 // gSpan's own test (Yan & Han, ICDM 2002): c is minimal when no step
 // offers an extension smaller than c's next tuple. The scratch comes from
 // a pool; with a warm pool the call allocates nothing. The lattice walk
-// itself runs an incremental form of the test (see miner.childMinimal).
+// keeps its own scratch for the test (see miner.nodeMinimal).
 func (c Code) IsMinimal() bool {
 	mn := minimalPool.Get().(*miner)
 	defer minimalPool.Put(mn)
-	return mn.isMinimal(c, nil)
+	return mn.isMinimal(c)
 }
 
 // isMinimal is IsMinimal on the scratch of mn. Nothing is grouped or
 // hashed: each step keeps one candidate list, the extensions equal to
 // c[k], and materialises it into two slabs that alternate per step.
-// With rec non-nil (one set per tuple of c) step k's set, S_k, is
-// written to rec[k] instead, so a minimal verdict leaves every step set
-// of c recorded for childMinimal.
-func (mn *miner) isMinimal(c Code, rec []*EmbSet) bool {
+func (mn *miner) isMinimal(c Code) bool {
 	if len(c) == 0 {
 		return true
 	}
@@ -266,9 +263,6 @@ func (mn *miner) isMinimal(c Code, rec []*EmbSet) bool {
 	p := &sc.pg
 	c.toGraphInto(p)
 	set, next := &sc.slab[0], &sc.slab[1]
-	if rec != nil {
-		set = rec[0]
-	}
 	set.k, set.e, set.n = 2, 1, 0
 	set.gids, set.tup = set.gids[:0], set.tup[:0]
 	set.w = 0
@@ -311,9 +305,6 @@ func (mn *miner) isMinimal(c Code, rec []*EmbSet) bool {
 			return seen
 		}
 		sc.hit.t = c[k]
-		if rec != nil {
-			next = rec[k]
-		}
 		mn.materializeInto(&sc.hit, set, next)
 		set, next = next, set
 	}
@@ -321,12 +312,13 @@ func (mn *miner) isMinimal(c Code, rec []*EmbSet) bool {
 }
 
 // matchExtensions scans the rightmost extensions of (prefix, set) in the
-// pattern graph against want, the code's next tuple, in the walk's
-// discovery order (collectGroups'); the prefix is the one the scratch's
-// prefix state has grown to. It stops with smaller = true at the first
-// extension below want; otherwise sc.hit.cands holds the candidates of
-// the extensions equal to want, in discovery order, and seen reports
-// whether any extension exists.
+// pattern graph against want, the code's next tuple, row by row: the
+// backward ones from the rightmost vertex, then the forward ones from
+// the rightmost path. The prefix is the one the scratch's prefix state
+// has grown to. It stops with smaller = true at the first extension
+// below want; otherwise sc.hit.cands holds the candidates of the
+// extensions equal to want, in discovery order, and seen reports whether
+// any extension exists.
 func (mn *miner) matchExtensions(want *Tuple, set *EmbSet) (smaller, seen bool) {
 	sc := &mn.sc
 	p := &sc.pg

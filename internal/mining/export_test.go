@@ -24,11 +24,11 @@ func (p *GroupProbe) Groups(code Code, set *EmbSet) int {
 }
 
 // Children returns the child codes the walk generates from (code, set):
-// code extended by each group's tuple, in tuple order.
+// code extended by each group's node step, in step order.
 func (p *GroupProbe) Children(code Code, set *EmbSet) []Code {
 	var out []Code
 	for _, g := range p.mn.extendGroups(code, set) {
-		out = append(out, append(code[:len(code):len(code)], g.t))
+		out = append(out, append(code[:len(code):len(code)], g.step()...))
 	}
 	return out
 }
@@ -47,28 +47,6 @@ func SetChildHook(check func(code Code, step []Tuple, minimal bool)) {
 
 // RandomDAGSets is randomDAGSets (property_test.go).
 var RandomDAGSets = randomDAGSets
-
-// ChildTester runs the walk's incremental minimality test on children
-// of one minimal parent code.
-type ChildTester struct {
-	mn   *miner
-	code Code
-	kid  []*EmbSet
-}
-
-// NewChildTester records code's step sets with the full test, as the
-// walk holds them when it expands code.
-func NewChildTester(code Code) *ChildTester {
-	return &ChildTester{mn: parentMiner(code), code: code}
-}
-
-// Minimal reports whether the parent code extended by t is minimal.
-func (ct *ChildTester) Minimal(t Tuple) bool {
-	var ok bool
-	ct.kid, ok = ct.mn.childMinimal(ct.code, &t, ct.kid[:0])
-	ct.mn.stepFree = append(ct.mn.stepFree, ct.kid...)
-	return ok
-}
 
 // Key returns a map key identifying the code for the tests: an injective
 // byte encoding (String is the readable form).

@@ -1,8 +1,11 @@
 // Package mining implements frequent-subgraph mining on directed labeled
 // multigraphs: DgSpan, a directed-graph extension of gSpan (Yan & Han,
-// ICDM 2002), and Edgar, the paper's embedding-based extension that counts
-// non-overlapping embeddings via maximum independent sets in a collision
-// graph and applies PA-specific pruning (paper §3.3–3.5).
+// ICDM 2002) that counts the graphs a fragment occurs in, and Edgar, the
+// paper's embedding-based extension that counts non-overlapping
+// embeddings via maximum independent sets in a collision graph and
+// applies PA-specific pruning (paper §3.3–3.5). Both walk one lattice of
+// induced fragments, in gSpan's DFS codes, each connected node set
+// reached once.
 package mining
 
 import "sort"

@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -27,11 +28,11 @@ type Config struct {
 	// MaxNodes caps pattern size (0 = unlimited).
 	MaxNodes int
 	// EmbeddingSupport selects Edgar's frequency (non-overlapping
-	// embeddings) over DgSpan's graph count, and with it the induced walk:
-	// a child grows its parent by one node and every edge between that
-	// node and the parent's (see collectNodeGroups), so each connected
-	// node set is visited once, with its induced graph as the pattern.
-	// Without it the walk is gSpan's, one edge per child.
+	// embeddings) over DgSpan's graph count. It chooses nothing else:
+	// under either notion the walk grows induced node sets, a child
+	// adding one node and every edge between that node and the parent's
+	// (see collectGroups), so each connected node set is visited once,
+	// with its induced graph as the pattern.
 	EmbeddingSupport bool
 	// GreedyMIS replaces the exact maximum-independent-set computation
 	// with the greedy heuristic everywhere (ablation knob).
@@ -53,7 +54,11 @@ type Config struct {
 	// candidate count before their embeddings are materialised: a group
 	// with count c can only yield patterns of support <= c, so callers
 	// prune groups whose optimistic benefit cannot matter. Must be
-	// monotone (viable(c) implies viable(c+1)).
+	// monotone (viable(c) implies viable(c+1)). The benefit-directed walk
+	// asks it again immediately before each child descent, with the
+	// child's misUpperBound in place of the count: that call runs between
+	// sibling descents, so it observes incumbent state raised by earlier
+	// siblings — the branch-and-bound half of the benefit-directed walk.
 	ViableCount func(count int) bool
 	// Lexicographic forces the classic gSpan sibling order: children are
 	// visited in ascending DFS-code tuple order. By default (false) the
@@ -63,18 +68,10 @@ type Config struct {
 	// tuple order as a deterministic tie-break, so high-payoff subtrees
 	// raise the caller's incumbent before the long tail is walked. Both
 	// orders visit the same pattern set absent pruning; callers whose
-	// PruneSubtree/PruneChild policies are admissible and strict get
-	// identical final incumbents either way.
+	// PruneSubtree/ViableCount policies are admissible and strict get
+	// identical final incumbents either way. The lexicographic walk
+	// computes no bounds.
 	Lexicographic bool
-	// PruneChild, when non-nil, is consulted immediately before each
-	// child descent with the child's materialised embedding set and its
-	// misUpperBound. Returning true skips the child: its pattern is never
-	// built, visited or counted. Unlike ViableCount it runs between
-	// sibling descents, so it observes incumbent state raised by earlier
-	// siblings — the branch-and-bound half of the benefit-directed walk.
-	// The set is valid only during the call: the walk reuses the storage
-	// of children it does not descend into.
-	PruneChild func(set *EmbSet, bound int) bool
 	// RowClosed, when non-nil, reports whether an embedding row — graph
 	// gid, nodes by DFS index — is closed: no superset of its node set
 	// can ever be extracted. It must be monotone (a superset of a closed
@@ -93,9 +90,8 @@ type Config struct {
 type WalkCounts struct {
 	// NonMinimal counts children the minimal-DFS-code test rejected. The
 	// test runs on every extension group that passes ViableCount, before
-	// the group is materialised, bounded or offered to PruneChild, so
-	// the count includes children a bound or the pattern budget would
-	// have cut.
+	// the group is materialised or bounded, so the count includes
+	// children a bound or the pattern budget would have cut.
 	NonMinimal int
 	// Unextractable counts roots and materialised children skipped
 	// because every row was closed (Config.RowClosed). The cut runs
@@ -110,23 +106,14 @@ func (c Config) exactLimit() int {
 	return c.MISExactLimit
 }
 
-// needBounds reports whether the walk computes misUpperBound per child:
-// either the sibling order is benefit-directed or a PruneChild policy
-// wants the bound.
-func (c Config) needBounds() bool {
-	return !c.Lexicographic || c.PruneChild != nil
-}
-
 // ext is one grouped rightmost extension: tuple t, then for a node step
 // its backward tuples bws. bound is the child's misUpperBound, filled
-// only when Config.needBounds. In expand, the child's step sets (see
-// childMinimal) are steps[s0:s1] of its level.
+// only by the benefit-directed walk.
 type ext struct {
-	t      Tuple
-	bws    []Tuple
-	set    *EmbSet
-	bound  int
-	s0, s1 int32
+	t     Tuple
+	bws   []Tuple
+	set   *EmbSet
+	bound int
 }
 
 // cmpExt is the benefit-directed sibling order: descending bound, then
@@ -189,8 +176,9 @@ func (m *marks) edgeUsed(e int) bool { return m.edgeVer[e] == m.ver }
 
 // cand is one not-yet-materialised extension candidate (pass 1): the
 // parent embedding's row, the realising graph edge, the newly mapped
-// node (-1 for backward extensions) and, for a node step, the offset of
-// its backward edges' ids in scratch.bwe. Four int32s — no pointers.
+// node (-1 for the minimality test's backward extensions) and, for a
+// node step, the offset of its backward edges' ids in scratch.bwe. Four
+// int32s — no pointers.
 type cand struct {
 	emb     int32
 	eid     int32
@@ -198,41 +186,30 @@ type cand struct {
 	bw      int32
 }
 
-// rawGroup is one step-grouped set of extension candidates before
-// materialisation: an edge step's tuple t, or a node step's forward
-// tuple t and backward tuples bws. Its contents are independent of any
-// incumbent state: only which groups get materialised is a policy
-// decision.
+// rawGroup is one node step's set of extension candidates before
+// materialisation: the step's forward tuple t and backward tuples bws
+// (the minimality test's groups hold a lone edge's tuple). Its contents
+// are independent of any incumbent state: only which groups get
+// materialised is a policy decision.
 type rawGroup struct {
 	t     Tuple
 	bws   []Tuple
-	key   uint64   // groupKey of t, or the probed hash of sig
-	sig   []uint64 // a node step's identity (collectNodeGroups)
+	key   uint64   // the probed hash of sig
+	sig   []uint64 // the step's identity (collectGroups)
 	cands []cand
 }
 
 // step returns the tuples the group's child code appends to its parent's.
 func (g *rawGroup) step() []Tuple { return append([]Tuple{g.t}, g.bws...) }
 
-// groupKey identifies a tuple within one extendGroups call. There a
-// tuple's LI is fixed by I, a forward tuple's J is the next DFS index,
-// and a backward tuple's I is the rightmost vertex and its LJ is fixed
-// by J — so the direction class, the varying position and the half id
-// (Out, LE and the far node's label) identify the tuple exactly:
-//
-//	bit 63      forward
-//	bits 32-62  position: I (forward) or J (backward)
-//	bits 0-31   half id
-//
-// A position is a pattern node index, below the node count of a graph
-// it embeds in, and node indices fit int32 throughout the miner.
-func groupKey(fwd bool, pos int, hid uint32) uint64 {
-	k := uint64(pos)<<32 | uint64(hid)
-	if fwd {
-		k |= 1 << 63
-	}
-	return k
-}
+// halfKey identifies one tuple of a node step within one extendGroups
+// call: its pattern-side position, I of the forward tuple or J of a
+// backward one, above the half id (Out, LE and the far node's label).
+// There a tuple's other position and labels are fixed by the step, so
+// the word identifies the tuple exactly. A position is a pattern node
+// index, below the node count of a graph it embeds in, and node indices
+// fit int32 throughout the miner.
+func halfKey(pos int, hid uint32) uint64 { return uint64(pos)<<32 | uint64(hid) }
 
 // scratch is the pooled per-miner scratch state of the walk's inner
 // loop. Every buffer here is dead by the time the walk descends a level
@@ -240,7 +217,7 @@ func groupKey(fwd bool, pos int, hid uint32) uint64 {
 // one instance serves all recursion depths.
 type scratch struct {
 	onPath []bool           // rightmost-path membership by DFS index
-	groups map[uint64]int32 // groupKey -> slot in gl (holds only gl's keys)
+	groups map[uint64]int32 // signature hash -> slot in gl (holds only gl's keys)
 	gl     []rawGroup       // groups in discovery order
 	spare  [][]cand         // capacity-retaining cand buffers by slot
 	order  []int32          // extendGroups' kept slots, sorted by tuple
@@ -248,7 +225,7 @@ type scratch struct {
 
 	rows rowIndex // materialize's child-row dedupe index
 
-	// collectNodeGroups' state: rightmost-path positions by DFS index,
+	// collectGroups' state: rightmost-path positions by DFS index,
 	// one step's backward edges and identity, and the arenas its groups'
 	// signatures, backward tuples and candidates' backward edge ids
 	// live in until the next call.
@@ -269,7 +246,7 @@ type scratch struct {
 	slab [2]EmbSet // IsMinimal's partial isomorphisms, alternating per step
 	pg   Graph     // IsMinimal's pattern graph, rebuilt in place
 	hit  rawGroup  // IsMinimal's extensions equal to the code's next tuple
-	kid  Code      // childMinimalFull's candidate child code
+	kid  Code      // nodeMinimal's candidate child code
 
 	mis misScratch // independent-set solver scratch
 }
@@ -286,13 +263,7 @@ type miner struct {
 	sc      scratch   // reused across all lattice levels
 	kids    [][]ext   // expand's child buffers by depth
 	free    []*EmbSet // child sets expand never handed to the walk, for reuse
-
-	// The minimal-code test's state (childmin.go).
-	steps    []*EmbSet   // step sets of the code being walked, S_0 first
-	kidSteps [][]*EmbSet // expand's children's step sets by depth
-	stepFree []*EmbSet   // released step sets, for reuse
-	pre      stepPrefix  // prefix state of the code being expanded
-	mini     *miner      // childMinimalFull's scratch, made on first use
+	mini    *miner    // nodeMinimal's scratch, made on first use
 
 	counts WalkCounts // Config.NoteCounts
 }
@@ -324,76 +295,6 @@ func (mn *miner) extendGroups(code Code, set *EmbSet) []rawGroup {
 	return sc.out
 }
 
-// collectGroups is extendGroups' first pass: every rightmost extension
-// of (code, set) grouped by tuple, in discovery order, unfiltered.
-// Candidates are grouped by groupKey — integer half ids, no string
-// hashing — and a group's Tuple is built once, when the group is first
-// seen; candidates within a group stay in discovery order. The result
-// aliases the miner's scratch like extendGroups'.
-func (mn *miner) collectGroups(code Code, set *EmbSet) []rawGroup {
-	if mn.cfg.EmbeddingSupport {
-		return mn.collectNodeGroups(code, set)
-	}
-	sc := &mn.sc
-	rmpath, labels := sc.setPrefix(code)
-	if len(rmpath) == 0 {
-		return nil
-	}
-	rm := rmpath[len(rmpath)-1]
-	numNodes := len(labels)
-	sc.resetGroups()
-
-	mk := &mn.mk
-	for i := 0; i < set.Len(); i++ {
-		g := mn.gx.get(set.GID(i))
-		mk.reset(g.Graph)
-		nodes := set.Nodes(i)
-		for di, n := range nodes {
-			mk.mapNode(int(n), di)
-		}
-		for _, eid := range set.Edges(i) {
-			mk.useEdge(int(eid))
-		}
-		// Backward from the rightmost vertex to rightmost-path vertices.
-		vrm := int(nodes[rm])
-		for _, h := range g.adj[vrm] {
-			if mk.edgeUsed(h.eid) {
-				continue
-			}
-			du, ok := mk.nodeDFS(h.other)
-			if !ok || du == rm || !sc.onPath[du] {
-				continue
-			}
-			key := groupKey(false, du, g.hid[halfSlot(h.eid, h.out)])
-			s, ok := sc.groups[key]
-			if !ok {
-				s = sc.openGroup(key, Tuple{I: rm, J: du, LI: labels[rm], LJ: labels[du], Out: h.out, LE: h.label})
-			}
-			sc.gl[s].cands = append(sc.gl[s].cands, cand{emb: int32(i), eid: int32(h.eid), newNode: -1})
-		}
-		// Forward from every rightmost-path vertex to an unmapped node.
-		for _, w := range rmpath {
-			vw := int(nodes[w])
-			for _, h := range g.adj[vw] {
-				if mk.edgeUsed(h.eid) {
-					continue
-				}
-				if _, ok := mk.nodeDFS(h.other); ok {
-					continue
-				}
-				key := groupKey(true, w, g.hid[halfSlot(h.eid, h.out)])
-				s, ok := sc.groups[key]
-				if !ok {
-					s = sc.openGroup(key, Tuple{I: w, J: numNodes, LI: labels[w], LJ: g.Labels[h.other], Out: h.out, LE: h.label})
-				}
-				sc.gl[s].cands = append(sc.gl[s].cands, cand{emb: int32(i), eid: int32(h.eid), newNode: int32(h.other)})
-			}
-		}
-	}
-
-	return sc.keepSpare()
-}
-
 // backHalf is one edge between a node step's new node and a mapped
 // node: the far node's DFS index j, the edge seen from the new node, and
 // that half's id.
@@ -419,9 +320,10 @@ func cmpBack(a, b *backHalf) int {
 	return a.h.eid - b.h.eid
 }
 
-// collectNodeGroups is collectGroups for the induced walk: every node
-// step of (code, set), grouped by step. A node step is a forward
-// extension from a rightmost-path vertex w to an unmapped node v,
+// collectGroups is extendGroups' first pass: every node step of
+// (code, set), grouped by step, in discovery order, unfiltered. The
+// result aliases the miner's scratch like extendGroups'. A node step is a
+// forward extension from a rightmost-path vertex w to an unmapped node v,
 // together with every other edge between v and the row's mapped nodes,
 // as backward tuples from v's DFS index in ascending order. A parent row
 // holds every edge among its nodes, so the child row does too: rows are
@@ -434,7 +336,7 @@ func cmpBack(a, b *backHalf) int {
 // the last-discovered node of a minimal code's graph leaves it connected,
 // with the code's prefix as its code, and a prefix of a minimal code is
 // minimal, so every connected node set is still reached, exactly once.
-func (mn *miner) collectNodeGroups(code Code, set *EmbSet) []rawGroup {
+func (mn *miner) collectGroups(code Code, set *EmbSet) []rawGroup {
 	sc := &mn.sc
 	rmpath, labels := sc.setPrefix(code)
 	if len(rmpath) == 0 {
@@ -469,9 +371,9 @@ func (mn *miner) collectNodeGroups(code Code, set *EmbSet) []rawGroup {
 				if !ok {
 					continue
 				}
-				sig := append(sc.sig[:0], groupKey(true, w, g.hid[halfSlot(h.eid, h.out)]))
+				sig := append(sc.sig[:0], halfKey(w, g.hid[halfSlot(h.eid, h.out)]))
 				for _, b := range back {
-					sig = append(sig, uint64(b.j)<<32|uint64(b.hid))
+					sig = append(sig, halfKey(b.j, b.hid))
 				}
 				sc.sig = sig
 				// The map keys on the signature's hash, probing past
@@ -541,6 +443,14 @@ func (sc *scratch) resetGroups() {
 		delete(sc.groups, g.key)
 	}
 	sc.gl = sc.gl[:0]
+}
+
+// resize returns s with length n, reusing its storage when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // keepSpare retains the groups' grown cand buffers for the next call and
@@ -628,18 +538,6 @@ func (sc *scratch) openGroup(key uint64, t Tuple) int32 {
 	return s
 }
 
-func int32sEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // materialize is pass 2 for one group: write the child embeddings into a
 // child set (see materializeInto). The set is one expand dropped earlier
 // when there is one (see miner.free), else a new one; the slabs are
@@ -703,7 +601,7 @@ func (mn *miner) materializeInto(g *rawGroup, parent, dst *EmbSet) {
 		dst.tup = append(dst.tup, mn.sc.bwe[c.bw:c.bw+nb]...)
 		row := dst.tup[base:]
 		if rows.add(hashRow(gid, row), int32(dst.n), func(j int32) bool {
-			return dst.gids[j] == gid && int32sEqual(dst.row(int(j)), row)
+			return dst.gids[j] == gid && slices.Equal(dst.row(int(j)), row)
 		}) {
 			dst.tup = dst.tup[:base]
 			continue
@@ -794,46 +692,34 @@ func (mn *miner) step(p *Pattern) bool {
 
 // expand enumerates, filters, tests and materialises the extensions of
 // (code, set), then recurses into each child. A group is first filtered
-// by ViableCount, then tested for a minimal code (incrementally for an
-// edge step, see childMinimal; in full for a node step, see
-// nodeMinimal), and only then materialised, so a non-minimal child costs
-// no embeddings and no bound. Group viability and materialisation happen
-// before any child is visited — the incumbent state a child visit
-// mutates must not influence its siblings' group filtering, exactly as
-// in a monolithic extend-then-loop. Materialising every kid first also releases the
-// group scratch before the recursion reuses it. Only two things happen
-// between sibling descents, and both are deliberate: the
-// benefit-directed order (bounds are pure functions of the child sets)
-// and PruneChild, which exists precisely to see the incumbent raised by
-// earlier siblings.
+// by ViableCount, then tested for a minimal code (nodeMinimal), and only
+// then materialised, so a non-minimal child costs no embeddings and no
+// bound. Group viability and materialisation happen before any child is
+// visited — the incumbent state a child visit mutates must not influence
+// its siblings' group filtering, exactly as in a monolithic
+// extend-then-loop. Materialising every kid first also releases the group
+// scratch before the recursion reuses it. Only two things happen between
+// sibling descents, and both are deliberate: the benefit-directed order
+// (bounds are pure functions of the child sets) and the ViableCount test
+// of each child's bound, which exists precisely to see the incumbent
+// raised by earlier siblings.
 func (mn *miner) expand(code Code, set *EmbSet) {
 	groups := mn.extendGroups(code, set)
 	if len(groups) == 0 {
 		return
 	}
-	induced := mn.cfg.EmbeddingSupport
-	if !induced {
-		mn.pre.load(&mn.sc, code)
-	}
-	// The kids of one level and their step sets stay live while the
-	// level's children are walked, so each depth keeps its own buffers.
+	// The kids of one level stay live while the level's children are
+	// walked, so each depth keeps its own buffer.
 	depth := len(code)
 	for len(mn.kids) <= depth {
 		mn.kids = append(mn.kids, nil)
-		mn.kidSteps = append(mn.kidSteps, nil)
 	}
-	kids, steps := mn.kids[depth][:0], mn.kidSteps[depth][:0]
+	kids := mn.kids[depth][:0]
 	for _, g := range groups {
 		if mn.cfg.ViableCount != nil && !mn.cfg.ViableCount(len(g.cands)) {
 			continue
 		}
-		s0 := len(steps)
-		var ok bool
-		if induced {
-			ok = mn.nodeMinimal(code, &g)
-		} else {
-			steps, ok = mn.childMinimal(code, &g.t, steps)
-		}
+		ok := mn.nodeMinimal(code, &g)
 		if childHook != nil {
 			childHook(mn, code, g.step(), ok)
 		}
@@ -844,66 +730,62 @@ func (mn *miner) expand(code Code, set *EmbSet) {
 		cset, ok := mn.materialize(g, set)
 		if !ok || mn.unextractable(cset) {
 			mn.free = append(mn.free, cset)
-			mn.stepFree = append(mn.stepFree, steps[s0:]...)
-			clear(steps[s0:])
-			steps = steps[:s0]
 			continue
 		}
 		// The group's backward tuples die with the next extendGroups
 		// call, so the kid keeps a copy.
-		kids = append(kids, ext{t: g.t, bws: slices.Clone(g.bws), set: cset, s0: int32(s0), s1: int32(len(steps))})
+		kids = append(kids, ext{t: g.t, bws: slices.Clone(g.bws), set: cset})
 	}
-	if mn.cfg.needBounds() {
+	bounded := !mn.cfg.Lexicographic
+	if bounded {
 		for i := range kids {
 			kids[i].bound = misUpperBound(kids[i].set, &mn.sc.mis)
 		}
-		if !mn.cfg.Lexicographic {
-			slices.SortFunc(kids, cmpExt)
-		}
+		slices.SortFunc(kids, cmpExt)
 	}
 	for i := range kids {
 		if mn.aborted {
 			break // a truncated walk checks no more kids
 		}
 		k := &kids[i]
-		if mn.cfg.PruneChild != nil && mn.cfg.PruneChild(k.set, k.bound) {
+		if bounded && mn.cfg.ViableCount != nil && !mn.cfg.ViableCount(k.bound) {
 			continue
 		}
-		kid := append(append(append(make(Code, 0, len(code)+1+len(k.bws)), code...), k.t), k.bws...)
-		if induced {
-			mn.dfs(kid, k.set)
-		} else {
-			mn.steps = append(mn.steps[:depth], nil)
-			mn.swapSteps(steps[k.s0:k.s1])
-			mn.dfs(kid, k.set)
-			mn.swapSteps(steps[k.s0:k.s1])
-			mn.steps = mn.steps[:depth]
-		}
+		mn.dfs(append(append(append(make(Code, 0, len(code)+1+len(k.bws)), code...), k.t), k.bws...), k.set)
 		k.set = nil // the visited pattern holds it, and callers may keep it
 	}
 	// Sets no pattern was built on are reused by later materialize
-	// calls; the hooks that saw them do not keep them.
+	// calls.
 	for _, k := range kids {
 		if k.set != nil {
 			mn.free = append(mn.free, k.set)
 		}
 	}
-	mn.stepFree = append(mn.stepFree, steps...)
 	clear(kids)
-	clear(steps)
-	mn.kids[depth], mn.kidSteps[depth] = kids[:0], steps[:0]
+	mn.kids[depth] = kids[:0]
+}
+
+// nodeMinimal reports whether code extended by g's node step is a
+// minimal code: the full test of the child (isMinimal), on the walk's
+// own minimal-code miner.
+func (mn *miner) nodeMinimal(code Code, g *rawGroup) bool {
+	if mn.mini == nil {
+		mn.mini = new(miner)
+	}
+	mn.sc.kid = append(append(append(mn.sc.kid[:0], code...), g.t), g.bws...)
+	return mn.mini.isMinimal(mn.sc.kid)
 }
 
 // Mine enumerates every frequent pattern with at least one edge, calling
 // visit for each (in canonical DFS-code growth order, benefit-directed
 // among siblings unless cfg.Lexicographic). The search is complete:
-// every frequent fragment is reported exactly once (via the
-// minimal-DFS-code test) — every frequent induced fragment in embedding
-// mode, whose rows are induced subgraphs — except where a PruneSubtree
-// or PruneChild policy or the RowClosed cut skips a subtree. The walk is
-// serial: the visit sequence (patterns, order, truncation point) is a
-// pure function of the graphs and the policies' answers. The return
-// value is the number of patterns visited — a deterministic work metric.
+// every frequent induced fragment is reported exactly once (via the
+// minimal-DFS-code test), with its rows the induced subgraphs it occurs
+// as, except where a PruneSubtree or ViableCount policy or the RowClosed
+// cut skips a subtree. The walk is serial: the visit sequence (patterns,
+// order, truncation point) is a pure function of the graphs and the
+// policies' answers. The return value is the number of patterns visited
+// — a deterministic work metric.
 func Mine(graphs []*Graph, cfg Config, visit func(*Pattern)) int {
 	gx := newGraphIndex(graphs)
 	// A root with fewer rows than MinSupport has less support under
@@ -924,8 +806,7 @@ func Mine(graphs []*Graph, cfg Config, visit func(*Pattern)) int {
 				continue
 			}
 		}
-		mn.steps = append(mn.steps[:0], rootStep)
-		mn.dfs(Code{s.t}, s.set)
+		mn.dfs(append(Code{s.t}, s.bws...), s.set)
 	}
 	if mn.cfg.NoteCounts != nil {
 		mn.cfg.NoteCounts(mn.counts)
@@ -943,24 +824,36 @@ func (mn *miner) unextractable(set *EmbSet) bool {
 	return true
 }
 
-// seedPatterns builds the 1-edge root patterns with at least minRows
-// rows: one per distinct minimal single-edge tuple, in canonical tuple
-// order. Edges are grouped by their two half ids, which fix the source
-// label, the edge label and the target label, so each group is one root
-// tuple and no string is hashed. A first pass counts each group's rows,
-// and a second packs the rows of the groups kept straight into slabs of
-// their final size.
+// seedPatterns builds the root patterns with at least minRows rows, in
+// canonical step order. A root is the induced graph on two adjacent
+// nodes, one per distinct minimal code. A pair joined by one edge, the
+// common case, roots the smaller reading of that edge. Such edges are
+// grouped by their two half ids, which fix the source label, the edge
+// label and the target label, so each group is one root tuple and no
+// string is hashed. A pair joined by several edges roots its minimal
+// code (pairRoot). A first pass collects every root's rows, and a second
+// packs the rows of the roots kept straight into slabs of their final
+// size.
 func seedPatterns(gx *graphIndex, graphs []*Graph, minRows int) []*ext {
 	type seed struct {
-		t    Tuple
-		flip bool // the tuple reads the edge from its target
-		n    int  // rows
-		set  *EmbSet
+		t   Tuple
+		bws []Tuple // a several-edge root's backward tuples
+		n   int     // rows
+		set *EmbSet
 	}
-	slot := map[uint64]int32{}
+	// row is one root row in visiting order: its seed, its graph, and
+	// the offset of its nodes and edges in tup.
+	type row struct{ seed, gid, off int32 }
+	byHalves := map[uint64]int32{} // one-edge roots
+	byCode := map[string]int32{}   // several-edge roots, by pairRoot's key
 	var seeds []seed
-	var bySlot []int32 // each edge's seed, in visiting order
-	// Visit each edge once, from its source.
+	edges := 0
+	for _, g := range graphs {
+		edges += len(g.Edges)
+	}
+	rows, tup := make([]row, 0, edges), make([]int32, 0, 3*edges) // a row per edge, bar several-edge pairs
+	// Visit each edge once, from its source, and each pair of several
+	// edges once, at its lowest edge id.
 	for _, g := range graphs {
 		lg := gx.get(g.ID)
 		for v := range g.Labels {
@@ -968,53 +861,121 @@ func seedPatterns(gx *graphIndex, graphs []*Graph, minRows int) []*ext {
 				if !h.out {
 					continue
 				}
+				if n, lo := pairEdges(g.adj[v], h.other); n > 1 && h.other != v {
+					if h.eid != lo {
+						continue
+					}
+					code, key, reads := pairRoot(lg, v, h.other)
+					s, ok := byCode[key]
+					if !ok {
+						s = int32(len(seeds))
+						byCode[key] = s
+						seeds = append(seeds, seed{t: code[0], bws: code[1:]})
+					}
+					for _, r := range reads {
+						rows = append(rows, row{s, int32(g.ID), int32(len(tup))})
+						tup = append(tup, r...)
+					}
+					seeds[s].n += len(reads)
+					continue
+				}
 				key := uint64(lg.hid[halfSlot(h.eid, true)])<<32 | uint64(lg.hid[halfSlot(h.eid, false)])
-				i, ok := slot[key]
+				s, ok := byHalves[key]
 				if !ok {
-					i = int32(len(seeds))
-					slot[key] = i
+					s = int32(len(seeds))
+					byHalves[key] = s
 					a := Tuple{I: 0, J: 1, LI: g.Labels[v], LJ: g.Labels[h.other], Out: true, LE: h.label}
 					b := Tuple{I: 0, J: 1, LI: g.Labels[h.other], LJ: g.Labels[v], Out: false, LE: h.label}
 					if compareTuples(&b, &a) < 0 {
-						seeds = append(seeds, seed{t: b, flip: true})
-					} else {
-						seeds = append(seeds, seed{t: a})
+						a = b
 					}
+					seeds = append(seeds, seed{t: a})
 				}
-				seeds[i].n++
-				bySlot = append(bySlot, i)
+				n0, n1 := v, h.other
+				if !seeds[s].t.Out { // the root reads its edge from the target
+					n0, n1 = n1, n0
+				}
+				rows = append(rows, row{s, int32(g.ID), int32(len(tup))})
+				tup = append(tup, int32(n0), int32(n1), int32(h.eid))
+				seeds[s].n++
 			}
 		}
 	}
 	var out []*ext
 	for i := range seeds {
 		if sd := &seeds[i]; sd.n >= minRows {
-			sd.set = &EmbSet{k: 2, e: 1, gids: make([]int32, 0, sd.n), tup: make([]int32, 0, 3*sd.n)}
-			out = append(out, &ext{t: sd.t, set: sd.set})
+			e := 1 + len(sd.bws)
+			sd.set = &EmbSet{k: 2, e: e, gids: make([]int32, 0, sd.n), tup: make([]int32, 0, (2+e)*sd.n)}
+			out = append(out, &ext{t: sd.t, bws: sd.bws, set: sd.set})
 		}
 	}
-	e := 0
-	for _, g := range graphs {
-		for v := range g.Labels {
-			for _, h := range g.adj[v] {
-				if !h.out {
-					continue
+	for _, r := range rows {
+		sd := &seeds[r.seed]
+		if sd.set == nil {
+			continue
+		}
+		sd.set.gids = append(sd.set.gids, r.gid)
+		sd.set.tup = append(sd.set.tup, tup[r.off:int(r.off)+2+sd.set.e]...)
+		sd.set.n++
+	}
+	slices.SortFunc(out, func(a, b *ext) int { return compareSteps(&a.t, a.bws, &b.t, b.bws) })
+	return out
+}
+
+// pairEdges returns the number of v's halves that reach w, and the
+// lowest edge id among them (halves are in edge id order).
+func pairEdges(hs []half, w int) (n, lo int) {
+	for _, h := range hs {
+		if h.other == w {
+			if n == 0 {
+				lo = h.eid
+			}
+			n++
+		}
+	}
+	return n, lo
+}
+
+// pairRoot returns the minimal code of the induced graph on u and w,
+// which several edges join, with an exact key for it, and every reading
+// of the pair that spells it as a root row: the nodes as DFS 0 and 1,
+// then the edge ids in code order. A reading is a forward tuple along
+// one edge, then the others as backward tuples in cmpBack order. The key
+// lists the half ids of the code's tuples.
+func pairRoot(g *lgraph, u, w int) (code Code, key string, rows [][]int32) {
+	var sig []uint64
+	for _, ab := range [2][2]int{{u, w}, {w, u}} {
+		a, b := ab[0], ab[1]
+		for _, f := range g.adj[a] {
+			if f.other != b {
+				continue
+			}
+			c := Code{{I: 0, J: 1, LI: g.Labels[a], LJ: g.Labels[b], Out: f.out, LE: f.label}}
+			r := []int32{int32(a), int32(b), int32(f.eid)}
+			s := []uint64{uint64(g.hid[halfSlot(f.eid, f.out)])<<32 | uint64(g.hid[halfSlot(f.eid, !f.out)])}
+			var back []backHalf
+			for _, h := range g.adj[b] {
+				if h.other == a && h.eid != f.eid {
+					back = append(back, backHalf{h: h})
 				}
-				sd := &seeds[bySlot[e]]
-				e++
-				if sd.set == nil {
-					continue
-				}
-				n0, n1 := v, h.other
-				if sd.flip {
-					n0, n1 = n1, n0
-				}
-				sd.set.gids = append(sd.set.gids, int32(g.ID))
-				sd.set.tup = append(sd.set.tup, int32(n0), int32(n1), int32(h.eid))
-				sd.set.n++
+			}
+			slices.SortFunc(back, func(x, y backHalf) int { return cmpBack(&x, &y) })
+			for _, bh := range back {
+				c = append(c, Tuple{I: 1, J: 0, LI: g.Labels[b], LJ: g.Labels[a], Out: bh.h.out, LE: bh.h.label})
+				r = append(r, int32(bh.h.eid))
+				s = append(s, uint64(g.hid[halfSlot(bh.h.eid, bh.h.out)]))
+			}
+			cmp := -1
+			if code != nil {
+				cmp = compareSteps(&c[0], c[1:], &code[0], code[1:])
+			}
+			switch {
+			case cmp < 0:
+				code, sig, rows = c, s, [][]int32{r}
+			case cmp == 0:
+				rows = append(rows, r)
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b *ext) int { return compareTuples(&a.t, &b.t) })
-	return out
+	return code, fmt.Sprint(sig), rows
 }

@@ -339,22 +339,28 @@ func TestNoDuplicatePatterns(t *testing.T) {
 	}
 }
 
-// TestMultiEdgeSupport: parallel edges with different labels must be
-// distinguishable patterns.
+// TestMultiEdgeLabels: parallel edges with different labels must be
+// distinguishable. The walk grows induced node sets, and the graph on
+// {p, q} holds both edges, so the one pattern is the 2-edge multigraph,
+// its minimal code a forward tuple along the smaller label and a
+// backward one along the other; neither single edge is an induced
+// fragment.
 func TestMultiEdgeLabels(t *testing.T) {
 	mk := func(id int) *Graph {
 		g := &Graph{ID: id, Labels: []string{"p", "q"}}
-		g.Edges = []GEdge{{0, 1, "raw:r1"}, {0, 1, "waw:r3"}}
+		g.Edges = []GEdge{{0, 1, "waw:r3"}, {0, 1, "raw:r1"}}
 		g.Freeze()
 		return g
 	}
-	pats := mineAll(t, []*Graph{mk(0), mk(1)}, Config{MinSupport: 2})
-	// Patterns: p-raw->q, p-waw->q, and the 2-edge multigraph.
-	if len(pats) != 3 {
-		for _, p := range pats {
-			t.Logf("pattern: %s", p.Code)
+	want := "(0,1,p,>,raw:r1,q) (1,0,q,<,waw:r3,p)"
+	for _, emb := range []bool{false, true} {
+		pats := mineAll(t, []*Graph{mk(0), mk(1)}, Config{MinSupport: 2, EmbeddingSupport: emb})
+		if len(pats) != 1 || pats[0].Code.String() != want || !pats[0].Code.IsMinimal() {
+			for _, p := range pats {
+				t.Logf("pattern: %s", p.Code)
+			}
+			t.Errorf("EmbeddingSupport=%v: got %d patterns, want %s", emb, len(pats), want)
 		}
-		t.Errorf("got %d patterns, want 3", len(pats))
 	}
 }
 

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -76,6 +77,33 @@ func inducedForm(g *Graph, nodes []int) string {
 	return best
 }
 
+// randomMultigraphSets returns n databases of three small random
+// multigraphs each: an edge may join a pair another edge already joins,
+// in either direction.
+func randomMultigraphSets(seed int64, n int) [][]*Graph {
+	r := rand.New(rand.NewSource(seed))
+	var sets [][]*Graph
+	for range n {
+		var graphs []*Graph
+		for id := range 3 {
+			g := &Graph{ID: id}
+			for range 4 + r.Intn(3) {
+				g.Labels = append(g.Labels, []string{"a", "b"}[r.Intn(2)])
+			}
+			for range 5 + r.Intn(6) {
+				a, b := r.Intn(len(g.Labels)), r.Intn(len(g.Labels))
+				if a != b {
+					g.Edges = append(g.Edges, GEdge{From: a, To: b, Label: []string{"x", "y"}[r.Intn(2)]})
+				}
+			}
+			g.Freeze()
+			graphs = append(graphs, g)
+		}
+		sets = append(sets, graphs)
+	}
+	return sets
+}
+
 // inducedGroup is one isomorphism class of connected induced subgraphs:
 // its occurrences as "gid:sorted nodes" keys, sorted.
 type inducedGroup struct {
@@ -138,6 +166,15 @@ func bruteInducedGroups(graphs []*Graph, maxNodes int) map[string]*inducedGroup 
 	return out
 }
 
+// graphCount is the number of distinct graphs the sets lie in.
+func graphCount(sets []nodeSet) int {
+	gids := map[int]bool{}
+	for _, s := range sets {
+		gids[s.gid] = true
+	}
+	return len(gids)
+}
+
 // exactMIS is the size of a largest set of pairwise node-disjoint sets,
 // by exhaustive branching.
 func exactMIS(sets []nodeSet) int {
@@ -170,20 +207,25 @@ func exactMIS(sets []nodeSet) int {
 }
 
 // TestInducedWalkMatchesBruteForce is the induced walk's oracle. On the
-// handwritten sets (the running example among them) and on random small
-// labelled DAGs, every connected node set of at most MaxNodes nodes is
+// handwritten sets (the running example among them), on random small
+// labelled DAGs and on random multigraphs, whose roots join a pair by
+// several edges, every connected node set of at most MaxNodes nodes is
 // enumerated by brute force and grouped by the isomorphism class of its
-// induced subgraph. The unpruned lexicographic embedding-support walk
-// must visit exactly the classes whose maximum set of disjoint
-// occurrences reaches MinSupport, each once, with the class's node sets
-// as its rows' node sets and that maximum as its support; every row must
-// be an induced embedding of the visited code. Under the greedy and
-// size-limited independent-set solvers the walk's disjoint rows must
-// equal the boxed reference solver's on the same rows.
+// induced subgraph. The unpruned lexicographic walk must visit exactly
+// the classes whose support reaches MinSupport, each once, with the
+// class's node sets as its rows' node sets and that support as its own:
+// under embedding support the maximum set of disjoint occurrences, under
+// graph-count support the number of distinct graphs the class occurs in.
+// Every row must be an induced embedding of the visited code. Under the
+// greedy and size-limited independent-set solvers the walk's disjoint
+// rows must equal the boxed reference solver's on the same rows.
 func TestInducedWalkMatchesBruteForce(t *testing.T) {
 	sets := testGraphSets()
 	for i, graphs := range randomDAGSets(5, 30) {
 		sets[fmt.Sprintf("random%02d", i)] = graphs
+	}
+	for i, graphs := range randomMultigraphSets(11, 20) {
+		sets[fmt.Sprintf("multi%02d", i)] = graphs
 	}
 	names := make([]string, 0, len(sets))
 	for name := range sets {
@@ -191,10 +233,13 @@ func TestInducedWalkMatchesBruteForce(t *testing.T) {
 	}
 	sort.Strings(names)
 	configs := []Config{
+		{MinSupport: 1, MaxNodes: 4, EmbeddingSupport: true},
+		{MinSupport: 2, MaxNodes: 5, EmbeddingSupport: true},
+		{MinSupport: 2, MaxNodes: 5, EmbeddingSupport: true, GreedyMIS: true},
+		{MinSupport: 2, MaxNodes: 5, EmbeddingSupport: true, MISExactLimit: 2},
 		{MinSupport: 1, MaxNodes: 4},
 		{MinSupport: 2, MaxNodes: 5},
-		{MinSupport: 2, MaxNodes: 5, GreedyMIS: true},
-		{MinSupport: 2, MaxNodes: 5, MISExactLimit: 2},
+		{MinSupport: 3, MaxNodes: 5},
 	}
 	visits := 0
 	for _, name := range names {
@@ -204,9 +249,14 @@ func TestInducedWalkMatchesBruteForce(t *testing.T) {
 			byID[g.ID] = g
 		}
 		for _, cfg := range configs {
-			cfg.EmbeddingSupport, cfg.Lexicographic = true, true
+			cfg.Lexicographic = true
 			exact := !cfg.GreedyMIS && cfg.MISExactLimit == 0
-			where := fmt.Sprintf("%s/minsup=%d/greedy=%v/limit=%d", name, cfg.MinSupport, cfg.GreedyMIS, cfg.MISExactLimit)
+			// support is the class's support under the exact solver.
+			support := graphCount
+			if cfg.EmbeddingSupport {
+				support = exactMIS
+			}
+			where := fmt.Sprintf("%s/emb=%v/minsup=%d/greedy=%v/limit=%d", name, cfg.EmbeddingSupport, cfg.MinSupport, cfg.GreedyMIS, cfg.MISExactLimit)
 			want := bruteInducedGroups(graphs, cfg.MaxNodes)
 			seen := map[string]bool{}
 			Mine(graphs, cfg, func(p *Pattern) {
@@ -240,9 +290,12 @@ func TestInducedWalkMatchesBruteForce(t *testing.T) {
 					t.Fatalf("%s: %s has row node sets\n%v\nbrute force finds\n%v", where, p.Code, rows, grp.rows)
 				}
 				if exact {
-					if m := exactMIS(grp.sets); p.Support != m {
-						t.Fatalf("%s: %s support %d, brute-force maximum %d", where, p.Code, p.Support, m)
+					if m := support(grp.sets); p.Support != m {
+						t.Fatalf("%s: %s support %d, brute force %d", where, p.Code, p.Support, m)
 					}
+				}
+				if !cfg.EmbeddingSupport {
+					return
 				}
 				ref := oldDisjointEmbeddings(boxed, cfg)
 				if len(ref) != len(p.Disjoint) {
@@ -258,8 +311,8 @@ func TestInducedWalkMatchesBruteForce(t *testing.T) {
 				continue
 			}
 			for form, grp := range want {
-				if m := exactMIS(grp.sets); (m >= cfg.MinSupport) != seen[form] {
-					t.Fatalf("%s: class %s (maximum %d disjoint) visited=%v", where, form, m, seen[form])
+				if m := support(grp.sets); (m >= cfg.MinSupport) != seen[form] {
+					t.Fatalf("%s: class %s (support %d) visited=%v", where, form, m, seen[form])
 				}
 			}
 		}

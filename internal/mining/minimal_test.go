@@ -62,29 +62,26 @@ func TestIsMinimalMatchesBoxedBench(t *testing.T) {
 	}
 }
 
-// TestChildMinimalMatchesFull holds the walk's minimality tests to the
-// full test and the boxed reference: the incremental test of the edge
-// walk (graph-count support, dgspan) and the node-step test of the
-// induced walk (embedding support, edgar). All three give the same
-// verdict on every viable group of each benchmark's round-1 walk under
-// both miners (rijndael's cut short under -short); on every group of
-// unpruned walks over the same round-1 graphs, which reach the deep
-// lattices the bounds cut; and on every group of walks over 30 random
-// DAG sets.
+// TestChildMinimalMatchesFull holds the walk's minimality test (the
+// node-step test, nodeMinimal) to the full test and the boxed reference:
+// all three give the same verdict on every viable group of each
+// benchmark's round-1 walk under edgar and dgspan (rijndael's cut short
+// under -short); on every group of unpruned walks over the same round-1
+// graphs under both support notions, which reach the deep lattices the
+// bounds cut; and on every group of walks over 30 random DAG sets.
 func TestChildMinimalMatchesFull(t *testing.T) {
 	visits := 20000
 	if testing.Short() {
 		visits = 2000
 	}
 	var where string
-	var induced bool
-	verdicts := map[bool]map[bool]int{false: {}, true: {}} // by induced, then verdict
+	verdicts := map[bool]int{}
 	mining.SetChildHook(func(code mining.Code, step []mining.Tuple, minimal bool) {
 		child := append(code[:len(code):len(code)], step...)
 		if full, ref := child.IsMinimal(), mining.OldIsMinimal(child); minimal != full || minimal != ref {
 			t.Fatalf("%s: %s: walk verdict %v, IsMinimal %v, reference %v", where, child, minimal, full, ref)
 		}
-		verdicts[induced][minimal]++
+		verdicts[minimal]++
 	})
 	defer mining.SetChildHook(nil)
 	for _, name := range bench.Names {
@@ -96,28 +93,26 @@ func TestChildMinimalMatchesFull(t *testing.T) {
 		if testing.Short() && name == "rijndael" {
 			opts.MaxPatterns = 5000
 		}
-		for _, induced = range []bool{false, true} {
-			m := &pa.GraphMiner{Embedding: induced}
+		for _, emb := range []bool{false, true} {
+			m := &pa.GraphMiner{Embedding: emb}
 			where = name + "/" + m.Name()
 			pa.Optimize(w.Prog, m, opts)
 			where += "/unpruned"
 			cfg := walkConfig(visits)
-			cfg.EmbeddingSupport = induced
+			cfg.EmbeddingSupport = emb
 			mining.Mine(benchGraphs(t, name, 0), cfg, func(*mining.Pattern) {})
 		}
-		t.Logf("%s: edge-step verdicts %v, node-step verdicts %v", name, verdicts[false], verdicts[true])
+		t.Logf("%s: verdicts %v", name, verdicts)
 	}
 	for i, graphs := range mining.RandomDAGSets(42, 30) {
-		for _, induced = range []bool{false, true} {
-			where = fmt.Sprintf("random%02d/induced=%v", i, induced)
-			mining.Mine(graphs, mining.Config{MinSupport: 1, MaxNodes: 5, EmbeddingSupport: induced, MaxPatterns: 1000}, func(*mining.Pattern) {})
+		for _, emb := range []bool{false, true} {
+			where = fmt.Sprintf("random%02d/emb=%v", i, emb)
+			mining.Mine(graphs, mining.Config{MinSupport: 1, MaxNodes: 5, EmbeddingSupport: emb, MaxPatterns: 1000}, func(*mining.Pattern) {})
 		}
 	}
-	t.Logf("all: edge-step verdicts %v, node-step verdicts %v", verdicts[false], verdicts[true])
-	for _, induced := range []bool{false, true} {
-		if v := verdicts[induced]; v[true] == 0 || v[false] == 0 {
-			t.Errorf("induced=%v: verdicts %v: both outcomes must be exercised", induced, v)
-		}
+	t.Logf("all: verdicts %v", verdicts)
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Errorf("verdicts %v: both outcomes must be exercised", verdicts)
 	}
 }
 
@@ -128,7 +123,6 @@ var shaRound2 struct {
 	graphs []*mining.Graph
 	pats   []*mining.Pattern
 	codes  []mining.Code
-	kids   [][]mining.Tuple // each pattern's child tuples
 }
 
 func shaRound2Lattice(b *testing.B) {
@@ -137,13 +131,7 @@ func shaRound2Lattice(b *testing.B) {
 		probe := mining.NewGroupProbe(shaRound2.graphs, 2)
 		mining.Mine(shaRound2.graphs, walkConfig(3000), func(p *mining.Pattern) {
 			shaRound2.pats = append(shaRound2.pats, p)
-			kids := probe.Children(p.Code, p.Embeddings)
-			shaRound2.codes = append(shaRound2.codes, kids...)
-			var ts []mining.Tuple
-			for _, c := range kids {
-				ts = append(ts, c[len(c)-1])
-			}
-			shaRound2.kids = append(shaRound2.kids, ts)
+			shaRound2.codes = append(shaRound2.codes, probe.Children(p.Code, p.Embeddings)...)
 		})
 	})
 	if len(shaRound2.codes) == 0 || len(shaRound2.pats) == 0 {
@@ -162,30 +150,6 @@ func BenchmarkIsMinimal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, c := range shaRound2.codes {
 			minimalSink = c.IsMinimal()
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(shaRound2.codes)), "ns/code")
-}
-
-// BenchmarkChildMinimal runs the walk's incremental minimality test over
-// the same child codes as BenchmarkIsMinimal, each against its parent's
-// step sets as the walk holds them.
-func BenchmarkChildMinimal(b *testing.B) {
-	shaRound2Lattice(b)
-	testers := make([]*mining.ChildTester, len(shaRound2.pats))
-	for i, p := range shaRound2.pats {
-		testers[i] = mining.NewChildTester(p.Code)
-		for _, t := range shaRound2.kids[i] {
-			testers[i].Minimal(t) // warm the tester's step sets
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, ct := range testers {
-			for _, t := range shaRound2.kids[j] {
-				minimalSink = ct.Minimal(t)
-			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(shaRound2.codes)), "ns/code")

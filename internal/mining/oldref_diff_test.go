@@ -3,79 +3,8 @@ package mining
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"testing"
 )
-
-// oldTrace renders an OldPattern in the exact format trace renders a
-// Pattern, with the disjoint set as row indices, so the two walks can be
-// compared line for line.
-func oldTrace(p *OldPattern) string {
-	idx := make(map[*Embedding]int32, len(p.Embeddings))
-	for i, e := range p.Embeddings {
-		idx[e] = int32(i)
-	}
-	dis := make([]int32, len(p.Disjoint))
-	for i, e := range p.Disjoint {
-		dis[i] = idx[e]
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s sup=%d dis=%v;", p.Code.Key(), p.Support, dis)
-	for _, e := range p.Embeddings {
-		fmt.Fprintf(&b, " %d:%v|%v", e.GID, e.Nodes, e.Edges)
-	}
-	return b.String()
-}
-
-func oldMineTrace(graphs []*Graph, cfg Config) []string {
-	var out []string
-	OldMine(graphs, cfg, func(p *OldPattern) { out = append(out, oldTrace(p)) })
-	return out
-}
-
-// TestFlatMatchesBoxedReference: the flat EmbSet edge walk (graph-count
-// support) must reproduce the boxed reference implementation's visit
-// sequence byte for byte — same patterns, same order, same supports, same
-// embedding rows — across support thresholds, size caps and budget
-// truncation. The boxed reference grows edges; the embedding-support
-// walk grows induced node sets, and its oracle is
-// TestInducedWalkMatchesBruteForce, which also holds its disjoint rows to
-// the boxed independent-set solver.
-func TestFlatMatchesBoxedReference(t *testing.T) {
-	// The boxed reference predates the benefit-directed sibling order, so
-	// the flat walk is pinned against it in Lexicographic mode; the
-	// benefit-directed order is differenced against the lexicographic one
-	// at the result level in bestfirst_test.go.
-	configs := map[string]Config{
-		"graph-support": {MinSupport: 2, Lexicographic: true},
-		"support-1":     {MinSupport: 1, Lexicographic: true},
-		"capped":        {MinSupport: 2, MaxNodes: 3, Lexicographic: true},
-		"budget":        {MinSupport: 2, MaxPatterns: 9, Lexicographic: true},
-	}
-	for gname, graphs := range testGraphSets() {
-		for cname, cfg := range configs {
-			want := oldMineTrace(graphs, cfg)
-			got := mineTrace(graphs, cfg)
-			assertSameTrace(t, gname+"/"+cname, want, got)
-		}
-	}
-}
-
-// TestFlatMatchesBoxedRandom drives the same differential over random
-// DAGs, where automorphic rediscoveries, dedupe collisions and mixed
-// group shapes are far denser than in the handwritten sets.
-func TestFlatMatchesBoxedRandom(t *testing.T) {
-	for trial, graphs := range randomDAGSets(42, 30) {
-		for _, cfg := range []Config{
-			{MinSupport: 1, MaxNodes: 5, MaxPatterns: 3000, Lexicographic: true},
-			{MinSupport: 2, MaxNodes: 4, MaxPatterns: 3000, Lexicographic: true},
-		} {
-			want := oldMineTrace(graphs, cfg)
-			got := mineTrace(graphs, cfg)
-			assertSameTrace(t, fmt.Sprintf("trial%d/minsup=%d", trial, cfg.MinSupport), want, got)
-		}
-	}
-}
 
 // TestIsMinimalMatchesBoxed compares IsMinimal with the boxed reference
 // code by code: every child code, minimal or not, that the visits of
@@ -123,9 +52,7 @@ func TestIsMinimalMatchesBoxed(t *testing.T) {
 // graph holds the code's own edges, so at step 0 there is always some
 // first tuple: the "no extension" exit exists only at later steps. Node
 // labels are the last ones the code assigns, which is how a code can
-// claim a label its pattern graph does not carry. The walk's incremental
-// test, childMinimal, is not run on them: it requires a minimal parent
-// and one of its rightmost extensions, and these codes are neither.
+// claim a label its pattern graph does not carry.
 func TestIsMinimalExitsMatchBoxed(t *testing.T) {
 	tu := func(i, j int, li string, out bool, le, lj string) Tuple {
 		return Tuple{I: i, J: j, LI: li, LJ: lj, Out: out, LE: le}

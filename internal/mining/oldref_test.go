@@ -5,11 +5,10 @@ import (
 	"strconv"
 )
 
-// This file preserves the pre-slab (boxed []*Embedding) implementation of
-// the serial lattice walk, verbatim except for renames, as a test-only
-// reference: the differential suite checks the flat EmbSet walk visits
-// byte-identical patterns, and the same-process A/B benchmark measures
-// the layout change without cross-process wall-clock noise.
+// This file preserves the pre-slab (boxed []*Embedding) minimality test
+// and independent-set solver, verbatim except for renames, as test-only
+// references: the differential suites hold IsMinimal, the walk's verdicts
+// and its disjoint rows to them.
 
 // key identifies an embedding exactly (the old string dedupe key).
 func (e *Embedding) key() string {
@@ -26,15 +25,6 @@ func (e *Embedding) key() string {
 		buf = append(buf, ',')
 	}
 	return string(buf)
-}
-
-// OldPattern is the boxed-layout Pattern.
-type OldPattern struct {
-	Code       Code
-	Labels     []string
-	Embeddings []*Embedding
-	Support    int
-	Disjoint   []*Embedding
 }
 
 type oldExt struct {
@@ -56,9 +46,6 @@ type oldRawGroup struct {
 type oldMiner struct {
 	cfg     Config
 	graphOf func(int) *Graph
-	visit   func(*OldPattern)
-	visited int
-	aborted bool
 	mk      marks
 }
 
@@ -145,54 +132,6 @@ func (mn *oldMiner) materialize(g oldRawGroup) (embs []*Embedding, ok bool) {
 	return embs, len(embs) >= mn.cfg.MinSupport
 }
 
-func (mn *oldMiner) pattern(code Code, embs []*Embedding) *OldPattern {
-	p := &OldPattern{Code: code, Labels: code.NodeLabels(), Embeddings: embs}
-	p.Support = oldComputeSupport(p, mn.cfg)
-	return p
-}
-
-func (mn *oldMiner) dfs(code Code, embs []*Embedding) {
-	if mn.aborted {
-		return
-	}
-	p := mn.pattern(code, embs)
-	if p.Support < mn.cfg.MinSupport {
-		return
-	}
-	mn.visit(p)
-	mn.visited++
-	if mn.cfg.MaxPatterns > 0 && mn.visited >= mn.cfg.MaxPatterns {
-		mn.aborted = true
-		return
-	}
-	if mn.cfg.MaxNodes > 0 && p.Code.NumNodes() >= mn.cfg.MaxNodes {
-		return
-	}
-	mn.expand(code, embs)
-}
-
-func (mn *oldMiner) expand(code Code, embs []*Embedding) {
-	groups := mn.extendGroups(code, embs)
-	kids := make([]oldExt, 0, len(groups))
-	for _, g := range groups {
-		if mn.cfg.ViableCount != nil && !mn.cfg.ViableCount(len(g.cands)) {
-			continue
-		}
-		cembs, ok := mn.materialize(g)
-		if !ok {
-			continue
-		}
-		kids = append(kids, oldExt{t: g.t, embs: cembs})
-	}
-	for _, k := range kids {
-		child := append(append(Code{}, code...), k.t)
-		if !oldIsMinimal(child) {
-			continue
-		}
-		mn.dfs(child, k.embs)
-	}
-}
-
 // oldExtendFull materialises every extension group, with no frequency
 // or viability filtering: the growth step of the boxed minimality test,
 // which the flat IsMinimal replaced by materialising only the minimum.
@@ -256,69 +195,6 @@ func oldIsMinimal(c Code) bool {
 		cur = append(cur, minT)
 	}
 	return true
-}
-
-// OldMine is the boxed-layout serial search (PruneSubtree, PruneChild
-// and RowClosed are ignored: the reference exists to compare layouts, not
-// policies).
-func OldMine(graphs []*Graph, cfg Config, visit func(*OldPattern)) {
-	byID := map[int]*Graph{}
-	for _, g := range graphs {
-		if g.adj == nil {
-			g.Freeze()
-		}
-		byID[g.ID] = g
-	}
-	mn := &oldMiner{cfg: cfg, graphOf: func(id int) *Graph { return byID[id] }, visit: visit}
-	for _, s := range oldSeedPatterns(graphs) {
-		mn.dfs(Code{s.t}, s.embs)
-	}
-}
-
-func oldSeedPatterns(graphs []*Graph) []*oldExt {
-	seeds := map[Tuple]*oldExt{}
-	for _, g := range graphs {
-		for v := range g.Labels {
-			for _, h := range g.adj[v] {
-				if !h.out {
-					continue
-				}
-				a := Tuple{I: 0, J: 1, LI: g.Labels[v], LJ: g.Labels[h.other], Out: true, LE: h.label}
-				b := Tuple{I: 0, J: 1, LI: g.Labels[h.other], LJ: g.Labels[v], Out: false, LE: h.label}
-				t := a
-				nodes := []int{v, h.other}
-				if compareTuples(&b, &a) < 0 {
-					t = b
-					nodes = []int{h.other, v}
-				}
-				s, ok := seeds[t]
-				if !ok {
-					s = &oldExt{t: t}
-					seeds[t] = s
-				}
-				s.embs = append(s.embs, &Embedding{GID: g.ID, Nodes: nodes, Edges: []int{h.eid}})
-			}
-		}
-	}
-	out := make([]*oldExt, 0, len(seeds))
-	for _, s := range seeds {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return compareTuples(&out[i].t, &out[j].t) < 0 })
-	return out
-}
-
-func oldComputeSupport(p *OldPattern, cfg Config) int {
-	if !cfg.EmbeddingSupport {
-		gids := map[int]bool{}
-		for _, e := range p.Embeddings {
-			gids[e.GID] = true
-		}
-		return len(gids)
-	}
-	dis := oldDisjointEmbeddings(p.Embeddings, cfg)
-	p.Disjoint = dis
-	return len(dis)
 }
 
 // oldDisjointEmbeddings and helpers: the pre-bitset MIS front end with

@@ -6,39 +6,13 @@ package mining_test
 // under the embedding-support search with a 20,000-visit budget.
 
 import (
-	"sync"
 	"testing"
 
-	"graphpa/internal/bench"
 	"graphpa/internal/mining"
-	"graphpa/internal/pa"
 )
 
-var rijndael = struct {
-	once   sync.Once
-	graphs []*mining.Graph
-	err    error
-}{}
-
-func rijndaelGraphs(b testing.TB) []*mining.Graph {
-	rijndael.once.Do(func() {
-		w, err := bench.Build("rijndael", bench.DefaultCodegen())
-		if err != nil {
-			rijndael.err = err
-			return
-		}
-		for _, g := range w.Graphs() {
-			rijndael.graphs = append(rijndael.graphs, pa.MiningGraph(g, false))
-		}
-	})
-	if rijndael.err != nil {
-		b.Fatal(rijndael.err)
-	}
-	return rijndael.graphs
-}
-
 func BenchmarkMineRijndael(b *testing.B) {
-	graphs := rijndaelGraphs(b)
+	graphs := benchGraphs(b, "rijndael", 0)
 	cfg := mining.Config{
 		MinSupport:       2,
 		MaxNodes:         8,

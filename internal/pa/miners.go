@@ -357,13 +357,11 @@ func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(
 	}
 	// Extension groups whose raw candidate count cannot yield a pattern
 	// matching the incumbent are dropped before their embeddings are
-	// built.
+	// built. The benefit-directed walk asks again before each child
+	// descent with the child's misUpperBound (admissible for the whole
+	// subtree, computed anyway for the sibling ordering): the tightened
+	// between-siblings bound.
 	viable := func(count int) bool { return !below(s.ubm(maxK, count)) }
-	// pruneChild is the tightened between-siblings bound of the
-	// benefit-directed walk: the mining layer hands it each child's
-	// misUpperBound (admissible for the whole subtree), computed anyway
-	// for the sibling ordering.
-	pruneChild := func(set *mining.EmbSet, bound int) bool { return below(s.ubm(maxK, bound)) }
 	cfgm := mining.Config{
 		MinSupport:       opts.minSupport(),
 		MaxNodes:         maxK,
@@ -382,15 +380,14 @@ func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(
 	if !opts.ref.lexicographic {
 		// The lexicographic reference arm keeps the old-style walk — the
 		// legacy fragUB support bound (newSearch), subtree and group
-		// pruning only — so the A/B differentials contrast the full
-		// benefit-directed machinery (call-only bound, MIS-aware child
-		// pruning, sibling ordering) against the reference, not just the
-		// sibling permutation. Result identity holds regardless: both
+		// pruning only (a lexicographic walk bounds no child) — so the
+		// A/B differentials contrast the full benefit-directed machinery
+		// (call-only bound, MIS-aware child pruning, sibling ordering)
+		// against the reference, not just the sibling permutation. Result identity holds regardless: both
 		// arms prune strictly below an admissible bound, which preserves
 		// the final incumbent tie set (see the search doc). It is also
 		// the unpruned oracle of the unextractable-fragment cut (hull.go):
 		// without the predicate every row is open.
-		cfgm.PruneChild = pruneChild
 		cfgm.RowClosed = newHulls(graphs, safe, maxK).closed
 	}
 	visits := mining.Mine(mgs, cfgm, func(p *mining.Pattern) {

@@ -258,11 +258,10 @@ func (o *tieOracle) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts 
 // the default batch and with SingleExtract, the ranked walk returns what
 // the unbounded tie set merges to. Under edgar at a batch no tie set
 // fills, the ranking itself must hold the whole tie set in key order.
-// It also pins sha's round-2 tie sets: under dgspan, whose edge walk
-// reaches one fragment by many edge subsets, the suite's largest, 12,407
-// ties, 9,670 of whose builds the bar stops; under edgar, whose induced
-// walk visits each node set once, 6 ties and no cut. Short mode skips
-// sha's dgspan single case.
+// It also pins round 2's tie sets and key cuts. The walk visits each
+// node set once under either miner, so sha has 6 ties under both, and
+// at the default batch the bar stops no build; with SingleExtract it
+// stops 3 on sha under both miners, and 1 of rijndael's one edgar tie.
 func TestTieRankingMatchesUnboundedTies(t *testing.T) {
 	for _, prog := range []struct {
 		name   string
@@ -275,13 +274,7 @@ func TestTieRankingMatchesUnboundedTies(t *testing.T) {
 				opts   Options
 			}{{"", Options{}}, {"/single", Options{SingleExtract: true}}, {"/unbounded", Options{ref: reference{batch: 1 << 30}}}} {
 				name := prog.name + "/" + m.Name() + mode.suffix
-				single := mode.opts.SingleExtract
 				if mode.opts.ref.batch != 0 && !m.Embedding {
-					continue
-				}
-				if testing.Short() && prog.name == "sha" && !m.Embedding && single {
-					// Short mode walks sha's large dgspan round 2 once, at
-					// the default batch; edgar's induced walk is small.
 					continue
 				}
 				o := &tieOracle{GraphMiner: m, t: t, name: name}
@@ -293,8 +286,11 @@ func TestTieRankingMatchesUnboundedTies(t *testing.T) {
 				}
 				t.Logf("%s: per-round reference ties and key cuts %v", name, o.rounds)
 				want, pinned := map[string]oracleRound{
-					"sha/edgar":  {ties: 6, keyCuts: 0},
-					"sha/dgspan": {ties: 12407, keyCuts: 9670},
+					"sha/edgar":             {ties: 6, keyCuts: 0},
+					"sha/dgspan":            {ties: 6, keyCuts: 0},
+					"sha/edgar/single":      {ties: 6, keyCuts: 3},
+					"sha/dgspan/single":     {ties: 6, keyCuts: 3},
+					"rijndael/edgar/single": {ties: 1, keyCuts: 1},
 				}[name]
 				if r := o.rounds[1]; pinned && r != want {
 					t.Errorf("%s round 2: %d ties and %d key cuts, want %d and %d", name, r.ties, r.keyCuts, want.ties, want.keyCuts)
