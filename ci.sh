@@ -182,13 +182,13 @@ echo "ci.sh: tables.txt Table 1 matches the mined savings"
 # The lattice walk is deterministic, so each drift program's visit
 # count must equal the committed BENCH_edgar.json record exactly. The
 # baseline comparison above tolerates 5%, enough to hide a
-# minimality-test bug that moves visits by a few percent. The key-cut
-# count (candidate builds stopped because their rewrite key cannot reach
-# the batch) is deterministic too and is held to the record the same
-# way, and so is the optimized image's content hash: the output bytes
+# minimality-test bug that moves visits by a few percent. The tie count
+# (mined candidates at each walk's final incumbent benefit, summed over
+# rounds) is deterministic too and is held to the record the same way,
+# and so is the optimized image's content hash: the output bytes
 # of all eight programs may not move unnoticed. A change that moves any
 # of them on purpose regenerates BENCH_edgar.json with it.
-for field in visits key_cuts image_hash; do
+for field in visits ties image_hash; do
 	awk -v f="\"$field\":" '/"name":/ { gsub(/[",]/, "", $2); name = $2 }
 		$1 == f { gsub(/[",]/, "", $2); print name, $2 }' \
 		BENCH_edgar.json >"$TMP/$field.committed"
@@ -204,7 +204,7 @@ for field in visits key_cuts image_hash; do
 		fi
 	done <"$TMP/$field.drift"
 done
-echo "ci.sh: BENCH_edgar.json visit counts, key cuts and image hashes match the mined runs exactly"
+echo "ci.sh: BENCH_edgar.json visit counts, tie counts and image hashes match the mined runs exactly"
 
 # --- truncation gate ------------------------------------------------------
 # MaxPatterns is a safety valve, not part of the search: no edgar,

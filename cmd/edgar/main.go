@@ -131,8 +131,8 @@ func main() {
 // driver: phase wall clocks (the sequence scan's is part of mine's),
 // dependence-graph cache effectiveness, call summaries changed since the
 // previous round, lattice visits, the children the walk cut as
-// non-minimal codes or as unextractable fragments, the candidate builds
-// cut by rewrite key, whether the walk stopped at the pattern budget,
+// non-minimal codes or as unextractable fragments, the mined ties at the
+// final incumbent benefit, whether the walk stopped at the pattern budget,
 // and the sequence scan's candidate builds. The last row is the fixpoint
 // probe (the round that found nothing left).
 func printRoundStats(stats []pa.RoundStat) {
@@ -141,7 +141,7 @@ func printRoundStats(stats []pa.RoundStat) {
 	}
 	fmt.Printf("per-round breakdown (blocks reused/rebuilt; summaries changed)\n")
 	fmt.Printf("%5s %10s %10s %10s %10s %10s %10s | %-16s %-11s %8s %8s %8s %8s %5s %5s %8s\n",
-		"round", "cfg", "sums", "dfg", "mine", "scan", "apply", "blocks r/b", "sums chg", "visits", "non-min", "unextr", "keycut", "trunc", "seqb", "extract")
+		"round", "cfg", "sums", "dfg", "mine", "scan", "apply", "blocks r/b", "sums chg", "visits", "non-min", "unextr", "ties", "trunc", "seqb", "extract")
 	for _, st := range stats {
 		trunc := "no"
 		if st.Truncated {
@@ -160,7 +160,7 @@ func printRoundStats(stats []pa.RoundStat) {
 			st.Visits,
 			st.NonMinimal,
 			st.Unextractable,
-			st.KeyCuts,
+			st.Ties,
 			trunc,
 			st.SeqBuilds,
 			st.Extractions)

@@ -30,15 +30,14 @@ type BenchRow struct {
 	// budget (MaxPatterns) and stopped there (RoundStat.Truncated). Zero
 	// in records predating the field.
 	TruncatedRounds int `json:"truncated_rounds"`
-	// KeyCuts counts, across all rounds, the candidate builds the walk
-	// stopped because their rewrite key could not reach the driver's
-	// batch (RoundStat.KeyCuts). Deterministic like Visits. Zero in
-	// records predating the field and for the SFX miner.
-	KeyCuts int `json:"key_cuts"`
 	// ImageHash is the content address of the optimized image
 	// (link.Image.Hash), so a record pins the output bytes, not just
 	// their size. Empty in records predating the field.
 	ImageHash string `json:"image_hash,omitempty"`
+	// Ties counts, summed over all rounds, the mined candidates at each
+	// walk's final incumbent benefit (RoundStat.Ties). Deterministic like
+	// Visits. Zero in records predating the field and for the SFX miner.
+	Ties int `json:"ties"`
 }
 
 // BenchFingerprint pins the optimizer configuration a benchmark record
@@ -102,10 +101,10 @@ func BenchJSON(ev *Evaluation, miners []string) *BenchDoc {
 			if !ok {
 				continue
 			}
-			visits, truncated, keyCuts := 0, 0, 0
+			visits, truncated, ties := 0, 0, 0
 			for _, rs := range r.RoundStats {
 				visits += rs.Visits
-				keyCuts += rs.KeyCuts
+				ties += rs.Ties
 				if rs.Truncated {
 					truncated++
 				}
@@ -121,8 +120,8 @@ func BenchJSON(ev *Evaluation, miners []string) *BenchDoc {
 				WallMS:          float64(r.Duration.Microseconds()) / 1000,
 				Visits:          visits,
 				TruncatedRounds: truncated,
-				KeyCuts:         keyCuts,
 				ImageHash:       ev.Hashes[w.Name][mn],
+				Ties:            ties,
 			})
 			d.TotalWallMS += float64(r.Duration.Microseconds()) / 1000
 			d.TotalVisits += visits

@@ -40,19 +40,19 @@ func TestBaselineRecordLoads(t *testing.T) {
 // TestBenchRowTruncatedRounds: a round whose walk used up the pattern
 // budget counts as truncated, one below it does not. The row counts the
 // rounds' Truncated flags, which the miner sets when visits reach the
-// budget, and sums their key cuts.
+// budget, and sums their ties.
 func TestBenchRowTruncatedRounds(t *testing.T) {
 	const budget = 50
 	ev := &Evaluation{
 		Workloads: []*Workload{{Name: "p"}},
 		Results: map[string]map[string]*pa.Result{"p": {"edgar": {RoundStats: []pa.RoundStat{
-			{Visits: budget, Truncated: true, KeyCuts: 3}, {Visits: budget - 1, KeyCuts: 4}, {Visits: budget, Truncated: true},
+			{Visits: budget, Truncated: true, Ties: 3}, {Visits: budget - 1, Ties: 4}, {Visits: budget, Truncated: true},
 		}}}},
 		Opts: pa.Options{MaxPatterns: budget},
 	}
 	row := BenchJSON(ev, []string{"edgar"}).Programs[0]
-	if row.TruncatedRounds != 2 || row.Visits != 3*budget-1 || row.KeyCuts != 7 {
-		t.Errorf("row %+v: want 2 truncated rounds, %d visits and 7 key cuts", row, 3*budget-1)
+	if row.TruncatedRounds != 2 || row.Visits != 3*budget-1 || row.Ties != 7 {
+		t.Errorf("row %+v: want 2 truncated rounds, %d visits and 7 ties", row, 3*budget-1)
 	}
 }
 

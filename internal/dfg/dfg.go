@@ -13,7 +13,6 @@ package dfg
 
 import (
 	"fmt"
-	"slices"
 
 	"graphpa/internal/arm"
 	"graphpa/internal/cfg"
@@ -91,21 +90,14 @@ func Build(b *cfg.Block, calls map[string]arm.Effects) *Graph {
 	lastStore := -1
 	var loadsSince []int
 
-	// Edges are drawn in nondecreasing To order (see below), so a
-	// duplicate can only sit in the current To run, g.Edges[run:].
-	run := 0
+	// No clause below draws an edge twice: each draws at most one edge
+	// per register or source node into the node being drawn, and edges
+	// of different clauses differ in Kind.
 	addEdge := func(from, to int, kind DepKind, reg arm.Reg) {
 		if from == to || from < 0 {
 			return
 		}
-		if n := len(g.Edges); n > 0 && g.Edges[n-1].To != to {
-			run = n
-		}
-		e := Edge{From: from, To: to, Kind: kind, Reg: reg}
-		if slices.Contains(g.Edges[run:], e) {
-			return
-		}
-		g.Edges = append(g.Edges, e)
+		g.Edges = append(g.Edges, Edge{From: from, To: to, Kind: kind, Reg: reg})
 	}
 
 	for i := 0; i < n; i++ {
@@ -172,7 +164,8 @@ func Build(b *cfg.Block, calls map[string]arm.Effects) *Graph {
 
 	// Edges are emitted in nondecreasing To order: node i's clauses above
 	// draw only edges into i, and the control edges into the terminator
-	// come last. So each node's in-edges are one contiguous run.
+	// come last. So each node's in-edges are one contiguous run, which
+	// the in-edge offset array g.in needs.
 	g.succ = make([][]int, n)
 	g.pred = make([][]int, n)
 	g.in = make([]int32, n+1)

@@ -234,7 +234,6 @@ type convexScratch struct {
 	dfs   []int        // scratchOcc: DFS-order nodes
 	nodes []int        // scratchOcc: sorted nodes
 	occs  []Occurrence // buildCandidate: the occurrences kept so far
-	key   []byte       // buildCandidate: their rewrite key
 }
 
 // setReference encodes occ's InducedSignature as the one sameSignature

@@ -24,9 +24,9 @@ func TestAdmitOrderInvariantTieSet(t *testing.T) {
 		{c, a, d, b},
 	}
 	for pi, perm := range perms {
-		s := newSearch(false, 16)
+		s := newSearch(false)
 		for _, x := range perm {
-			s.admit(x, candKey(x))
+			s.admit(x)
 		}
 		if s.bestBen != 7 {
 			t.Fatalf("perm %d: incumbent %d, want 7", pi, s.bestBen)
@@ -36,7 +36,7 @@ func TestAdmitOrderInvariantTieSet(t *testing.T) {
 		}
 		seen := map[*Candidate]bool{}
 		for _, x := range s.ties {
-			seen[x.cand] = true
+			seen[x] = true
 		}
 		if !seen[b] || !seen[c] {
 			t.Fatalf("perm %d: tie set lost a maximum candidate", pi)
@@ -45,9 +45,9 @@ func TestAdmitOrderInvariantTieSet(t *testing.T) {
 
 	// A candidate below the incumbent (possible only from a stale-threshold
 	// build) is dropped, not kept as a runner-up.
-	s := newSearch(false, 16)
+	s := newSearch(false)
 	s.bestBen = 10
-	s.admit(a, candKey(a))
+	s.admit(a)
 	if len(s.ties) != 0 {
 		t.Fatalf("sub-incumbent candidate admitted into the tie set")
 	}

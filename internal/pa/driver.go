@@ -54,7 +54,7 @@ type Options struct {
 	// keeps its mining graphs there. Only the driver sets it.
 	inc *incState
 	// stat, when non-nil, receives per-round miner counters (Visits,
-	// NonMinimal, Unextractable, KeyCuts, Truncated) and the sequence
+	// NonMinimal, Unextractable, Ties, Truncated) and the sequence
 	// scan's Scan and SeqBuilds.
 	stat *RoundStat
 }
@@ -84,8 +84,9 @@ type reference struct {
 	// incState, so dependence graphs and mining graphs are all built
 	// from scratch.
 	rebuild bool
-	// batch, when positive, replaces defaultBatch, so the tie-ranking
-	// and candidate-key tests can see every tie. Unlike the arms above it
+	// batch, when positive, replaces defaultBatch, so the tie-set oracle
+	// (TestTieRankingMatchesUnboundedTies) and the candidate-key test can
+	// see every tie. Unlike the arms above it
 	// can change which runners-up the driver applies.
 	batch int
 }
@@ -255,11 +256,10 @@ type RoundStat struct {
 	// which does not prune.
 	Unextractable int
 
-	// KeyCuts counts the candidate builds the walk stopped early because
-	// the candidate could at most tie the incumbent and its rewrite key
-	// already sorted at or after the batch-th smallest key kept at that
-	// benefit: it could not have reached the driver (DESIGN.md §10).
-	KeyCuts int
+	// Ties counts the mined candidates at the walk's final incumbent
+	// benefit: the tie set mergeCandidates ranks, dedups and cuts to the
+	// batch. Sequence seeds are not counted. Deterministic.
+	Ties int
 
 	// SeqBuilds counts the candidates the sequence scan built and
 	// validated this round (seqCandidate calls): the repeat groups that

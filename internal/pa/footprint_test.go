@@ -25,7 +25,7 @@ func (o *footprintProbe) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, 
 	round := len(o.visits) + 1
 	seen := map[string]string{} // footprint -> code of its first visit
 	visits := 0
-	tap := func(_ *search, p *mining.Pattern) {
+	tap := func(p *mining.Pattern) {
 		visits++
 		rows := make([]string, p.Embeddings.Len())
 		for i := range rows {

@@ -39,8 +39,7 @@ func fragUB(k, m int) int {
 }
 
 // search is the state of one lattice walk: the scalar incumbent read by
-// the branch-and-bound policies and raised by the visitor, and the
-// ranking of its ties by rewrite key.
+// the branch-and-bound policies and raised by the visitor, and its ties.
 //
 // The incumbent is deliberately a single scalar plus its tie set, not a
 // list ranked by benefit. With admissible bounds and strictly-less pruning
@@ -48,54 +47,24 @@ func fragUB(k, m int) int {
 // survives under ANY sibling visit order: each of its ancestors has an
 // upper bound at least that maximum, which never drops below the
 // incumbent. The final (bestBen, ties-as-a-set) is therefore identical
-// between the lexicographic and benefit-directed walks — the property
-// the Result-identity guarantee rests on. A ranked runner-up list has no
-// such invariance (which sub-maximum candidates get built depends on
-// when the bound rises), so runners-up come from the order-invariant
-// sequence seeds instead (see FindCandidates).
-//
-// Of the tie set only the first limit keys can reach the driver:
-// mergeCandidates orders by (benefit desc, key asc), dedups by key and
-// keeps limit entries. So ties holds just those — the smallest limit
-// distinct keys at bestBen, over the mined candidates and the sequence
-// seeds at the floor — and that set does not depend on admission order
-// either. Once the ranking is full its last key is the bar: a candidate
-// that can at most tie and whose key sorts at or after the bar is a
-// duplicate or outside the batch, and buildCandidate stops building it.
+// between the lexicographic and benefit-directed walks, and
+// mergeCandidates, the one place that ranks, dedups and truncates, turns
+// that set into the same list whatever order the walk admitted it in —
+// the property the Result-identity guarantee rests on. A ranked runner-up
+// list has no such invariance (which sub-maximum candidates get built
+// depends on when the bound rises), so runners-up come from the
+// order-invariant sequence seeds instead (see FindCandidates).
 type search struct {
-	bestBen int   // incumbent: highest known admissible benefit (seed floor at start)
-	ties    []tie // the smallest distinct keys at bestBen: ascending once limit are held
-	limit   int   // the driver's batch: the most keys ties holds
-	keyCuts int   // builds the bar stopped (RoundStat.KeyCuts)
-
-	// seen holds ties' keys while the ranking is not full. Until then
-	// every distinct key is kept, so ties is appended unsorted and
-	// sorted once, when it fills or when mined reads it: a batch larger
-	// than the tie set costs no per-admission insertion.
-	seen map[string]struct{}
+	bestBen int          // incumbent: highest known admissible benefit (seed floor at start)
+	ties    []*Candidate // the mined candidates at bestBen, in admission order
 
 	// lexicographic selects the legacy fragUB walk bound of the
 	// lexicographic reference arm (see newSearch).
 	lexicographic bool
 
-	// lastSelFor/lastSelN stash the exact independent-set size computed
-	// by the most recent visit (DgSpan mode only), so the subtree prune
-	// that immediately follows the visit can bound with the real
-	// extraction count instead of the raw embedding count.
-	lastSelFor *mining.Pattern
-	lastSelN   int
-
 	// conv is the occurrence-validation scratch, kept for the whole
 	// walk.
 	conv convexScratch
-}
-
-// tie is one ranked rewrite key at the incumbent benefit and the mined
-// candidate it names, nil for a sequence seed: the seeds reach
-// mergeCandidates on their own, and rank here only to set the bar.
-type tie struct {
-	key  string
-	cand *Candidate
 }
 
 // newSearch starts a walk. Its bound is CallBenefit: the graph walk can
@@ -110,10 +79,9 @@ type tie struct {
 // seeds, which bypass the walk. The lexicographic reference arm keeps
 // the legacy fragUB bound — pruning strictly below EITHER admissible
 // bound preserves the final incumbent tie set, so the two arms still
-// return identical candidates. limit is the driver's batch size, the
-// most ties the search ranks.
-func newSearch(lexicographic bool, limit int) *search {
-	return &search{lexicographic: lexicographic, limit: limit}
+// return identical candidates.
+func newSearch(lexicographic bool) *search {
+	return &search{lexicographic: lexicographic}
 }
 
 // ubm is the walk bound: the optimistic benefit of a k-node fragment
@@ -125,84 +93,18 @@ func (s *search) ubm(k, m int) int {
 	return CallBenefit(k, m)
 }
 
-// seed ranks the sequence seeds at the incumbent (the floor they set)
-// as key-only ties.
-func (s *search) seed(seeds []*Candidate) {
-	for _, c := range seeds {
-		if c.Benefit == s.bestBen {
-			s.rank(candKey(c), nil)
-		}
-	}
-}
-
-// admit offers a mined candidate with rewrite key key to the incumbent:
-// a strictly better benefit resets the ranking, an equal one is ranked,
-// a worse one is dropped.
-func (s *search) admit(c *Candidate, key string) {
+// admit offers a mined candidate to the incumbent: a strictly better
+// benefit restarts the tie list, an equal one joins it, a worse one is
+// dropped.
+func (s *search) admit(c *Candidate) {
 	if c.Benefit < s.bestBen {
 		return
 	}
 	if c.Benefit > s.bestBen {
 		s.bestBen = c.Benefit
 		s.ties = s.ties[:0]
-		clear(s.seen)
 	}
-	s.rank(key, c)
-}
-
-// rank adds key to the ranking unless it is already there or sorts
-// after limit smaller keys; a full ranking drops its last key to make
-// room.
-func (s *search) rank(key string, c *Candidate) {
-	if len(s.ties) < s.limit {
-		if s.seen == nil {
-			s.seen = map[string]struct{}{}
-		}
-		if _, dup := s.seen[key]; dup {
-			return
-		}
-		s.seen[key] = struct{}{}
-		s.ties = append(s.ties, tie{key: key, cand: c})
-		if len(s.ties) == s.limit {
-			s.sortTies()
-		}
-		return
-	}
-	i, found := slices.BinarySearchFunc(s.ties, key, func(t tie, k string) int {
-		return strings.Compare(t.key, k)
-	})
-	if found || i >= s.limit {
-		return
-	}
-	s.ties = slices.Insert(s.ties[:len(s.ties)-1], i, tie{key: key, cand: c})
-}
-
-// sortTies puts the ranking in key order.
-func (s *search) sortTies() {
-	slices.SortFunc(s.ties, func(a, b tie) int { return strings.Compare(a.key, b.key) })
-}
-
-// bar is the last ranked key once the ranking is full, and "" (no bar)
-// before: a tie whose key sorts at or after it cannot reach the batch.
-func (s *search) bar() string {
-	if len(s.ties) < s.limit {
-		return ""
-	}
-	return s.ties[len(s.ties)-1].key
-}
-
-// mined returns the ranked mined candidates in key order.
-func (s *search) mined() []*Candidate {
-	if len(s.ties) < s.limit {
-		s.sortTies()
-	}
-	var out []*Candidate
-	for _, t := range s.ties {
-		if t.cand != nil {
-			out = append(out, t.cand)
-		}
-	}
-	return out
+	s.ties = append(s.ties, c)
 }
 
 // GraphMiner is graph-based PA: DgSpan when Embedding is false (support =
@@ -294,9 +196,9 @@ func (m *GraphMiner) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts
 }
 
 // findCandidates is FindCandidates with a tap the walk calls on every
-// visited pattern after the visitor, with the walk's search, when tap is
-// non-nil: the hook of the tie-ranking differential test.
-func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(*search, *mining.Pattern)) []*Candidate {
+// visited pattern after the visitor, when tap is non-nil: the hook of
+// the footprint probe and the tie-set oracle tests.
+func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(*mining.Pattern)) []*Candidate {
 	byID := map[int]*dfg.Graph{}
 	var mgs []*mining.Graph
 	// The call-safety cache is written lazily on miss; fill it completely
@@ -324,9 +226,8 @@ func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(
 		}
 	}
 	ctx := opts.Context()
-	s := newSearch(opts.ref.lexicographic, opts.batch())
+	s := newSearch(opts.ref.lexicographic)
 	s.bestBen = baseFloor
-	s.seed(seeds)
 	// Benefit-bound pruning: a subtree is cut only when NO descendant can
 	// match the incumbent (strictly less — ties must survive, they are
 	// the mined output). A cancelled run prunes everything: the driver
@@ -335,12 +236,6 @@ func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(
 	bound := func(p *mining.Pattern) int {
 		if m.Embedding {
 			return p.Support // the exact independent-set size
-		}
-		if !opts.ref.lexicographic && s.lastSelFor == p {
-			// The visit that just ran computed the exact independent set;
-			// bound with the real extraction count. Part of the MIS-aware
-			// tightening, so the legacy reference arm skips it.
-			return s.lastSelN
 		}
 		// DgSpan's Support is a graph count, which does NOT bound the
 		// occurrence count; the embedding count does (a descendant's
@@ -393,15 +288,15 @@ func (m *GraphMiner) findCandidates(graphs []*dfg.Graph, opts Options, tap func(
 	visits := mining.Mine(mgs, cfgm, func(p *mining.Pattern) {
 		m.visitPattern(s, byID, safe, opts, p)
 		if tap != nil {
-			tap(s, p)
+			tap(p)
 		}
 	})
 	if opts.stat != nil {
 		opts.stat.Visits = visits
-		opts.stat.KeyCuts = s.keyCuts
+		opts.stat.Ties = len(s.ties)
 		opts.stat.Truncated = visits >= opts.maxPatterns()
 	}
-	return mergeCandidates(opts.batch(), s.mined(), seeds)
+	return mergeCandidates(opts.batch(), s.ties, seeds)
 }
 
 // candKey is a canonical identity for a candidate: extraction method,
@@ -413,35 +308,23 @@ func candKey(c *Candidate) string {
 	for i := range c.Occs {
 		n += 8 + 4*len(c.Occs[i].DFS)
 	}
-	b := appendKeyHead(make([]byte, 0, n), c.Method, c.Size)
+	b := make([]byte, 0, n)
+	b = append(b, c.Method.String()...)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(c.Size), 10)
 	for i := range c.Occs {
-		b = appendOccKey(b, &c.Occs[i])
+		o := &c.Occs[i]
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(o.Block.ID), 10)
+		b = append(b, ':')
+		for j, d := range o.DFS {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(d), 10)
+		}
 	}
 	return string(b)
-}
-
-// appendKeyHead appends the start of a candidate key, method and size,
-// to b. With appendOccKey it is the one key encoder: candKey and
-// buildCandidate's growing key prefix both use it, so a prefix is
-// always a prefix of the final key.
-func appendKeyHead(b []byte, m Method, size int) []byte {
-	b = append(b, m.String()...)
-	b = append(b, '#')
-	return strconv.AppendInt(b, int64(size), 10)
-}
-
-// appendOccKey appends one occurrence's part of a candidate key to b.
-func appendOccKey(b []byte, o *Occurrence) []byte {
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(o.Block.ID), 10)
-	b = append(b, ':')
-	for j, d := range o.DFS {
-		if j > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(d), 10)
-	}
-	return b
 }
 
 // mergeCandidates builds FindCandidates' return list from the mined tie
@@ -507,10 +390,6 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 		// unnoticed", i.e. fragments frequent only there are never
 		// found).
 		sel = mining.DisjointIndices(p.Embeddings, mining.Config{GreedyMIS: opts.GreedyMIS})
-		// Stash the exact extraction count for the subtree prune that
-		// follows this visit: DgSpan's Support is a graph count, useless
-		// as an occurrence bound, but this independent set is exact.
-		s.lastSelFor, s.lastSelN = p, len(sel)
 	}
 	ub := s.ubm(k, len(sel))
 	if ub <= 0 || ub < best {
@@ -521,33 +400,16 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 	if !slices.ContainsFunc(sel, func(r int32) bool { return !p.Embeddings.Closed(int(r)) }) {
 		return
 	}
-	// A candidate that can at most tie the incumbent reaches the driver
-	// only if its key ranks in the batch, so its build stops at the bar.
-	// One that could raise the incumbent is always built in full.
-	bar := ""
-	if CallBenefit(k, len(sel)) <= best {
-		bar = s.bar()
+	if cand := m.buildCandidate(byID, p.Embeddings, sel, k, safe, best-1, &s.conv); cand != nil {
+		s.admit(cand)
 	}
-	cand, cut := m.buildCandidate(byID, p.Embeddings, sel, k, safe, best-1, bar, &s.conv)
-	if cut {
-		s.keyCuts++
-	}
-	if cand == nil {
-		return
-	}
-	s.admit(cand, string(s.conv.key))
 }
 
 // buildCandidate turns raw disjoint embeddings into a verified call
-// candidate, leaving its rewrite key in conv.key. The walk never yields
-// a tail merge: no mined occurrence holds a block terminator (see
-// newSearch), so cross jumps come only from the sequence seeds. minBen
-// is the benefit the candidate must beat to be useful; validation bails
-// out as soon as that becomes impossible. A non-empty bar is a key the
-// candidate's own must sort before to be of use: that key grows by one
-// occurrence's part per kept occurrence, and a prefix never sorts after
-// the key it extends, so once the prefix reaches the bar the build stops
-// and reports cut.
+// candidate. The walk never yields a tail merge: no mined occurrence
+// holds a block terminator (see newSearch), so cross jumps come only
+// from the sequence seeds. minBen is the benefit the candidate must beat
+// to be useful; validation bails out as soon as that becomes impossible.
 // Per occurrence of a k-node fragment, validation costs one induced
 // signature — O(k²·d_in) over the fragment's in-edges, independent of
 // the block's edge count — plus the schedulability probe
@@ -556,9 +418,9 @@ func (m *GraphMiner) visitPattern(s *search, byID map[int]*dfg.Graph, safe callS
 // below the fragment's last instruction, a later one the contraction
 // probe, a Kahn count over the block window spanned by that block's
 // occurrences — no trial schedule is built.
-func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet, sel []int32, k int, safe callSafeCache, minBen int, bar string, conv *convexScratch) (c *Candidate, cut bool) {
+func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet, sel []int32, k int, safe callSafeCache, minBen int, conv *convexScratch) *Candidate {
 	if len(sel) == 0 {
-		return nil, false
+		return nil
 	}
 	first := byID[set.GID(int(sel[0]))]
 	firstOcc := conv.scratchOcc(first, set.Nodes(int(sel[0])))
@@ -572,14 +434,13 @@ func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet,
 	// pass the extractability and signature checks; the kept ones
 	// collect in scratch too, and the candidate gets an exact-size copy.
 	occs := conv.occs[:0]
-	key := appendKeyHead(conv.key[:0], MethodCall, k)
-	defer func() { clear(occs); conv.occs, conv.key = occs[:0], key }()
+	defer func() { clear(occs); conv.occs = occs[:0] }()
 	blFrags := map[*cfg.Block][][]int{}
 	for i, row := range sel {
 		// Bail as soon as even accepting every remaining embedding
 		// cannot beat minBen.
 		if CallBenefit(k, len(occs)+len(sel)-i) <= minBen {
-			return nil, false
+			return nil
 		}
 		g := byID[set.GID(int(row))]
 		occ := conv.scratchOcc(g, set.Nodes(int(row)))
@@ -592,14 +453,10 @@ func (m *GraphMiner) buildCandidate(byID map[int]*dfg.Graph, set *mining.EmbSet,
 			continue
 		}
 		occs = append(occs, occ)
-		key = appendOccKey(key, &occ)
-		if bar != "" && string(key) >= bar {
-			return nil, true
-		}
 	}
 	b := CallBenefit(k, len(occs))
 	if len(occs) < 2 || b <= 0 || b <= minBen {
-		return nil, false
+		return nil
 	}
-	return &Candidate{Size: k, Occs: slices.Clone(occs), Method: MethodCall, Benefit: b}, false
+	return &Candidate{Size: k, Occs: slices.Clone(occs), Method: MethodCall, Benefit: b}
 }

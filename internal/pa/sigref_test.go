@@ -318,7 +318,7 @@ func BenchmarkBuildCandidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range samples {
-			candSink, _ = m.buildCandidate(byID, s.set, s.sel, s.k, safe, 0, "", &conv)
+			candSink = m.buildCandidate(byID, s.set, s.sel, s.k, safe, 0, &conv)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/cand")

@@ -1,8 +1,8 @@
 package pa
 
-// Tests of the search's tie ranking: it keeps the first batch rewrite
-// keys of the incumbent's tie set, and buildCandidate stops a build
-// whose key cannot reach them.
+// Tests of the search's tie set: the walk keeps every mined candidate at
+// the incumbent benefit, and mergeCandidates alone ranks, dedups and cuts
+// it to the driver's batch.
 
 import (
 	"math/rand"
@@ -17,9 +17,9 @@ import (
 
 // TestTieRankingOrderInvariant admits about 40 ties, duplicate keys among
 // them, over sequence seeds at the floor, with and without a raise in
-// the stream, in many orders. The ranking must keep the same candidates
-// in every order, and mergeCandidates over what it keeps must equal
-// mergeCandidates over every tie at the final incumbent.
+// the stream, in many orders. mergeCandidates over the tie list must
+// equal mergeCandidates over every tie at the final incumbent, whatever
+// the admission order.
 func TestTieRankingOrderInvariant(t *testing.T) {
 	const floor = 7
 	seeds := []*Candidate{
@@ -62,26 +62,18 @@ func TestTieRankingOrderInvariant(t *testing.T) {
 		unbounded := slices.DeleteFunc(slices.Clone(all), func(c *Candidate) bool { return c.Benefit < top })
 		for _, batch := range []int{1, 2, 16} {
 			want := renderCands(mergeCandidates(batch, unbounded, seeds))
-			var first []string
 			for perm := 0; perm < 200; perm++ {
 				order := slices.Clone(all)
 				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-				s := newSearch(false, batch)
+				s := newSearch(false)
 				s.bestBen = floor
-				s.seed(seeds)
 				for _, c := range order {
-					s.admit(c, candKey(c))
+					s.admit(c)
 				}
-				if len(s.ties) > batch {
-					t.Fatalf("raise=%v batch %d: the ranking holds %d keys", withRaise, batch, len(s.ties))
+				if len(s.ties) != len(unbounded) {
+					t.Fatalf("raise=%v order %d: %d ties, want %d", withRaise, perm, len(s.ties), len(unbounded))
 				}
-				mined := renderCands(s.mined())
-				if perm == 0 {
-					first = mined
-				} else if !slices.Equal(mined, first) {
-					t.Fatalf("raise=%v batch %d: order %d ranks %q, order 0 %q", withRaise, batch, perm, mined, first)
-				}
-				if got := renderCands(mergeCandidates(batch, s.mined(), seeds)); !slices.Equal(got, want) {
+				if got := renderCands(mergeCandidates(batch, s.ties, seeds)); !slices.Equal(got, want) {
 					t.Fatalf("raise=%v batch %d order %d: merged %q, want %q", withRaise, batch, perm, got, want)
 				}
 			}
@@ -89,9 +81,9 @@ func TestTieRankingOrderInvariant(t *testing.T) {
 	}
 }
 
-// keyCutSrc has one three-instruction fragment in four call-safe
+// raiseSrc has one three-instruction fragment in four call-safe
 // functions: CallBenefit(3, 4) = 4.
-const keyCutSrc = `
+const raiseSrc = `
 _start:
 	bl f0
 	bl f1
@@ -124,12 +116,11 @@ f3:
 	pop {r4, pc}
 `
 
-// TestKeyCutSparesARaise: the walk visits a pattern whose candidate key
-// sorts after the bar of a full ranking. If the candidate beats the
-// incumbent it must be built and admitted all the same; only once it
-// can at most tie is its build cut.
-func TestKeyCutSparesARaise(t *testing.T) {
-	_, graphs := buildForMining(t, loadSrc(t, keyCutSrc))
+// TestVisitPatternAdmitsARaise: the walk visits a pattern whose
+// candidate beats the incumbent. The visit must lift bestBen to its
+// benefit and leave it as the only tie.
+func TestVisitPatternAdmitsARaise(t *testing.T) {
+	_, graphs := buildForMining(t, loadSrc(t, raiseSrc))
 	m := &GraphMiner{Embedding: true}
 	byID := map[int]*dfg.Graph{}
 	safe := callSafeCache{}
@@ -150,47 +141,29 @@ func TestKeyCutSparesARaise(t *testing.T) {
 	}
 	const ben = 4 // CallBenefit(3, 4)
 
-	// A ranking of one, full with a size-2 key: every size-3 key sorts
-	// after it.
 	small := testCand(ben-1, 2, MethodCall, [2]int{0, 0}, [2]int{0, 2}, [2]int{0, 4}, [2]int{0, 6}, [2]int{0, 8}, [2]int{0, 10})
-	s := newSearch(false, 1)
+	s := newSearch(false)
 	s.bestBen = ben - 1
-	s.admit(small, candKey(small))
-	bar := s.bar()
+	s.admit(small)
 	m.visitPattern(s, byID, safe, Options{}, best)
-	if s.bestBen != ben || s.keyCuts != 0 {
-		t.Fatalf("incumbent %d after %d key cuts, want %d after none: the raise was cut", s.bestBen, s.keyCuts, ben)
+	if s.bestBen != ben {
+		t.Fatalf("incumbent %d, want %d: the raise was not admitted", s.bestBen, ben)
 	}
-	got := s.mined()
-	if len(got) != 1 || got[0].Size != 3 || candKey(got[0]) <= bar {
-		t.Fatalf("ranked %q, want one size-3 candidate keyed after %q", renderCands(got), bar)
-	}
-
-	// The same pattern at an incumbent it can only tie is cut.
-	tie := testCand(ben, 2, MethodCall, [2]int{0, 0}, [2]int{0, 2}, [2]int{0, 4}, [2]int{0, 6}, [2]int{0, 8}, [2]int{0, 10}, [2]int{0, 12})
-	s = newSearch(false, 1)
-	s.bestBen = ben
-	s.admit(tie, candKey(tie))
-	m.visitPattern(s, byID, safe, Options{}, best)
-	if s.keyCuts != 1 || len(s.ties) != 1 || s.ties[0].cand != tie {
-		t.Fatalf("%d key cuts, ranking %q: want the tie's build cut", s.keyCuts, renderCands(s.mined()))
+	if len(s.ties) != 1 || s.ties[0].Size != 3 || s.ties[0].Benefit != ben {
+		t.Fatalf("ties %q, want the one size-3 candidate", renderCands(s.ties))
 	}
 }
 
 // tieOracle runs a graph miner inside the real driver and, in the same
-// walk, a reference visitor that builds every visited pattern with no
-// bar and keeps every tie. mergeCandidates over the reference tie set
-// must equal what FindCandidates returns.
+// walk, a reference visitor that builds every visited pattern against
+// the seed floor and keeps every tie. mergeCandidates over the reference
+// tie set must equal what FindCandidates returns.
 type tieOracle struct {
 	*GraphMiner
 	t      *testing.T
 	name   string
-	rounds []oracleRound
+	rounds []int // each round's reference tie count
 }
-
-// oracleRound is one round's reference tie count and the real walk's
-// key cuts.
-type oracleRound struct{ ties, keyCuts int }
 
 func (o *tieOracle) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts Options) []*Candidate {
 	byID := map[int]*dfg.Graph{}
@@ -205,9 +178,7 @@ func (o *tieOracle) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts 
 	}
 	var ties []*Candidate
 	var conv convexScratch
-	var walk *search
-	tap := func(s *search, p *mining.Pattern) {
-		walk = s
+	tap := func(p *mining.Pattern) {
 		k := p.Code.NumNodes()
 		if k < 2 {
 			return
@@ -216,7 +187,7 @@ func (o *tieOracle) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts 
 		if !o.Embedding {
 			sel = mining.DisjointIndices(p.Embeddings, mining.Config{GreedyMIS: opts.GreedyMIS})
 		}
-		c, _ := o.buildCandidate(byID, p.Embeddings, sel, k, safe, best-1, "", &conv)
+		c := o.buildCandidate(byID, p.Embeddings, sel, k, safe, best-1, &conv)
 		if c == nil {
 			return
 		}
@@ -232,36 +203,21 @@ func (o *tieOracle) FindCandidates(view *cfg.Program, graphs []*dfg.Graph, opts 
 		o.t.Errorf("%s round %d: FindCandidates returned\n%s\nthe unbounded tie set merges to\n%s",
 			o.name, round, strings.Join(g, "\n"), strings.Join(w, "\n"))
 	}
-	if opts.ref.batch == 1<<30 && walk != nil {
-		// A batch no tie set fills: the ranking keeps every distinct
-		// mined key that no seed at the incumbent already holds, in key
-		// order.
-		seedKeys := map[string]bool{}
-		for _, c := range seeds {
-			if c.Benefit == best {
-				seedKeys[candKey(c)] = true
-			}
-		}
-		want := slices.DeleteFunc(slices.Clone(ties), func(c *Candidate) bool { return seedKeys[candKey(c)] })
-		g, w := renderCands(walk.mined()), renderCands(mergeCandidates(opts.batch(), want, nil))
-		if !slices.Equal(g, w) {
-			o.t.Errorf("%s round %d: the ranking holds\n%s\nthe unbounded tie set sorts to\n%s",
-				o.name, round, strings.Join(g, "\n"), strings.Join(w, "\n"))
-		}
+	if opts.stat.Ties != len(ties) {
+		o.t.Errorf("%s round %d: the walk reports %d ties, the reference holds %d", o.name, round, opts.stat.Ties, len(ties))
 	}
-	o.rounds = append(o.rounds, oracleRound{ties: len(ties), keyCuts: opts.stat.KeyCuts})
+	o.rounds = append(o.rounds, len(ties))
 	return got
 }
 
-// TestTieRankingMatchesUnboundedTies is the key cut's oracle: on sha's
+// TestTieRankingMatchesUnboundedTies is the tie list's oracle: on sha's
 // first three rounds and rijndael's first two, under edgar and dgspan, at
-// the default batch and with SingleExtract, the ranked walk returns what
-// the unbounded tie set merges to. Under edgar at a batch no tie set
-// fills, the ranking itself must hold the whole tie set in key order.
-// It also pins round 2's tie sets and key cuts. The walk visits each
-// node set once under either miner, so sha has 6 ties under both, and
-// at the default batch the bar stops no build; with SingleExtract it
-// stops 3 on sha under both miners, and 1 of rijndael's one edgar tie.
+// the default batch and with SingleExtract (and under edgar at a batch no
+// tie set fills), the walk returns what the reference tie set merges to,
+// and every round's RoundStat.Ties equals the reference's count. It also
+// pins round 2's tie sets: the walk visits each node set once under
+// either miner, so sha has 6 ties under both, and rijndael's edgar round
+// 2 has one under SingleExtract.
 func TestTieRankingMatchesUnboundedTies(t *testing.T) {
 	for _, prog := range []struct {
 		name   string
@@ -284,18 +240,47 @@ func TestTieRankingMatchesUnboundedTies(t *testing.T) {
 				if len(o.rounds) != prog.rounds {
 					t.Fatalf("%s: mined %d rounds, want %d", name, len(o.rounds), prog.rounds)
 				}
-				t.Logf("%s: per-round reference ties and key cuts %v", name, o.rounds)
-				want, pinned := map[string]oracleRound{
-					"sha/edgar":             {ties: 6, keyCuts: 0},
-					"sha/dgspan":            {ties: 6, keyCuts: 0},
-					"sha/edgar/single":      {ties: 6, keyCuts: 3},
-					"sha/dgspan/single":     {ties: 6, keyCuts: 3},
-					"rijndael/edgar/single": {ties: 1, keyCuts: 1},
+				t.Logf("%s: per-round reference ties %v", name, o.rounds)
+				want, pinned := map[string]int{
+					"sha/edgar":             6,
+					"sha/dgspan":            6,
+					"sha/edgar/single":      6,
+					"sha/dgspan/single":     6,
+					"rijndael/edgar/single": 1,
 				}[name]
 				if r := o.rounds[1]; pinned && r != want {
-					t.Errorf("%s round 2: %d ties and %d key cuts, want %d and %d", name, r.ties, r.keyCuts, want.ties, want.keyCuts)
+					t.Errorf("%s round 2: %d ties, want %d", name, r, want)
 				}
 			}
 		}
 	}
+}
+
+// TestTieSetWithinBatch bounds the tie list's memory: no round on the
+// eight programs, under any graph miner, with or without SingleExtract,
+// holds more than defaultBatch mined ties at its final incumbent. The
+// walk keeps every tie, so this is the bound a ranking would otherwise
+// have to enforce (the largest measured: 6 at default options, 10 under
+// SingleExtract).
+func TestTieSetWithinBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 48 fixpoints")
+	}
+	largest := map[bool]int{}
+	for _, name := range []string{"bitcnts", "crc", "dijkstra", "patricia", "qsort", "rijndael", "search", "sha"} {
+		p := benchProgram(t, name)
+		for _, m := range []*GraphMiner{{Embedding: true}, {Embedding: true, CanonicalMatch: true}, {}} {
+			for _, opts := range []Options{{}, {SingleExtract: true}} {
+				most := 0
+				for _, st := range Optimize(p, m, opts).RoundStats {
+					most = max(most, st.Ties)
+				}
+				if most > defaultBatch {
+					t.Errorf("%s/%s single=%v: a round holds %d ties, more than %d", name, m.Name(), opts.SingleExtract, most, defaultBatch)
+				}
+				largest[opts.SingleExtract] = max(largest[opts.SingleExtract], most)
+			}
+		}
+	}
+	t.Logf("largest tie set: %d at default options, %d under SingleExtract", largest[false], largest[true])
 }
